@@ -223,28 +223,31 @@ class Histogram(_Metric):
         with self._lock:
             return sum(int(entry[2]) for entry in self._series.values())
 
-    def _merged_counts(self, key: Optional[Tuple[str, ...]]) -> Tuple[List[int], int]:
+    def _merged_counts(self, labels: Mapping[str, object]) -> Tuple[List[int], int]:
+        """Bucket counts summed over every series matching ``labels``."""
+        unknown = set(labels) - set(self.label_names)
+        if unknown:
+            raise ValueError(f"{self.name} has no labels {tuple(sorted(unknown))}")
+        wanted = [(self.label_names.index(name), str(value)) for name, value in labels.items()]
+        counts = [0] * (len(self.bounds) + 1)
+        total = 0
         with self._lock:
-            if key is not None:
-                entry = self._series.get(key)
-                if entry is None:
-                    return [0] * (len(self.bounds) + 1), 0
-                return list(entry[0]), int(entry[2])
-            counts = [0] * (len(self.bounds) + 1)
-            total = 0
-            for entry in self._series.values():
-                for i, c in enumerate(entry[0]):
-                    counts[i] += c
-                total += int(entry[2])
-            return counts, total
+            for key, entry in self._series.items():
+                if all(key[i] == value for i, value in wanted):
+                    for i, c in enumerate(entry[0]):
+                        counts[i] += c
+                    total += int(entry[2])
+        return counts, total
 
     def quantile(self, q: float, **labels: object) -> float:
-        """Estimated ``q``-quantile; aggregated over all series when no
-        labels are given."""
+        """Estimated ``q``-quantile over the series matching ``labels``.
+
+        Any subset of the label names may be given; the series it matches
+        are merged (no labels: every series).
+        """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        key = self._key(labels) if labels else None
-        counts, total = self._merged_counts(key)
+        counts, total = self._merged_counts(labels)
         if total == 0:
             return 0.0
         target = q * total

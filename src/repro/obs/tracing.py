@@ -242,6 +242,35 @@ class Tracer:
             )
         )
 
+    def add(
+        self,
+        name: str,
+        trace_id: str,
+        *key: object,
+        parent: Optional[str],
+        start: float,
+        end: Optional[float] = None,
+        attrs: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """Record a finished span, deriving its ID and wall-clock start.
+
+        The span ID is ``span_id(trace_id, stem, *key)``, where ``stem`` is
+        ``name`` without any ``[i]`` suffix — so ``add("chunk[3]", trace,
+        3, ...)`` records under :func:`chunk_span_id`, the ID both sides of
+        the pool derive.  ``start``/``end`` are ``time.perf_counter()``
+        stamps (``end`` defaults to now); the stored start is epoch time.
+        """
+        now = time.perf_counter()
+        self.record_span(
+            name,
+            trace_id,
+            span_id=span_id(trace_id, name.partition("[")[0], *key),
+            parent_id=parent,
+            start=wall_clock(start),
+            duration=(now if end is None else end) - start,
+            attrs=attrs,
+        )
+
     @contextmanager
     def span(
         self,

@@ -74,7 +74,7 @@ class ScenarioSpec:
     admission_max_queue_depth: Optional[int] = None
     admission_max_backlog_rows: Optional[int] = None
     #: Front-door mode: serve the registry's ``prod`` *and* ``canary`` stages
-    #: concurrently behind a broker-routed FrontDoor, steering a seed-derived
+    #: concurrently behind a FrontDoor, steering a seed-derived
     #: ``canary_share`` of traffic to the canary backend.
     front_door: bool = False
     canary_share: float = 0.0

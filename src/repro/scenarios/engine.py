@@ -224,7 +224,7 @@ class ScenarioEngine:
 
         # The serving backends: always a ``prod`` service; front-door specs
         # add a ``canary`` service over the same initial model and route both
-        # through a broker-backed FrontDoor.
+        # through a FrontDoor.
         services: Dict[str, SamplingService] = {
             "prod": SamplingService(
                 model,

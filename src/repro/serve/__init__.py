@@ -14,7 +14,11 @@ package is the machinery that cashes the invariant in:
     contract:** output bytes for a given ``(seed, chunk_size)`` are
     identical for any worker count including 1, and equal to
     ``Table.concat(model.sample_batches(...))`` — sharding changes wall
-    clock, never data.
+    clock, never data.  Every chunk takes one path: a chunk run hands out a
+    handle per chunk, either a supervised pool attempt or a lazy in-process
+    one making the workers' exact call — the in-process handle serves
+    ``workers=1``, one-chunk ``sample_batches`` requests and serving after
+    pool collapse, with the same spans and the same :class:`ChunkError`.
 
 :class:`~repro.serve.registry.ModelRegistry`
     Versioned storage of fitted-surrogate snapshots (``<root>/<name>/vN.pkl``)
@@ -51,9 +55,11 @@ not by statistics:
   after in-flight siblings are cancelled.
 * **Degraded mode** — if pool supervision itself gives up
   (:class:`~repro.utils.parallel.WorkerPoolBroken`), the service's
-  dispatcher serves the affected micro-batch (and subsequent ones) with
-  in-process serial generation: slower, byte-identical, zero queued
-  requests lost.  ``ServiceStats.degraded_passes`` counts these.
+  dispatcher cancels the affected requests' chunk handles and resubmits
+  their chunks in-process, as it does for every later request: slower,
+  byte-identical, zero queued requests lost.
+  ``ServiceStats.degraded_passes`` counts every request served in-process
+  because the pool is broken.
 * **Cancellation** — :meth:`~repro.serve.service.SampleRequest.cancel`
   releases an abandoned request's backpressure budget exactly once (the
   companion to ``result(timeout=...)``), so a stuck or slow request cannot
@@ -107,9 +113,8 @@ a request is served, never *what*:
     :data:`~repro.serve.api.PRIORITY_CLASSES` (``interactive`` weight 4 >
     ``normal`` 2 > ``batch`` 1); the dispatcher runs start-time weighted
     fair queueing over ``(tenant, priority)`` flows, so a bursty tenant
-    cannot starve a steady one.  The legacy positional
-    ``submit(n, seed=..., sampling_mode=...)`` surface still works and
-    emits a :class:`DeprecationWarning`.
+    cannot starve a steady one.  ``submit(n, seed=..., ...)`` with keyword
+    knobs builds the spec for you.
 :class:`~repro.serve.admission.AdmissionPolicy` /
 :class:`~repro.serve.admission.AdmissionRejected`
     SLO-aware admission control: reject (instead of queue) on queue-depth
@@ -122,10 +127,9 @@ a request is served, never *what*:
     between ``min_workers``/``max_workers`` with demand.  Byte-safe by the
     sharding contract — a resize changes wall clock, never data.
 :class:`~repro.serve.http.FrontDoor`
-    The async multi-tenant front door: routes requests across named
-    backend services (registry stages ``prod``/``canary`` serving
-    concurrently) via a :class:`~repro.scheduler.broker.BackendRouter`
-    driven by the scheduler's ``LeastLoadedBroker``, and optionally speaks
+    The async multi-tenant front door: routes each request to the named
+    backend service (registry stages ``prod``/``canary`` serving
+    concurrently) with the most free slots, and optionally speaks
     stdlib-only HTTP (``POST /sample``, ``GET /stats|/models|/healthz``)
     from a background asyncio thread.
 :func:`~repro.serve.api.table_fingerprint`
@@ -143,8 +147,9 @@ Observability (the ``repro.obs`` plane)
 Every layer above writes into one
 :class:`~repro.obs.metrics.MetricsRegistry` per service (pass
 ``SamplingService(metrics=...)`` to share one), and the stats tree is a
-*view* of that registry — the numbers on ``/stats`` and ``/metrics`` are
-the same by construction.  The serving metric names:
+*view* of that registry, the only store of serving stats — the numbers on
+``/stats`` and ``/metrics`` are the same by construction, latency
+percentiles included.  The serving metric names:
 
 * requests/rows — ``repro_serve_requests_total{tenant}``,
   ``repro_serve_request_errors_total``, ``repro_serve_rows_total{tenant}``,
@@ -212,14 +217,13 @@ from repro.serve.service import (
     ServiceOverloaded,
     ServiceStats,
 )
-from repro.serve.sharded import ChunkError, ChunkFaultStats, ChunkPolicy, ShardedSampler
+from repro.serve.sharded import ChunkError, ChunkPolicy, ShardedSampler
 
 __all__ = [
     "AdmissionPolicy",
     "AdmissionRejected",
     "AutoscalePolicy",
     "ChunkError",
-    "ChunkFaultStats",
     "ChunkPolicy",
     "Fault",
     "FaultPlan",

@@ -4,13 +4,12 @@
 submissions out across named backends — one
 :class:`~repro.serve.service.SamplingService` per served model or registry
 stage (``prod`` / ``canary`` serving concurrently is the canonical shape).
-Placement goes through a :class:`~repro.scheduler.broker.BackendRouter`,
-which models each backend as a one-site grid and brokers every request with
-the same :class:`~repro.scheduler.broker.LeastLoadedBroker` policy the
-scheduler benchmarks use: an unpinned request lands on the backend with the
-most free slots, a request naming its ``model`` is pinned but still counted.
-Routing never touches *bytes* — a request's result is a function of its own
-seed, whichever backend serves it.
+Placement counts in-flight requests per backend in a dict: an unpinned
+request lands on the backend with the most free slots (``64 × workers``
+minus its in-flight count; ties go to registration order), a request naming
+its ``model`` is pinned but still counted.  Routing never touches *bytes* —
+a request's result is a function of its own seed, whichever backend serves
+it.
 
 The HTTP endpoint is stdlib-only: an :mod:`asyncio` protocol server
 (started with :meth:`FrontDoor.start_http`) running on a background thread,
@@ -54,7 +53,6 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.obs.metrics import render_prometheus_multi
-from repro.scheduler.broker import BackendRouter, Broker
 from repro.serve.admission import AdmissionRejected, ServiceOverloaded
 from repro.serve.api import RequestSpec, table_fingerprint
 from repro.serve.service import SampleRequest, SamplingService
@@ -72,15 +70,56 @@ _REASONS = {
 }
 
 
+class _Router:
+    """Most-free-slots placement over a dict of in-flight request counts.
+
+    A backend has ``SLOTS_PER_WORKER × workers`` slots.  Slots are soft:
+    every placement is counted, even past the cap (free slots go negative),
+    because admission control, not routing, is the layer that says no.
+    Thread-safe.
+    """
+
+    SLOTS_PER_WORKER = 64
+
+    def __init__(self, workers: Mapping[str, int]) -> None:
+        self._slots = {
+            name: self.SLOTS_PER_WORKER * max(1, int(count)) for name, count in workers.items()
+        }
+        self._in_flight = dict.fromkeys(self._slots, 0)
+        self._lock = threading.Lock()
+
+    def acquire(self, backend: Optional[str] = None) -> str:
+        """Occupy a slot on ``backend`` (KeyError if unknown) or, unpinned,
+        on the backend with the most free slots (ties: registration order)."""
+        with self._lock:
+            if backend is None:
+                backend = max(
+                    self._slots, key=lambda name: self._slots[name] - self._in_flight[name]
+                )
+            self._in_flight[backend] += 1
+            return backend
+
+    def release(self, backend: str) -> None:
+        """Free a slot on ``backend``; releasing an idle backend is a no-op."""
+        with self._lock:
+            if self._in_flight[backend] > 0:
+                self._in_flight[backend] -= 1
+
+    def load(self) -> Dict[str, int]:
+        """In-flight requests per backend."""
+        with self._lock:
+            return dict(self._in_flight)
+
+
 class FrontDoorTicket:
     """Handle for a routed request: the service handle plus its slot.
 
     Wraps the backend's :class:`~repro.serve.service.SampleRequest` and
     releases the request's router slot once the request resolves, so the
-    least-loaded policy sees completions as well as arrivals.
+    most-free-slots pick sees completions as well as arrivals.
     """
 
-    def __init__(self, inner: SampleRequest, router: BackendRouter, backend: str) -> None:
+    def __init__(self, inner: SampleRequest, router: _Router, backend: str) -> None:
         self._inner = inner
         self._router = router
         #: The backend (model/stage name) this request was routed to.
@@ -131,9 +170,6 @@ class FrontDoor:
         or a mapping of backend name → service — registry stage names
         (``prod``, ``canary``) are the intended keys for multi-stage
         serving.
-    broker:
-        The placement policy for unpinned requests; defaults to
-        :class:`~repro.scheduler.broker.LeastLoadedBroker`.
 
     The front door does not own its services' lifecycles by default:
     :meth:`close` stops the HTTP endpoint, and ``close(services=True)``
@@ -141,19 +177,15 @@ class FrontDoor:
     """
 
     def __init__(
-        self,
-        services: Union[SamplingService, Mapping[str, SamplingService]],
-        *,
-        broker: Optional[Broker] = None,
+        self, services: Union[SamplingService, Mapping[str, SamplingService]]
     ) -> None:
         if isinstance(services, SamplingService):
             services = {"default": services}
         if not services:
             raise ValueError("FrontDoor requires at least one backend service")
         self._services: Dict[str, SamplingService] = dict(services)
-        self._router = BackendRouter(
-            {name: service.workers for name, service in self._services.items()},
-            broker=broker,
+        self._router = _Router(
+            {name: service.workers for name, service in self._services.items()}
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -177,17 +209,15 @@ class FrontDoor:
     def submit(self, spec: RequestSpec, *, model: Optional[str] = None) -> FrontDoorTicket:
         """Route one request and queue it on its backend.
 
-        Unpinned requests go to the least-loaded backend; ``model`` pins
-        one.  Raises whatever the backend's admission control raises —
-        routing happens first, so a rejected request's slot is released
-        immediately.
+        Unpinned requests go to the backend with the most free slots;
+        ``model`` pins one.  Raises whatever the backend's admission control
+        raises — routing happens first, so a rejected request's slot is
+        released immediately.
         """
         if model is not None and model not in self._services:
             known = ", ".join(self._services)
             raise KeyError(f"unknown model {model!r}; serving: {known}")
-        backend = self._router.acquire(
-            rows=spec.n, project=spec.tenant, backend=model
-        )
+        backend = self._router.acquire(model)
         try:
             inner = self._services[backend].submit(spec)
         except BaseException:

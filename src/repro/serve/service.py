@@ -55,7 +55,6 @@ import heapq
 import operator
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import BrokenExecutor, CancelledError
 from dataclasses import dataclass, field
@@ -66,10 +65,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     Tracer,
     request_span_id,
-    span_id,
     trace_id_from_child,
     trace_id_from_seed,
-    wall_clock,
 )
 from repro.serve.admission import (
     AdmissionController,
@@ -119,27 +116,6 @@ class SampleRequest:
         # Observability stashes (owned by the service; unset when untraced).
         self._obs_admitted_at: Optional[float] = None
         self._obs_trace_id: Optional[str] = None
-
-    # Legacy attribute views (the pre-RequestSpec handle surface).
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def seed(self) -> SeedLike:
-        return self.spec.seed
-
-    @property
-    def sampling_mode(self) -> str:
-        return self.spec.sampling_mode
-
-    @property
-    def tenant(self) -> str:
-        return self.spec.tenant
-
-    @property
-    def priority(self) -> str:
-        return self.spec.priority
 
     def done(self) -> bool:
         return self._done.is_set()
@@ -284,7 +260,8 @@ class ServiceStats:
     queue_depth: int
     #: Rows admitted but not yet delivered (the backpressure quantity).
     in_flight_rows: int
-    #: Median / 95th-percentile request latency over the sliding window (s).
+    #: Median / 95th-percentile request latency (s), estimated from the
+    #: ``repro_serve_request_latency_seconds`` histogram.
     p50_latency: float
     p95_latency: float
     total_requests: int
@@ -373,8 +350,6 @@ class SamplingService:
         :meth:`submit` blocks.  A request larger than the whole budget is
         admitted when the service is otherwise idle (it would never fit
         alongside other work, but must not deadlock alone).
-    latency_window:
-        Number of recent request latencies kept for the p50/p95 stats.
     chunk_policy / fault_plan / max_pool_restarts:
         Forwarded to the sharded engine: the per-chunk resilience policy,
         an optional deterministic fault-injection plan (chaos runs), and the
@@ -415,7 +390,6 @@ class SamplingService:
         workers: Optional[int] = None,
         chunk_size: int = ShardedSampler.DEFAULT_CHUNK_SIZE,
         max_inflight_rows: int = 4_000_000,
-        latency_window: int = 512,
         chunk_policy: Optional[ChunkPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         max_pool_restarts: int = 5,
@@ -464,14 +438,13 @@ class SamplingService:
         self._admission_waiters: Deque[int] = deque()
         self._pending_swaps: Deque[_SwapTicket] = deque()
         self._closing = False
-        self._latency_window = int(latency_window)
-        # Exact-percentile sliding windows.  The registry histograms trade
-        # exactness for O(1) memory; :meth:`stats` keeps its historical
-        # exact-window p50/p95 semantics from these deques.
-        self._latencies: Deque[float] = deque(maxlen=self._latency_window)
-        self._tenant_latencies: Dict[str, Deque[float]] = {}
         self._shrink_streak = 0
         registry = self.metrics
+        # The sampler's chunk fault counters, read back by :meth:`stats`.
+        self._m_chunk = {
+            key: registry.counter(f"repro_serve_chunk_{key}_total")
+            for key in ("retries", "timeouts", "hedges", "hedge_wins")
+        }
         self._m_requests = registry.counter(
             "repro_serve_requests_total",
             "Requests delivered without error, by tenant.",
@@ -604,25 +577,22 @@ class SamplingService:
             if ticket.error is not None:
                 raise ticket.error
 
+    @staticmethod
     def _coerce_spec(
-        self,
         request: object,
-        legacy: Tuple[object, ...],
         seed: SeedLike,
         sampling_mode: Optional[str],
         tenant: Optional[str],
         priority: Optional[str],
         deadline: Optional[float],
     ) -> RequestSpec:
-        """One :class:`RequestSpec` from any accepted calling convention.
+        """One :class:`RequestSpec` from either calling convention.
 
         Canonical: ``submit(RequestSpec(...))``.  Convenience: ``submit(n,
         seed=..., sampling_mode=..., tenant=..., ...)`` (keyword-only knobs).
-        Deprecated: the original positional ``submit(n, seed, sampling_mode)``
-        — still byte-equivalent, now with a :class:`DeprecationWarning`.
         """
         if isinstance(request, RequestSpec):
-            if legacy or any(
+            if any(
                 value is not None
                 for value in (seed, sampling_mode, tenant, priority, deadline)
             ):
@@ -636,22 +606,6 @@ class SamplingService:
             raise TypeError(
                 f"expected a RequestSpec or a row count, got {type(request).__name__}"
             ) from None
-        if legacy:
-            warnings.warn(
-                "positional seed/sampling_mode arguments are deprecated; pass a "
-                "RequestSpec (or use keyword arguments)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if len(legacy) > 2:
-                raise TypeError(
-                    f"at most (n, seed, sampling_mode) positionally; got {len(legacy) + 1} arguments"
-                )
-            if seed is not None or (len(legacy) == 2 and sampling_mode is not None):
-                raise TypeError("seed/sampling_mode given both positionally and by keyword")
-            seed = legacy[0]  # type: ignore[assignment]
-            if len(legacy) == 2:
-                sampling_mode = str(legacy[1])
         return RequestSpec(
             n=request,
             seed=seed,
@@ -664,7 +618,7 @@ class SamplingService:
     def submit(
         self,
         request: object,
-        *legacy: object,
+        *,
         seed: SeedLike = None,
         sampling_mode: Optional[str] = None,
         tenant: Optional[str] = None,
@@ -683,9 +637,7 @@ class SamplingService:
         requests raise :class:`~repro.serve.admission.AdmissionRejected`
         regardless of ``wait``.
         """
-        spec = self._coerce_spec(
-            request, legacy, seed, sampling_mode, tenant, priority, deadline
-        )
+        spec = self._coerce_spec(request, seed, sampling_mode, tenant, priority, deadline)
         handle = SampleRequest(spec)
         handle._service = self
         n = spec.n
@@ -731,7 +683,7 @@ class SamplingService:
     def sample(
         self,
         request: object,
-        *legacy: object,
+        *,
         seed: SeedLike = None,
         sampling_mode: Optional[str] = None,
         tenant: Optional[str] = None,
@@ -739,28 +691,22 @@ class SamplingService:
         deadline: Optional[float] = None,
     ) -> Table:
         """Synchronous convenience: submit and wait for the table."""
-        spec = self._coerce_spec(
-            request, legacy, seed, sampling_mode, tenant, priority, deadline
-        )
+        spec = self._coerce_spec(request, seed, sampling_mode, tenant, priority, deadline)
         return self.submit(spec).result()
 
     def stats(self) -> ServiceStats:
         """A :class:`ServiceStats` snapshot, read from the metrics registry.
 
         The counters here and the ``repro_serve_*`` series on ``/metrics``
-        are the same numbers by construction — :meth:`stats` is a *view* of
-        the registry (plus the exact-window latency percentiles), not a
-        second set of books.
+        are the same numbers by construction, and the latency percentiles
+        are quantiles of ``repro_serve_request_latency_seconds`` (per tenant:
+        merged over priority) — :meth:`stats` is a *view* of the registry,
+        not a second set of books.
         """
         with self._lock:
-            latencies = sorted(self._latencies)
             queue_depth = len(self._queue)
             in_flight = self._in_flight_rows
-            tenant_waits = {
-                tenant: sorted(window)
-                for tenant, window in self._tenant_latencies.items()
-            }
-        tenant_requests = self._m_requests.series()
+        latency = self._m_latency
         tenant_rows = self._m_rows.series()
         total_rows = int(self._m_rows.total())
         total_requests = int(
@@ -768,14 +714,13 @@ class SamplingService:
         )
         tenants = {
             tenant: {
-                "requests": int(tenant_requests.get((tenant,), 0)),
+                "requests": int(requests),
                 "rows": int(tenant_rows.get((tenant,), 0)),
-                "p50_wait_s": self._percentile(waits, 0.50),
-                "p95_wait_s": self._percentile(waits, 0.95),
+                "p50_wait_s": latency.quantile(0.50, tenant=tenant),
+                "p95_wait_s": latency.quantile(0.95, tenant=tenant),
             }
-            for tenant, waits in tenant_waits.items()
+            for (tenant,), requests in self._m_requests.series().items()
         }
-        faults = self._sampler.fault_stats()
         uptime = time.perf_counter() - self._started_at
         self._g_queue_depth.set(queue_depth)
         self._g_inflight_rows.set(in_flight)
@@ -786,16 +731,16 @@ class SamplingService:
             rows_per_second=total_rows / uptime if uptime > 0 else 0.0,
             queue_depth=queue_depth,
             in_flight_rows=in_flight,
-            p50_latency=self._percentile(latencies, 0.50),
-            p95_latency=self._percentile(latencies, 0.95),
+            p50_latency=latency.quantile(0.50),
+            p95_latency=latency.quantile(0.95),
             total_requests=total_requests,
             total_rows=total_rows,
             uptime=uptime,
-            pool_restarts=faults.pool_restarts,
-            chunk_retries=faults.chunk_retries,
-            chunk_timeouts=faults.chunk_timeouts,
-            hedges=faults.hedges,
-            hedge_wins=faults.hedge_wins,
+            pool_restarts=self._sampler.pool_restarts,
+            chunk_retries=int(self._m_chunk["retries"].total()),
+            chunk_timeouts=int(self._m_chunk["timeouts"].total()),
+            hedges=int(self._m_chunk["hedges"].total()),
+            hedge_wins=int(self._m_chunk["hedge_wins"].total()),
             degraded_passes=int(self._m_degraded_passes.total()),
             cancelled_requests=int(self._m_cancelled.total()),
             workers=self._sampler.workers,
@@ -938,25 +883,21 @@ class SamplingService:
             ticket.resolve(error)
 
     def _serve_batch(self, batch: List[SampleRequest]) -> None:
-        """One sharded pass over the chunks of every request in the batch.
+        """One pass over the chunks of every request in the batch.
 
-        All requests' chunks are submitted to the pool up front and
-        *interleaved round-robin* across requests (that *is* the
-        micro-batch: no request's chunks all queue behind another's), then
-        each request resolves independently — a chunk failure affects only
-        the request whose chunk exhausted its budget.  Pool-level collapse
-        (supervision out of restarts) downgrades the affected request — and
-        every one after it — to the in-process serial path instead of
-        erroring: degraded, never dropped.
+        Every chunk goes through one :meth:`ShardedSampler.chunk_run` —
+        pooled, or in-process with ``workers=1`` or after pool collapse.
+        All requests' chunks are submitted up front and *interleaved
+        round-robin* across requests (that *is* the micro-batch: no
+        request's chunks all queue behind another's), then each request
+        resolves independently — a chunk failure affects only the request
+        whose chunk exhausted its budget.
         """
-        pooled = self._sampler.workers > 1 and not self._sampler.pool_broken
-        run = self._sampler.chunk_run() if pooled else None
+        run = self._sampler.chunk_run()
         tracer = self._tracer
         popped_at = time.perf_counter()
         self._m_batches.inc()
         # One plan per request: [request, sizes, children, handles, error].
-        # ``handles`` is None on the pool-free path, else the submitted
-        # chunk handles so far (shorter than ``sizes`` = submission died).
         plans: List[list] = []
         for request in batch:
             spec = request.spec
@@ -984,54 +925,36 @@ class SamplingService:
                 )
                 request._obs_trace_id = trace_id
                 root = request_span_id(trace_id)
-                tracer.record_span(
+                tracer.add(
                     "admission",
                     trace_id,
-                    span_id=span_id(trace_id, "admission"),
-                    parent_id=root,
-                    start=wall_clock(request.submitted_at),
-                    duration=admitted_at - request.submitted_at,
+                    parent=root,
+                    start=request.submitted_at,
+                    end=admitted_at,
                     attrs={"tenant": spec.tenant, "priority": spec.priority},
                 )
-                tracer.record_span(
-                    "queue_wait",
-                    trace_id,
-                    span_id=span_id(trace_id, "queue_wait"),
-                    parent_id=root,
-                    start=wall_clock(admitted_at),
-                    duration=popped_at - admitted_at,
-                )
-            plans.append([request, sizes, children, [] if run is not None else None, error])
+                tracer.add("queue_wait", trace_id, parent=root, start=admitted_at, end=popped_at)
+            plans.append([request, sizes, children, [], error])
 
         dispatch_started = time.perf_counter()
-        if run is not None:
-            # Round-robin chunk submission across the batch's requests.
-            submitting = True
-            pool_died = False
-            while submitting and not pool_died:
-                submitting = False
-                for plan in plans:
-                    request, sizes, children, handles, error = plan
-                    if handles is None or error is not None:
-                        continue
-                    index = len(handles)
-                    if index >= len(sizes):
-                        continue
-                    try:
-                        handles.append(
-                            run.submit(
-                                index, sizes[index], children[index],
-                                request.spec.sampling_mode,
-                            )
+        pool_died = False
+        for index in range(max((len(plan[1]) for plan in plans), default=0)):
+            for plan in plans:
+                request, sizes, children, handles, error = plan
+                if pool_died or error is not None or index >= len(sizes):
+                    continue
+                try:
+                    handles.append(
+                        run.submit(
+                            index, sizes[index], children[index], request.spec.sampling_mode
                         )
-                        submitting = True
-                    except (WorkerPoolBroken, BrokenExecutor):
-                        pool_died = True  # every incomplete plan degrades below
-                        break
-                    except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
-                        plan[4] = exc
-                        for handle in handles:
-                            handle.cancel()
+                    )
+                except (WorkerPoolBroken, BrokenExecutor):
+                    pool_died = True  # requests left short of handles rerun below
+                except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
+                    plan[4] = exc
+                    for handle in handles:
+                        handle.cancel()
 
         if tracer is not None:
             # One dispatch span per micro-batch, attributed to the first
@@ -1042,81 +965,66 @@ class SamplingService:
                 None,
             )
             if first_trace is not None:
-                tracer.record_span(
+                tracer.add(
                     "dispatch",
                     first_trace,
-                    span_id=span_id(first_trace, "dispatch"),
-                    parent_id=request_span_id(first_trace),
-                    start=wall_clock(dispatch_started),
-                    duration=time.perf_counter() - dispatch_started,
-                    attrs={"batch_requests": len(plans), "pooled": run is not None},
+                    parent=request_span_id(first_trace),
+                    start=dispatch_started,
+                    attrs={"batch_requests": len(plans), "pooled": not run.in_process},
                 )
 
         for request, sizes, children, handles, error in plans:
-            if error is not None:
-                self._finish(request, None, error)
-                continue
-            mode = request.spec.sampling_mode
-            try:
-                if handles is not None and len(handles) == len(sizes):
-                    try:
-                        chunks = self._gather(handles)
-                    except (WorkerPoolBroken, BrokenExecutor):
-                        chunks = self._degraded_pass(request, sizes, children)
-                elif handles is not None:
-                    # The pool died while this request was still submitting.
-                    for handle in handles:
-                        handle.cancel()
-                    chunks = self._degraded_pass(request, sizes, children)
-                else:
-                    chunks = [
-                        self._sampler.sample_chunk_local(size, child, mode)
-                        for size, child in zip(sizes, children)
-                    ]
-                assemble_started = time.perf_counter()
-                table = self._sampler.assemble(
-                    chunks, seed=request.spec.seed, sampling_mode=mode
-                )
-                if tracer is not None and request._obs_trace_id is not None:
-                    tracer.record_span(
-                        "assemble",
-                        request._obs_trace_id,
-                        span_id=span_id(request._obs_trace_id, "assemble"),
-                        parent_id=request_span_id(request._obs_trace_id),
-                        start=wall_clock(assemble_started),
-                        duration=time.perf_counter() - assemble_started,
-                        attrs={"chunks": len(chunks), "rows": request.spec.n},
-                    )
-            except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
-                self._finish(request, None, exc)
-                continue
-            self._finish(request, table, None)
+            table: Optional[Table] = None
+            if error is None:
+                try:
+                    table = self._serve_request(run, request, sizes, children, handles)
+                except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
+                    error = exc
+            self._finish(request, table, error)
 
-    @staticmethod
-    def _gather(handles) -> List[Table]:
-        """Resolve a request's chunk handles; cancel the rest on failure."""
-        chunks = []
-        for position, handle in enumerate(handles):
-            try:
-                chunks.append(handle.result())
-            except BaseException:
-                for sibling in handles[position + 1:]:
-                    sibling.cancel()
-                raise
-        return chunks
+    def _serve_request(self, run, request: SampleRequest, sizes, children, handles) -> Table:
+        """Resolve one request's chunk handles and assemble its table.
 
-    def _degraded_pass(self, request: SampleRequest, sizes, children) -> List[Table]:
-        """Serve one request in-process after the pool collapsed.
-
-        Byte-identical to the pooled pass by the seed contract — the chunks
-        draw from the same child streams regardless of where they run.
+        If the pool collapsed under the request (supervision out of
+        restarts) — while it was submitting or while its chunks ran — its
+        handles are cancelled and its chunks resubmitted to a fresh run,
+        in-process from then on: degraded, never dropped.  Every request
+        served in-process because the pool is broken counts as a degraded
+        pass.
         """
-        self._m_degraded_passes.inc()
-        self._g_degraded.set(1)
-        return [
-            self._sampler.sample_chunk_local(size, child, request.spec.sampling_mode)
-            for size, child in zip(sizes, children)
-        ]
+        mode = request.spec.sampling_mode
+        try:
+            try:
+                chunks = [handle.result() for handle in handles]
+            except (WorkerPoolBroken, BrokenExecutor):
+                chunks = []
+            if len(chunks) < len(sizes):
+                for handle in handles:
+                    handle.cancel()
+                run = self._sampler.chunk_run()
+                handles = [
+                    run.submit(index, size, child, mode)
+                    for index, (size, child) in enumerate(zip(sizes, children))
+                ]
+                chunks = [handle.result() for handle in handles]
+        finally:
+            for handle in handles:
+                handle.cancel()  # a failed chunk's siblings; resolved ones ignore it
+        if run.in_process and self._sampler.pool_broken:
+            self._m_degraded_passes.inc()
+            self._g_degraded.set(1)
+        assemble_started = time.perf_counter()
+        table = self._sampler.assemble(chunks, seed=request.spec.seed, sampling_mode=mode)
+        trace_id = request._obs_trace_id
+        if self._tracer is not None and trace_id is not None:
+            self._tracer.add(
+                "assemble",
+                trace_id,
+                parent=request_span_id(trace_id),
+                start=assemble_started,
+                attrs={"chunks": len(chunks), "rows": request.spec.n},
+            )
+        return table
 
     def _finish(
         self, request: SampleRequest, table: Optional[Table], error: Optional[BaseException]
@@ -1126,44 +1034,32 @@ class SamplingService:
         with self._lock:
             delivered = request._resolve(table, error)
             self._release_budget_locked(request)
-            if delivered:
-                if error is not None:
-                    self._m_request_errors.inc()
-                if table is not None:
-                    self._m_rows.inc(spec.n, tenant=spec.tenant)
-                if request.latency is not None and error is None:
-                    self._latencies.append(request.latency)
-                    self._m_requests.inc(tenant=spec.tenant)
-                    if spec.tenant not in self._tenant_latencies:
-                        self._tenant_latencies[spec.tenant] = deque(
-                            maxlen=self._latency_window
-                        )
-                    self._tenant_latencies[spec.tenant].append(request.latency)
+            if delivered and error is not None:
+                self._m_request_errors.inc()
+            elif delivered:
+                self._m_requests.inc(tenant=spec.tenant)
+                self._m_rows.inc(spec.n, tenant=spec.tenant)
+                self._m_latency.observe(
+                    request.latency, tenant=spec.tenant, priority=spec.priority
+                )
             self._set_queue_gauges_locked()
-        if delivered and request.latency is not None and error is None:
-            self._m_latency.observe(
-                request.latency, tenant=spec.tenant, priority=spec.priority
-            )
         tracer = self._tracer
         if tracer is not None and delivered and request._obs_trace_id is not None:
             trace_id = request._obs_trace_id
             root = request_span_id(trace_id)
-            tracer.record_span(
+            tracer.add(
                 "deliver",
                 trace_id,
-                span_id=span_id(trace_id, "deliver"),
-                parent_id=root,
-                start=wall_clock(deliver_started),
-                duration=time.perf_counter() - deliver_started,
+                parent=root,
+                start=deliver_started,
                 attrs={"error": type(error).__name__} if error is not None else None,
             )
-            tracer.record_span(
+            tracer.add(
                 "request",
                 trace_id,
-                span_id=root,
-                parent_id=None,
-                start=wall_clock(request.submitted_at),
-                duration=request.latency if request.latency is not None else 0.0,
+                parent=None,
+                start=request.submitted_at,
+                end=request.submitted_at + request.latency,
                 attrs={
                     "tenant": spec.tenant,
                     "priority": spec.priority,
@@ -1171,10 +1067,3 @@ class SamplingService:
                     "mode": spec.sampling_mode,
                 },
             )
-
-    @staticmethod
-    def _percentile(sorted_values: List[float], q: float) -> float:
-        if not sorted_values:
-            return 0.0
-        index = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
-        return sorted_values[index]

@@ -24,6 +24,20 @@ and receive chunk tables back.  Chunk submission is windowed, so a
 million-row streaming request keeps at most a few chunks in flight and peak
 parent memory stays bounded exactly as in the single-process streaming API.
 
+One chunk path
+--------------
+Every chunk runs through one interface: a chunk run's ``submit(index,
+size, child, mode)`` returns a handle with ``result()`` and ``cancel()``.
+The handle is either a supervised pool attempt (deadline, retries, hedging
+per :class:`ChunkPolicy`) or a lazy in-process one that makes the workers'
+exact ``model.sample`` call when its result is asked for.  In-process
+handles never inject faults, wrap a failure in :class:`ChunkError` and
+record the same ``chunk[i]``/``worker_compute`` spans a pooled chunk
+records.  :meth:`ShardedSampler.sample_batches` runs in-process with
+``workers=1`` or a one-chunk request; :meth:`ShardedSampler.chunk_run`
+(the service's entry) runs in-process with ``workers=1`` or once the pool
+collapsed.
+
 The fault-tolerance contract
 ----------------------------
 The same seed contract that makes chunks parallel makes them *re-executable*:
@@ -81,7 +95,7 @@ import time
 from collections import deque
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -91,9 +105,7 @@ from repro.obs.tracing import (
     TracedChunk,
     Tracer,
     chunk_span_id,
-    make_span,
     request_span_id,
-    span_id,
     trace_id_from_child,
 )
 from repro.serve import faults as fault_injection
@@ -111,7 +123,7 @@ from repro.utils.parallel import (
 )
 from repro.utils.rng import SeedLike, spawn_seed_sequences
 
-__all__ = ["ChunkError", "ChunkFaultStats", "ChunkPolicy", "ShardedSampler"]
+__all__ = ["ChunkError", "ChunkPolicy", "ShardedSampler"]
 
 _LOG = get_logger(__name__)
 
@@ -177,50 +189,50 @@ def _sample_chunk(size: int, child: np.random.SeedSequence, sampling_mode: str):
     spawn_key = getattr(child, "spawn_key", ())
     index = int(spawn_key[-1]) if spawn_key else 0
     fault_injection.maybe_inject(index)
-    if not _WORKER_TRACING:
-        table = _WORKER_MODEL.sample(
-            size, seed=np.random.default_rng(child), sampling_mode=sampling_mode
-        )
-        if _WORKER_ENCODER is not None:
-            return _WORKER_ENCODER.encode(table)
-        return table
-
-    trace_id = trace_id_from_child(child)
-    parent = chunk_span_id(trace_id, index)
-    spans = []
-    start_wall = time.time()
-    start = time.perf_counter()
-    table = _WORKER_MODEL.sample(
-        size, seed=np.random.default_rng(child), sampling_mode=sampling_mode
-    )
-    spans.append(
-        make_span(
-            "worker_compute",
-            trace_id,
-            span_id=span_id(trace_id, "worker_compute", index),
-            parent_id=parent,
-            start=start_wall,
-            duration=time.perf_counter() - start,
-            attrs={"chunk": index, "rows": size},
-        )
-    )
-    payload: object = table
+    tracer = Tracer() if _WORKER_TRACING else None
+    payload: object = _compute_chunk(_WORKER_MODEL, index, size, child, sampling_mode, tracer)
     if _WORKER_ENCODER is not None:
-        start_wall = time.time()
-        start = time.perf_counter()
-        payload = _WORKER_ENCODER.encode(table)
-        spans.append(
-            make_span(
+        started = time.perf_counter()
+        envelope = _WORKER_ENCODER.encode(payload)
+        if tracer is not None:
+            trace_id = trace_id_from_child(child)
+            tracer.add(
                 "shm_encode",
                 trace_id,
-                span_id=span_id(trace_id, "shm_encode", index),
-                parent_id=parent,
-                start=start_wall,
-                duration=time.perf_counter() - start,
-                attrs={"chunk": index, "nbytes": int(getattr(payload, "nbytes", 0))},
+                index,
+                parent=chunk_span_id(trace_id, index),
+                start=started,
+                attrs={"chunk": index, "nbytes": int(envelope.nbytes)},
             )
+        payload = envelope
+    return payload if tracer is None else TracedChunk(payload, tracer.spans())
+
+
+def _compute_chunk(
+    model: Surrogate,
+    index: int,
+    size: int,
+    child: np.random.SeedSequence,
+    sampling_mode: str,
+    tracer: Optional[Tracer],
+) -> Table:
+    """The one generation call behind every chunk, pooled or in-process.
+
+    Records the chunk's ``worker_compute`` span when ``tracer`` is set.
+    """
+    started = time.perf_counter()
+    table = model.sample(size, seed=np.random.default_rng(child), sampling_mode=sampling_mode)
+    if tracer is not None:
+        trace_id = trace_id_from_child(child)
+        tracer.add(
+            "worker_compute",
+            trace_id,
+            index,
+            parent=chunk_span_id(trace_id, index),
+            start=started,
+            attrs={"chunk": index, "rows": size},
         )
-    return TracedChunk(payload, spans)
+    return table
 
 
 class ChunkError(RuntimeError):
@@ -282,54 +294,30 @@ class ChunkPolicy:
             raise ValueError(f"poll must be positive, got {self.poll}")
 
 
-@dataclass(frozen=True)
-class ChunkFaultStats:
-    """Cumulative fault-path counters of one :class:`ShardedSampler`."""
-
-    #: Supervised executor rebuilds of the current pool (0 without a pool).
-    pool_restarts: int
-    #: Chunk resubmissions after task failures.
-    chunk_retries: int
-    #: Chunk attempts abandoned at their deadline (each also retries).
-    chunk_timeouts: int
-    #: Hedged duplicates submitted for straggler chunks.
-    hedges: int
-    #: Hedged duplicates that finished before their primary.
-    hedge_wins: int
-
-    def to_dict(self) -> dict:
-        """The ``faults`` subtree of the unified stats namespace.
-
-        Field names match :meth:`repro.serve.service.ServiceStats.to_dict`
-        (which extends this subtree with the service-level counters).
-        """
-        return {
-            "pool_restarts": self.pool_restarts,
-            "chunk_retries": self.chunk_retries,
-            "chunk_timeouts": self.chunk_timeouts,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-        }
-
-
 class _ChunkRun:
-    """Shared state of one resilient multi-chunk pass (request or micro-batch).
+    """One multi-chunk pass (request or micro-batch): the only way chunks run.
 
+    :meth:`submit` returns a supervised :class:`_ChunkHandle` on the worker
+    pool, or a lazy :class:`_LocalChunk` when the run is ``in_process``.
     Tracks completed-chunk latencies so hedging can compare each in-flight
     chunk against the run's median.  A run is consumed by a single thread
     (the request iterator or the service dispatcher); the sampler-level
     counters it updates are lock-protected.
     """
 
-    def __init__(self, sampler: "ShardedSampler") -> None:
+    def __init__(self, sampler: "ShardedSampler", *, in_process: bool) -> None:
         self.sampler = sampler
+        self.in_process = in_process
         self.policy = sampler.chunk_policy
+        #: The pool every attempt of this run goes to (started here).
+        self.pool: Optional[WorkerPool] = None if in_process else sampler.start()._pool
         self._latencies: List[float] = []
 
     def submit(
         self, index: int, size: int, child: np.random.SeedSequence, sampling_mode: str
-    ) -> "_ChunkHandle":
-        return _ChunkHandle(self, index, size, child, sampling_mode)
+    ) -> Union["_ChunkHandle", "_LocalChunk"]:
+        handle = _LocalChunk if self.in_process else _ChunkHandle
+        return handle(self, index, size, child, sampling_mode)
 
     def record_latency(self, seconds: float) -> None:
         self._latencies.append(seconds)
@@ -362,23 +350,23 @@ class _ChunkHandle:
         if self._tracer is not None:
             self._trace_id = trace_id_from_child(child)
             self._chunk_span = chunk_span_id(self._trace_id, index)
-            self._created_wall = time.time()
+        self._created = time.perf_counter()
         self._primary: SupervisedFuture = self._submit()
-        self._primary_started = time.monotonic()
-        self._primary_started_wall = time.time()
+        self._primary_started = time.perf_counter()
         self._hedge: Optional[SupervisedFuture] = None
         self._hedge_started = 0.0
-        self._hedge_started_wall = 0.0
         self._consumed = False
 
     def _submit(self) -> SupervisedFuture:
-        pool = self._run.sampler._require_pool()
-        return pool.submit(_sample_chunk, self.size, self._child, self._mode)
+        return self._run.pool.submit(_sample_chunk, self.size, self._child, self._mode)
 
     def _decode(self, result) -> Table:
         return self._run.sampler.decode_chunk(result)
 
     def cancel(self) -> None:
+        """Abandon the chunk's attempts (a no-op once it resolved)."""
+        if self._consumed:
+            return
         self._consumed = True
         self._primary.cancel()
         self._run.sampler._abandon(self._primary)
@@ -424,7 +412,7 @@ class _ChunkHandle:
     def _poll_once(self) -> Optional[Table]:
         """One supervision tick: winners, failures, deadline, hedge trigger."""
         policy = self._run.policy
-        now = time.monotonic()
+        now = time.perf_counter()
 
         primary_done, primary_error = self._outcome(self._primary)
         hedge_done, hedge_error = self._outcome(self._hedge)
@@ -458,7 +446,6 @@ class _ChunkHandle:
                 # The duplicate is already racing: make it the attempt.
                 self._primary, self._hedge = self._hedge, None
                 self._primary_started = self._hedge_started
-                self._primary_started_wall = self._hedge_started_wall
             else:
                 self._handle_failure(exc)
             return None
@@ -471,7 +458,6 @@ class _ChunkHandle:
                 self._run.sampler._abandon(self._primary)
                 self._primary, self._hedge = self._hedge, None
                 self._primary_started = self._hedge_started
-                self._primary_started_wall = self._hedge_started_wall
                 return None
             self._run.sampler._count(timeouts=1)
             _LOG.warning(
@@ -492,8 +478,7 @@ class _ChunkHandle:
                 trigger = max(policy.min_hedge_latency, policy.hedge_multiplier * median)
                 if now - self._primary_started > trigger:
                     self._hedge = self._submit()
-                    self._hedge_started = time.monotonic()
-                    self._hedge_started_wall = time.time()
+                    self._hedge_started = time.perf_counter()
                     self._run.sampler._count(hedges=1)
                     _LOG.info(
                         "chunk %d (%d rows) straggling %.3fs > %.3fs trigger; hedging",
@@ -504,20 +489,20 @@ class _ChunkHandle:
         return None
 
     def _record_attempt_span(
-        self, started_wall: float, started_at: float, *, error: Optional[str] = None
+        self, attempt: int, started: float, *, error: Optional[str] = None
     ) -> None:
         if self._tracer is None:
             return
         attrs = {"chunk": self.index, "rows": self.size}
         if error is not None:
             attrs["error"] = error
-        self._tracer.record_span(
-            f"attempt[{self._attempts}]",
+        self._tracer.add(
+            f"attempt[{attempt}]",
             self._trace_id,
-            span_id=span_id(self._trace_id, "attempt", self.index, self._attempts),
-            parent_id=self._chunk_span,
-            start=started_wall,
-            duration=time.monotonic() - started_at,
+            self.index,
+            attempt,
+            parent=self._chunk_span,
+            start=started,
             attrs=attrs,
         )
 
@@ -527,9 +512,7 @@ class _ChunkHandle:
             raise exc  # pool-level: not retryable at chunk granularity
         policy = self._run.policy
         self._attempts += 1
-        self._record_attempt_span(
-            self._primary_started_wall, self._primary_started, error=str(exc)
-        )
+        self._record_attempt_span(self._attempts, self._primary_started, error=str(exc))
         if self._attempts > policy.max_retries:
             _LOG.error(
                 "chunk %d (%d rows) exhausted its retry budget after attempt %d: %s",
@@ -549,26 +532,21 @@ class _ChunkHandle:
         if policy.backoff > 0:
             time.sleep(policy.backoff * (2 ** (self._attempts - 1)))
         self._primary = self._submit()
-        self._primary_started = time.monotonic()
-        self._primary_started_wall = time.time()
+        self._primary_started = time.perf_counter()
 
     def _finish(self, table: Table, started_at: float, *, hedged_win: bool) -> Table:
         self._consumed = True
-        self._run.record_latency(time.monotonic() - started_at)
+        self._run.record_latency(time.perf_counter() - started_at)
         if hedged_win:
             self._run.sampler._count(hedge_wins=1)
         if self._tracer is not None:
-            self._attempts += 1  # the successful attempt, for span naming
-            started_wall = self._hedge_started_wall if hedged_win else self._primary_started_wall
-            self._record_attempt_span(started_wall, started_at)
-            self._attempts -= 1
-            self._tracer.record_span(
+            self._record_attempt_span(self._attempts + 1, started_at)
+            self._tracer.add(
                 f"chunk[{self.index}]",
                 self._trace_id,
-                span_id=self._chunk_span,
-                parent_id=request_span_id(self._trace_id),
-                start=self._created_wall,
-                duration=time.time() - self._created_wall,
+                self.index,
+                parent=request_span_id(self._trace_id),
+                start=self._created,
                 attrs={
                     "chunk": self.index,
                     "rows": self.size,
@@ -577,6 +555,54 @@ class _ChunkHandle:
                 },
             )
         self._run.sampler._reap()
+        return table
+
+
+class _LocalChunk:
+    """One chunk generated in this process when its result is asked for.
+
+    Lazy, so a run hands out a whole request's handles up front exactly as
+    the pooled path does.  Makes the workers' exact call, minus fault
+    injection (the harness targets pool workers only).
+    """
+
+    def __init__(
+        self,
+        run: _ChunkRun,
+        index: int,
+        size: int,
+        child: np.random.SeedSequence,
+        sampling_mode: str,
+    ) -> None:
+        self._sampler = run.sampler
+        self.index = index
+        self.size = size
+        self._child = child
+        self._mode = sampling_mode
+
+    def cancel(self) -> None:
+        """Nothing to abandon: no work starts before :meth:`result`."""
+
+    def result(self) -> Table:
+        """Generate the chunk; a failure raises :class:`ChunkError`."""
+        tracer = self._sampler.tracer
+        started = time.perf_counter()
+        try:
+            table = _compute_chunk(
+                self._sampler.model, self.index, self.size, self._child, self._mode, tracer
+            )
+        except Exception as exc:
+            raise ChunkError(self.index, self.size, f"failed: {exc}") from exc
+        if tracer is not None:
+            trace_id = trace_id_from_child(self._child)
+            tracer.add(
+                f"chunk[{self.index}]",
+                trace_id,
+                self.index,
+                parent=request_span_id(trace_id),
+                start=started,
+                attrs={"chunk": self.index, "rows": self.size, "local": True},
+            )
         return table
 
 
@@ -618,7 +644,8 @@ class ShardedSampler:
         standalone samplers create their own.
     tracer:
         An optional :class:`~repro.obs.tracing.Tracer`.  When set, chunk
-        handles record ``chunk[i]``/``attempt[j]`` spans, workers are
+        handles record ``chunk[i]``/``attempt[j]`` spans (in-process ones
+        ``chunk[i]``/``worker_compute``), workers are
         started with tracing enabled (their ``worker_compute`` /
         ``shm_encode`` spans ride home on the task results), and the
         decode path records ``shm_decode`` spans.  ``None`` (the default)
@@ -708,6 +735,18 @@ class ShardedSampler:
     def pool_pending_tasks(self) -> int:
         """Tasks submitted to the pool and not yet resolved (0 pool-free)."""
         return self._pool.pending_tasks if self._pool is not None else 0
+
+    @property
+    def pool_restarts(self) -> int:
+        """Supervised executor rebuilds across every pool generation.
+
+        Reading it also sets the ``repro_serve_pool_restarts`` gauge.
+        """
+        restarts = self._retired_restarts + (
+            self._pool.restarts if self._pool is not None else 0
+        )
+        self._pool_restarts_gauge.set(restarts)
+        return restarts
 
     def start(self) -> "ShardedSampler":
         """Snapshot the model and spawn + warm the worker pool (idempotent).
@@ -810,25 +849,22 @@ class ShardedSampler:
         tracer = self.tracer
         if tracer is not None and spans:
             tracer.extend(spans)
-        if isinstance(result, ChunkEnvelope):
-            assert self._shm_session is not None, "envelope received without a session"
-            if tracer is not None and spans:
-                first = spans[0]
-                start_wall = time.time()
-                start = time.perf_counter()
-                table = self._shm_session.decoder.decode(result)
-                tracer.record_span(
-                    "shm_decode",
-                    first.trace_id,
-                    span_id=span_id(first.trace_id, "shm_decode", first.attrs.get("chunk", 0)),
-                    parent_id=first.parent_id,
-                    start=start_wall,
-                    duration=time.perf_counter() - start,
-                    attrs={"nbytes": int(result.nbytes), "rows": int(result.n_rows)},
-                )
-                return table
-            return self._shm_session.decoder.decode(result)
-        return result
+        if not isinstance(result, ChunkEnvelope):
+            return result
+        assert self._shm_session is not None, "envelope received without a session"
+        started = time.perf_counter()
+        table = self._shm_session.decoder.decode(result)
+        if tracer is not None and spans:
+            first = spans[0]
+            tracer.add(
+                "shm_decode",
+                first.trace_id,
+                first.attrs.get("chunk", 0),
+                parent=first.parent_id,
+                start=started,
+                attrs={"nbytes": int(result.nbytes), "rows": int(result.n_rows)},
+            )
+        return table
 
     def _abandon(self, future: Optional[SupervisedFuture]) -> None:
         """Track a future whose (possible) envelope will never be decoded."""
@@ -872,25 +908,6 @@ class ShardedSampler:
         for key, delta in deltas.items():
             self._fault_counters[key].inc(delta)
 
-    def fault_stats(self) -> ChunkFaultStats:
-        """Point-in-time fault counters (pool restarts + chunk resilience).
-
-        Reads the sampler's metrics registry — the counters here and the
-        ``repro_serve_chunk_*`` series on ``/metrics`` are the same
-        numbers by construction.
-        """
-        restarts = self._retired_restarts + (
-            self._pool.restarts if self._pool is not None else 0
-        )
-        self._pool_restarts_gauge.set(restarts)
-        return ChunkFaultStats(
-            pool_restarts=restarts,
-            chunk_retries=int(self._fault_counters["retries"].total()),
-            chunk_timeouts=int(self._fault_counters["timeouts"].total()),
-            hedges=int(self._fault_counters["hedges"].total()),
-            hedge_wins=int(self._fault_counters["hedge_wins"].total()),
-        )
-
     # -- the chunk plan (the single source of the sharding arithmetic) -----------
     def chunk_plan(self, n: int, seed: SeedLike):
         """The request's chunk sizes and their ``SeedSequence`` child streams.
@@ -905,18 +922,6 @@ class ShardedSampler:
         n_chunks = -(-n // self.chunk_size) if n else 0
         sizes = [min(self.chunk_size, n - i * self.chunk_size) for i in range(n_chunks)]
         return sizes, spawn_seed_sequences(seed, n_chunks)
-
-    def sample_chunk_local(
-        self, size: int, child: np.random.SeedSequence, sampling_mode: str
-    ) -> Table:
-        """Generate one chunk in this process — the workers' exact call.
-
-        (Minus fault injection: the harness targets pool workers only, and
-        this is also the degraded-mode path the service falls back to.)
-        """
-        return self._model.sample(
-            size, seed=np.random.default_rng(child), sampling_mode=sampling_mode
-        )
 
     def assemble(
         self, chunks, *, seed: SeedLike = None, sampling_mode: str = "exact"
@@ -966,46 +971,15 @@ class ShardedSampler:
         parent holds only a bounded number of undelivered chunks.  A chunk
         that exhausts its resilience budget raises :class:`ChunkError` with
         its index/size after the window's in-flight siblings are cancelled.
+        With ``workers=1`` or a one-chunk request the chunks run in-process;
+        pool collapse raises :class:`~repro.utils.parallel.WorkerPoolBroken`.
         """
         self._check_request(n, sampling_mode)
         sizes, children = self.chunk_plan(n, seed)
-
-        if self.workers == 1 or len(sizes) <= 1:
-            def _generate_serial() -> Iterator[Table]:
-                tracer = self.tracer
-                for index, (size, child) in enumerate(zip(sizes, children)):
-                    try:
-                        if tracer is None:
-                            yield self.sample_chunk_local(size, child, sampling_mode)
-                            continue
-                        trace_id = trace_id_from_child(child)
-                        chunk_span = chunk_span_id(trace_id, index)
-                        with tracer.span(
-                            f"chunk[{index}]",
-                            trace_id,
-                            span_id=chunk_span,
-                            parent_id=request_span_id(trace_id),
-                            attrs={"chunk": index, "rows": size, "local": True},
-                        ):
-                            with tracer.span(
-                                "worker_compute",
-                                trace_id,
-                                span_id=span_id(trace_id, "worker_compute", index),
-                                parent_id=chunk_span,
-                                attrs={"chunk": index, "rows": size, "local": True},
-                            ):
-                                table = self.sample_chunk_local(size, child, sampling_mode)
-                        yield table
-                    except Exception as exc:
-                        raise ChunkError(index, size, f"failed: {exc}") from exc
-
-            return _generate_serial()
-
-        self.start()
+        run = _ChunkRun(self, in_process=self.workers == 1 or len(sizes) <= 1)
         window = 2 * self.workers
 
-        def _generate_sharded() -> Iterator[Table]:
-            run = self.chunk_run()
+        def _generate() -> Iterator[Table]:
             in_flight: deque = deque()
             try:
                 for index, (size, child) in enumerate(zip(sizes, children)):
@@ -1019,43 +993,21 @@ class ShardedSampler:
                 for handle in in_flight:
                     handle.cancel()
 
-        return _generate_sharded()
+        return _generate()
 
     def chunk_run(self) -> _ChunkRun:
-        """A resilient chunk-submission context over the worker pool.
+        """A chunk-submission context for the service's micro-batcher.
 
-        The low-level entry the sampling service's micro-batcher uses to
-        interleave the chunks of several coalesced requests in one pool
-        pass: ``run.submit(index, size, child, mode)`` returns a handle whose
-        ``result()`` applies the sampler's :class:`ChunkPolicy` (deadline,
-        retries, hedging).  Requires ``workers > 1``.
+        ``run.submit(index, size, child, mode)`` returns a handle whose
+        ``result()`` yields the chunk table, so the chunks of several
+        coalesced requests can interleave in one pass.  The run is
+        in-process with ``workers=1`` or once the pool collapsed
+        (:attr:`pool_broken`); otherwise its handles apply the sampler's
+        :class:`ChunkPolicy` (deadline, retries, hedging) on the pool.
         """
-        if self.workers == 1:
-            raise RuntimeError("chunk_run needs a worker pool (workers > 1)")
-        self.start()
-        return _ChunkRun(self)
-
-    def submit_chunk(self, size: int, child: np.random.SeedSequence, sampling_mode: str):
-        """Submit one raw chunk to the worker pool; returns its future.
-
-        Bypasses the per-chunk resilience policy (the future is still
-        supervised against worker death).  Prefer :meth:`chunk_run`.  Under
-        the shm transport the future resolves to a
-        :class:`~repro.serve.shm.ChunkEnvelope`; pass it through
-        :meth:`decode_chunk` to materialise (and release) the chunk.
-        """
-        if self.workers == 1:
-            raise RuntimeError("submit_chunk needs a worker pool (workers > 1)")
-        self.start()
-        assert self._pool is not None
-        return self._pool.submit(_sample_chunk, size, child, sampling_mode)
+        return _ChunkRun(self, in_process=self.workers == 1 or self.pool_broken)
 
     # -- helpers -----------------------------------------------------------------
-    def _require_pool(self) -> WorkerPool:
-        self.start()
-        assert self._pool is not None
-        return self._pool
-
     def _check_request(self, n: int, sampling_mode: str) -> None:
         if sampling_mode not in SAMPLING_MODES:
             raise ValueError(

@@ -90,6 +90,24 @@ class TestHistogram:
         # standard one-doubling histogram_quantile resolution).
         assert 0.25 <= p99 <= 0.512
 
+    def test_quantile_merges_series_matching_a_label_subset(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("wait_seconds", labels=("tenant", "priority"))
+        for value in (0.001, 0.002):
+            hist.observe(value, tenant="a", priority="batch")
+        hist.observe(0.5, tenant="a", priority="interactive")
+        hist.observe(0.004, tenant="b", priority="batch")
+        merged = registry.histogram("merged_seconds")
+        for value in (0.001, 0.002, 0.5):
+            merged.observe(value)
+        # tenant="a" merges both of its priority series, and nothing of "b".
+        for q in (0.5, 0.95):
+            assert hist.quantile(q, tenant="a") == merged.quantile(q)
+        assert hist.quantile(0.5, tenant="a", priority="batch") < hist.quantile(0.99, tenant="a")
+        assert hist.quantile(0.5, tenant="nobody") == 0.0
+        with pytest.raises(ValueError):
+            hist.quantile(0.5, region="eu")
+
     def test_default_buckets_log_spaced(self):
         assert len(DEFAULT_LATENCY_BUCKETS) == 21
         assert all(

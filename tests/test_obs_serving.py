@@ -119,6 +119,42 @@ class TestSpanTaxonomy:
         assert request_span.attrs["priority"] == "interactive"
 
 
+class TestInProcessSpans:
+    def test_single_worker_request_records_chunk_and_compute_spans(self, model):
+        tracer = Tracer()
+        with SamplingService(model, workers=1, chunk_size=CHUNK, tracer=tracer) as service:
+            service.submit(RequestSpec(3 * CHUNK, seed=42)).result(timeout=60)
+        trace = trace_id_from_seed(42)
+        spans = tracer.spans()
+        chunks = {s.name: s for s in spans if s.name.startswith("chunk[")}
+        assert sorted(chunks) == ["chunk[0]", "chunk[1]", "chunk[2]"]
+        for i in range(3):
+            assert chunks[f"chunk[{i}]"].span_id == chunk_span_id(trace, i)
+            assert chunks[f"chunk[{i}]"].parent_id == request_span_id(trace)
+        computes = [s for s in spans if s.name == "worker_compute"]
+        assert sorted(s.parent_id for s in computes) == sorted(
+            chunk_span_id(trace, i) for i in range(3)
+        )
+
+
+class TestStatsFromRegistry:
+    def test_latency_percentiles_are_the_histogram_quantiles(self, model):
+        with SamplingService(model, workers=1, chunk_size=CHUNK) as service:
+            for i, (tenant, priority) in enumerate(
+                [("acme", "batch"), ("acme", "interactive"), ("beta", "normal")]
+            ):
+                service.sample(RequestSpec(CHUNK, seed=i, tenant=tenant, priority=priority))
+            stats = service.stats()
+            latency = service.metrics.get("repro_serve_request_latency_seconds")
+        assert latency.total_count() == 3
+        assert stats.p50_latency == latency.quantile(0.50)
+        assert stats.p95_latency == latency.quantile(0.95)
+        assert set(stats.tenants) == {"acme", "beta"}
+        for tenant, values in stats.tenants.items():
+            assert values["p50_wait_s"] == latency.quantile(0.50, tenant=tenant)
+            assert values["p95_wait_s"] == latency.quantile(0.95, tenant=tenant)
+
+
 class TestByteInvisibility:
     def test_sampler_bytes_identical_traced_vs_untraced(self, model):
         with ShardedSampler(model, workers=2, chunk_size=CHUNK) as plain:

@@ -1,6 +1,11 @@
-"""Tests of the package-level public API and the logging helpers."""
+"""Tests of the package-level public API, the logging helpers and the
+checkout's hygiene."""
 
 import logging
+import os
+import subprocess
+
+import pytest
 
 import repro
 from repro.utils.logging import get_logger, set_verbosity
@@ -54,3 +59,20 @@ class TestLogging:
         assert root.level == logging.INFO
         set_verbosity(False)
         assert root.level == logging.WARNING
+
+
+class TestRepositoryHygiene:
+    def test_no_bytecode_is_tracked(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        try:
+            listed = subprocess.run(
+                ["git", "ls-files", "*.pyc"],
+                cwd=root,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            )
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("not a git checkout")
+        assert listed.stdout.split() == []

@@ -1,13 +1,11 @@
 """The front door's contract: one RequestSpec, many doors, same bytes.
 
-Four layers, bottom up:
+Three layers, bottom up:
 
 * :class:`RequestSpec` — the unified request contract every entry point
   accepts (validation, JSON payload parsing, the ``rows`` alias);
-* the deprecation shim — the legacy positional ``submit(n, seed=...)``
-  surface warns but returns byte-identical tables;
-* :class:`BackendRouter` — least-loaded placement across named backends,
-  pinning, slot release;
+* the backend router — most-free-slots placement across named backends,
+  pinning, slot release, load counted past the slot cap;
 * :class:`FrontDoor` — multi-backend routing plus the stdlib HTTP
   endpoint: a served table round-trips through JSON byte-identically
   (same fingerprint), admission rejections surface as ``429`` with a
@@ -22,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.models.tvae import TVAEConfig, TVAESurrogate
-from repro.scheduler.broker import BackendRouter
 from repro.serve import (
     PRIORITY_CLASSES,
     AdmissionPolicy,
@@ -32,6 +29,7 @@ from repro.serve import (
     priority_weight,
     table_fingerprint,
 )
+from repro.serve.http import _Router
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
 
@@ -117,50 +115,43 @@ class TestRequestSpec:
         assert RequestSpec.from_payload(spec.to_dict()) == spec
 
 
-class TestDeprecationShim:
-    def test_positional_submit_warns_and_serves_identical_bytes(self, service):
-        spec = RequestSpec(120, seed=13, sampling_mode="fast")
-        reference = service.sample(spec)
-        with pytest.warns(DeprecationWarning, match="RequestSpec"):
-            handle = service.submit(120, 13, "fast")
-        assert handle.result() == reference
-        # The keyword convenience form is supported, not deprecated.
-        assert service.sample(120, seed=13, sampling_mode="fast") == reference
-
-    def test_positional_sample_warns_and_serves_identical_bytes(self, service):
-        reference = service.sample(RequestSpec(90, seed=17))
-        with pytest.warns(DeprecationWarning, match="RequestSpec"):
-            legacy = service.sample(90, 17)
-        assert legacy == reference
-        assert table_fingerprint(legacy) == table_fingerprint(reference)
-
-
 class TestBackendRouter:
     def test_least_loaded_spreads_and_release_rebalances(self):
-        router = BackendRouter({"prod": 1, "canary": 1})
-        first = router.acquire(rows=100)
-        second = router.acquire(rows=100)
+        router = _Router({"prod": 1, "canary": 1})
+        first = router.acquire()
+        second = router.acquire()
         assert {first, second} == {"prod", "canary"}
         assert router.load() == {"prod": 1, "canary": 1}
         router.release(first)
         assert router.load()[first] == 0
         # The freed backend is the least loaded again.
-        assert router.acquire(rows=100) == first
+        assert router.acquire() == first
 
     def test_pinning_counts_load_and_unknown_names_raise(self):
-        router = BackendRouter({"prod": 2, "canary": 2})
+        router = _Router({"prod": 2, "canary": 2})
         for _ in range(3):
-            assert router.acquire(backend="canary") == "canary"
+            assert router.acquire("canary") == "canary"
         assert router.load() == {"prod": 0, "canary": 3}
         # Unpinned traffic avoids the loaded backend.
         assert router.acquire() == "prod"
         with pytest.raises(KeyError):
-            router.acquire(backend="staging")
+            router.acquire("staging")
 
     def test_release_is_idempotent_at_idle(self):
-        router = BackendRouter({"prod": 1})
+        router = _Router({"prod": 1})
         router.release("prod")  # nothing held: stays idle, no underflow
         assert router.load() == {"prod": 0}
+
+    def test_load_is_counted_past_the_slot_cap(self):
+        router = _Router({"prod": 1, "canary": 1})
+        cap = _Router.SLOTS_PER_WORKER
+        for _ in range(2 * cap + 2):
+            router.acquire()
+        assert router.acquire("prod") == "prod"
+        assert router.load() == {"prod": cap + 2, "canary": cap + 1}
+        # One release frees exactly one placement, however far past the cap.
+        router.release("prod")
+        assert router.load() == {"prod": cap + 1, "canary": cap + 1}
 
 
 class TestFrontDoor:
@@ -172,7 +163,9 @@ class TestFrontDoor:
             direct = service.sample(spec)
             assert door.sample(spec, model="prod") == direct
             assert door.sample(spec, model="canary") == direct
-            assert door.sample(spec) == direct  # broker-routed, same bytes
+            assert door.sample(spec) == direct  # router-placed, same bytes
+            # The keyword form builds the same spec.
+            assert service.sample(110, seed=23) == direct
             door.close()
 
     def test_stats_tree_and_unknown_model(self, service):

@@ -134,11 +134,6 @@ class TestLifecycleAndValidation:
         with pytest.raises(ValueError, match="unknown sampling mode"):
             sampler.sample(10, seed=1, sampling_mode="turbo")
 
-    def test_submit_chunk_needs_a_pool(self, models):
-        sampler = ShardedSampler(models["smote"], workers=1)
-        with pytest.raises(RuntimeError, match="worker pool"):
-            sampler.submit_chunk(10, np.random.SeedSequence(0), "fast")
-
     def test_workers_default_resolves_from_env(self, models, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert ShardedSampler(models["smote"]).workers == 3
