@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for three design choices of the reproduction.
 
 Three sweeps (none of them a paper table, but each justifying a default of the
 reproduction):

@@ -5,8 +5,7 @@ Each kernel — GBDT fit, association matrix, filtering-pipeline funnel, grid
 simulator, the three deep-model training stacks (TVAE, CTABGAN+, TabDDPM),
 the broker dispatch path, the per-column Gaussian-mixture fit, the two
 deep-model sampling chains (TabDDPM reverse diffusion, CTABGAN+ generation)
-and the two columnar data-plane kernels (dictionary-coded label encoding,
-the shared-memory chunk transport)
+and the columnar data-plane kernel (dictionary-coded label encoding)
 — is timed at two problem sizes in both the seed implementation
 (``seed_baselines.py``) and the optimized one shipped in ``src/repro``, and
 the results (plus per-kernel speedups) are written to
@@ -76,9 +75,7 @@ from repro.serve import (  # noqa: E402
     SamplingService,
     ShardedSampler,
 )
-from repro.models.smote import SMOTESurrogate  # noqa: E402
 from repro.obs.tracing import Tracer  # noqa: E402
-from repro.serve import shm as shm_transport  # noqa: E402
 from repro.tabular.encoding import LabelEncoder  # noqa: E402
 from repro.tabular.schema import TableSchema  # noqa: E402
 from repro.tabular.table import Table  # noqa: E402
@@ -660,65 +657,6 @@ def bench_encode_categorical(registry: BenchmarkRegistry, sizes, repeats: int) -
         )
 
 
-def bench_serve_shm(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
-    """The chunk transport itself: shm envelopes vs pickled chunk tables.
-
-    Both variants serve the identical request (same chunk plan, same warm
-    4-worker pool, relaxed ``"fast"`` mode) through a cheap SMOTE surrogate
-    on the wide-categorical serving table — a model whose per-chunk sampling
-    cost is small enough that moving the chunk dominates, which is exactly
-    what this kernel guards.  The ``"seed"`` variant forces the
-    ``transport="pickle"`` path (each chunk table pickled through the pool
-    pipe); the ``"optimized"`` variant is the shared-memory transport (codes
-    written to a named segment, only a tiny envelope pickled).  Output bytes
-    are transport-invariant (``tests/test_serve_shm.py`` proves it).
-
-    Each record carries ``extra["ipc_bytes_per_chunk"]`` — the pickled size
-    of what actually crosses the pool pipe for one full chunk — so the
-    committed baseline also documents the transport's data-movement
-    contract: the envelope must stay well under the pickled table
-    (``tests/test_ci_workflow.py`` asserts the >=5x reduction).
-    """
-    repeats = max(repeats, 2)
-    table = serving_mixed_table(2000)
-    model = SMOTESurrogate(k_neighbors=3).fit(table)
-    shm_ok = shm_transport.shm_available()
-
-    # What one chunk costs on the pipe, per transport.
-    import pickle
-
-    chunk = model.sample(SERVE_CHUNK, seed=1, sampling_mode="fast")
-    table_bytes = float(len(pickle.dumps(chunk)))
-    envelope_bytes = table_bytes
-    if shm_ok:
-        session = shm_transport.ShmSession(model)
-        encoder = shm_transport.ChunkEncoder(session.config, model)
-        envelope = encoder.encode(chunk)
-        envelope_bytes = float(len(pickle.dumps(envelope)))
-        session.decoder.discard(envelope)
-        session.close()
-
-    cases = [
-        ("seed", "pickle", table_bytes),
-        ("optimized", "shm" if shm_ok else "pickle", envelope_bytes),
-    ]
-    for n_rows in sizes:
-        size = f"n={n_rows}"
-        for variant, transport, ipc_bytes in cases:
-            with ShardedSampler(
-                model, workers=SERVE_WORKERS, chunk_size=SERVE_CHUNK, transport=transport
-            ) as sampler:
-                sampler.sample(n_rows, seed=1, sampling_mode="fast")  # warm pool
-                registry.measure(
-                    "serve_sharded_shm",
-                    variant,
-                    size,
-                    lambda: sampler.sample(n_rows, seed=1, sampling_mode="fast"),
-                    repeats=repeats,
-                    extra={"ipc_bytes_per_chunk": ipc_bytes},
-                )
-
-
 def bench_serve_traced(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     """Tracing overhead: the traced serving path vs the identical untraced one.
 
@@ -726,12 +664,12 @@ def bench_serve_traced(registry: BenchmarkRegistry, sizes, repeats: int) -> None
     4-worker pool, relaxed ``"fast"`` mode); the only difference is a
     :class:`~repro.obs.tracing.Tracer` installed on the ``"optimized"``
     variant's sampler, which turns on the full span taxonomy — worker-side
-    ``worker_compute``/``shm_encode`` spans shipped back with every chunk,
-    parent-side ``shm_decode``/``attempt``/``chunk`` spans recorded per
-    attempt.  The recorded "speedup" is therefore the *inverse* of tracing
-    overhead and the committed baseline is the observability plane's cost
-    contract: ``tests/test_ci_workflow.py`` asserts the traced run stays
-    within 5% of the untraced one (``seed * 1.05 >= optimized``).  Bytes are
+    ``worker_compute`` spans shipped back with every chunk, parent-side
+    ``attempt``/``chunk`` spans recorded per attempt.  The recorded
+    "speedup" is therefore the *inverse* of tracing overhead and the
+    committed baseline is the observability plane's cost contract:
+    ``tests/test_ci_workflow.py`` asserts the traced run stays within 5% of
+    the untraced one (``seed * 1.05 >= optimized``).  Bytes are
     tracing-invariant by construction (spans ride alongside chunk payloads,
     never inside them); ``tests/test_obs_serving.py`` proves it, this kernel
     only prices it.
@@ -834,9 +772,6 @@ def run_benchmarks(
     # requests at one stream length (the ratio is the contract, not a sweep).
     front_door_sizes = [48]
     encode_sizes = [20_000, 100_000]
-    # The transport kernel serves one serving-scale request; its contract is
-    # the per-chunk IPC-bytes reduction plus wall-clock parity, not a sweep.
-    serve_shm_sizes = [100_000]
     # The tracing kernel prices the span taxonomy on one serving-scale
     # request; its contract is the <=5% overhead ratio, not a sweep.
     serve_traced_sizes = [100_000]
@@ -897,10 +832,6 @@ def run_benchmarks(
         (
             ("encode_categorical_codes",),
             lambda: bench_encode_categorical(registry, encode_sizes, repeats),
-        ),
-        (
-            ("serve_sharded_shm",),
-            lambda: bench_serve_shm(registry, serve_shm_sizes, repeats),
         ),
         (
             ("serve_traced",),

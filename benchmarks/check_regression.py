@@ -66,12 +66,9 @@ REQUIRED_KERNELS = frozenset(
         # client loop (see bench_hotpaths.bench_front_door) — guards the
         # per-request plumbing the multi-tenant front door adds.
         "serve_front_door",
-        # Columnar data-plane kernels: dictionary-coded label encoding vs the
-        # string path, and the shm chunk transport vs pickled chunk tables
-        # (the latter also records per-chunk IPC bytes in its baseline; see
-        # bench_hotpaths.bench_encode_categorical / bench_serve_shm).
+        # Columnar data-plane kernel: dictionary-coded label encoding vs the
+        # string path (see bench_hotpaths.bench_encode_categorical).
         "encode_categorical_codes",
-        "serve_sharded_shm",
         # Observability kernel: the traced serving path vs the identical
         # untraced one (see bench_hotpaths.bench_serve_traced) — its committed
         # baseline is the <=5% tracing-overhead contract asserted by

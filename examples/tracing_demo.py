@@ -8,8 +8,8 @@ The ``repro.obs`` story in one script:
    :class:`~repro.obs.tracing.Tracer` installed,
 2. walk one request's span tree — ``request`` → ``admission`` /
    ``queue_wait`` / ``dispatch`` / ``chunk[i]`` → ``attempt[j]`` →
-   ``worker_compute`` / ``shm_encode`` / ``shm_decode`` / ``assemble`` /
-   ``deliver`` — and show the identity trick that stitched it together:
+   ``worker_compute`` / ``assemble`` / ``deliver`` — and show the
+   identity trick that stitched it together:
    trace and span IDs hash the request seed's ``SeedSequence`` identity,
    so worker-side spans land under the parent trace with no context
    header crossing the pool,
@@ -89,7 +89,7 @@ def main() -> None:
         while parent in by_id:
             depth += 1
             parent = by_id[parent].parent_id
-        origin = "worker" if span.name in ("worker_compute", "shm_encode") else "parent"
+        origin = "worker" if span.name == "worker_compute" else "parent"
         print(
             f"  {'  ' * depth}{span.name:<16} {span.duration * 1e3:8.3f} ms "
             f"[{origin} pid {span.pid}]"

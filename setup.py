@@ -1,9 +1,10 @@
 """Setup shim.
 
-The canonical project metadata lives in ``pyproject.toml``.  This file exists
-so that ``pip install -e .`` keeps working on environments whose setuptools
-predates full PEP 660 editable-install support (and without the ``wheel``
-package available offline), via the legacy ``--no-use-pep517`` path.
+The project metadata lives in ``pyproject.toml``.  This file keeps the
+legacy ``python setup.py develop`` install working: it needs only the
+installed setuptools, so it works offline and without the ``wheel``
+package that pip's editable installs (including the ``--no-use-pep517``
+path) require.
 """
 
 from setuptools import setup

@@ -68,8 +68,7 @@ The hottest loops run through a vectorized engine:
   and CTABGAN+ draws its block categories straight from the stacked raw
   generator logits (:mod:`repro.models.ctabgan`) — all bit-identical to the
   per-block chains in the default mode
-  (``tests/test_sampling_equivalence.py``), with a documented relaxed
-  ``condition_mode="fast"`` for pure serving throughput.
+  (``tests/test_sampling_equivalence.py``).
 
 Serving modes
 -------------

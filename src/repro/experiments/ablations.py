@@ -1,4 +1,4 @@
-"""Ablation studies on the design choices called out in DESIGN.md.
+"""Ablation studies on three design choices of the reproduction.
 
 Three sweeps, each isolating one knob while everything else stays at the
 experiment configuration:

@@ -5,8 +5,8 @@ run, with three presets:
 
 * ``ExperimentConfig.ci()`` — minutes-scale, used by the test suite and the
   default benchmark run;
-* ``ExperimentConfig.default()`` — laptop-scale (tens of minutes), the
-  configuration EXPERIMENTS.md reports;
+* ``ExperimentConfig.default()`` — laptop-scale (tens of minutes), what
+  ``repro-experiments --preset default`` runs;
 * ``ExperimentConfig.paper_scale()`` — the paper's row counts and training
   budget (hours on CPU); provided for completeness.
 """
@@ -66,7 +66,7 @@ class ExperimentConfig:
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
-        """Laptop-scale configuration used for EXPERIMENTS.md."""
+        """Laptop-scale configuration (``repro-experiments --preset default``)."""
         return cls(
             n_raw_jobs=60_000,
             tvae=TVAEConfig(epochs=30),

@@ -58,15 +58,7 @@ logger = get_logger(__name__)
 
 @dataclass
 class CTABGANConfig:
-    """Hyper-parameters of the CTABGAN+ surrogate.
-
-    ``condition_mode`` selects how training-by-sampling condition vectors are
-    drawn: ``"exact"`` (default) replays the historical per-column RNG stream
-    draw for draw, keeping training and sampling bit-identical to the seed
-    implementation; ``"fast"`` batches all draws into three RNG calls — the
-    same distribution over (column, category, matching row) but a different
-    stream, so outputs are only statistically (not bitwise) reproducible.
-    """
+    """Hyper-parameters of the CTABGAN+ surrogate."""
 
     noise_dim: int = 64
     generator_dims: tuple = (128, 128)
@@ -77,7 +69,6 @@ class CTABGANConfig:
     learning_rate: float = 2e-4
     discriminator_steps: int = 1
     grad_clip: float = 5.0
-    condition_mode: str = "exact"
 
     @classmethod
     def fast(cls) -> "CTABGANConfig":
@@ -768,7 +759,6 @@ class CTABGANPlusSurrogate(Surrogate):
 
         n = encoded.shape[0]
         steps_per_epoch = max(1, n // cfg.batch_size)
-        condition_mode = getattr(cfg, "condition_mode", "exact")
         history: List[Dict[str, float]] = []
         ones = None
         zeros = None
@@ -778,9 +768,7 @@ class CTABGANPlusSurrogate(Surrogate):
             for _ in range(steps_per_epoch):
                 # -- discriminator update(s) -------------------------------------
                 for _ in range(cfg.discriminator_steps):
-                    cond, col_c, cat_c, row_c = self._condition.sample(
-                        cfg.batch_size, rng, mode=condition_mode
-                    )
+                    cond, col_c, cat_c, row_c = self._condition.sample(cfg.batch_size, rng)
                     real = encoded[row_c]
                     noise = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
                     with no_grad():
@@ -801,9 +789,7 @@ class CTABGANPlusSurrogate(Surrogate):
                     d_loss_value += d_loss.item()
 
                 # -- generator update ----------------------------------------------
-                cond, col_c, cat_c, _rows = self._condition.sample(
-                    cfg.batch_size, rng, mode=condition_mode
-                )
+                cond, col_c, cat_c, _rows = self._condition.sample(cfg.batch_size, rng)
                 noise = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
                 fake_raw = self._generator(Tensor(np.concatenate([noise, cond], axis=1)))
                 fake = self._activate_generator_output(fake_raw)
@@ -868,18 +854,14 @@ class CTABGANPlusSurrogate(Surrogate):
     def _sample_exact(self, n: int, *, seed: SeedLike = None) -> Table:
         """Generate ``n`` rows, bit-identical to the historical sampling loop.
 
-        In the default (``"exact"``) condition mode the generator still runs
-        per batch — its matmul shapes, and the condition/noise draw stream,
-        define the bits — but everything after the raw logits collapses: the
-        historical activate → harden → argmax-decode chain only ever exposed
-        the drawn categories and the tanh'd alpha columns, so the blocks'
-        category codes are drawn straight from the stacked raw logits
-        (:class:`_SoftmaxBlockSampler`, bit- and stream-identical) and the
-        table is decoded from codes plus alphas without materialising the
-        activated or hardened matrices.  When the model was *trained* with
-        the relaxed ``condition_mode="fast"`` the stream contract is already
-        waived, so the whole batch additionally runs through one generator
-        forward pass.
+        The generator still runs per batch — its matmul shapes, and the
+        condition/noise draw stream, define the bits — but everything after
+        the raw logits collapses: the historical activate → harden →
+        argmax-decode chain only ever exposed the drawn categories and the
+        tanh'd alpha columns, so the blocks' category codes are drawn
+        straight from the stacked raw logits (:class:`_SoftmaxBlockSampler`,
+        bit- and stream-identical) and the table is decoded from codes plus
+        alphas without materialising the activated or hardened matrices.
         """
         self._require_fitted()
         cfg = self.config
@@ -887,21 +869,10 @@ class CTABGANPlusSurrogate(Surrogate):
         self._generator.eval()
         outputs: List[np.ndarray] = []
         remaining = n
-        condition_mode = getattr(cfg, "condition_mode", "exact")
-        # The relaxed condition mode has no stream contract, so it generates
-        # in a few maximal forward passes (capped to bound peak activation
-        # memory); the exact mode keeps the per-``batch_size`` loop that
-        # defines the historical bits.
         with no_grad():
             while remaining > 0:
-                batch = (
-                    min(self._FAST_FORWARD_CHUNK, remaining)
-                    if condition_mode == "fast"
-                    else min(cfg.batch_size, remaining)
-                )
-                cond, _, _, _ = self._condition.sample(
-                    batch, rng, mode=condition_mode, need_rows=False
-                )
+                batch = min(cfg.batch_size, remaining)
+                cond, _, _, _ = self._condition.sample(batch, rng, need_rows=False)
                 noise = rng.standard_normal((batch, cfg.noise_dim))
                 raw = self._generator(Tensor(np.concatenate([noise, cond], axis=1)))
                 outputs.append(raw.numpy())
@@ -917,11 +888,11 @@ class CTABGANPlusSurrogate(Surrogate):
     def _sample_fast(self, n: int, *, seed: SeedLike = None) -> Table:
         """Relaxed serving path: fused forwards freed from the training batch.
 
-        The condition vectors come from the batched ``condition_mode="fast"``
-        sampler regardless of how the model was trained, and each
-        request-sized chunk runs through a single pre-packed float32
-        generator forward (:class:`~repro.nn.serving.PackedForward`) instead
-        of the per-``batch_size`` float64 graph loop.  Distribution-identical
+        The condition vectors come from the batched ``mode="fast"``
+        condition sampler, and each request-sized chunk runs through a
+        single pre-packed float32 generator forward
+        (:class:`~repro.nn.serving.PackedForward`) instead of the
+        per-``batch_size`` float64 graph loop.  Distribution-identical
         to the exact mode (KS / chi-squared tested), stream-different.
         """
         self._require_fitted()

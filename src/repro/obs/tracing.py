@@ -4,8 +4,6 @@ A request's life in the serving stack is a fixed taxonomy of spans::
 
     admission -> queue_wait -> dispatch -> chunk[i] -> attempt[j]
                                                |-> worker_compute
-                                               |-> shm_encode
-                                               |-> shm_decode
                            -> assemble -> deliver
 
 The identity trick is the same one ``repro.serve.faults`` uses for
@@ -20,16 +18,15 @@ shipping a context header:
   ``(entropy, spawn_key[:-1])`` — a worker holding only the child
   recovers the identical trace ID;
 * :func:`chunk_span_id` hashes ``(trace_id, chunk index)`` — the worker's
-  ``worker_compute``/``shm_encode`` spans parent themselves under the
-  same chunk span the parent records, stitching the cross-process tree
-  together with zero bytes of extra coordination.
+  ``worker_compute`` span parents itself under the same chunk span the
+  parent records, stitching the cross-process tree together with zero
+  bytes of extra coordination.
 
 Worker-side spans ride home inside the existing task return path: when
-tracing is enabled the worker wraps its normal payload (a ``Table`` or a
-:class:`~repro.serve.shm.ChunkEnvelope`) in a :class:`TracedChunk`; the
-parent unwraps it in ``decode_chunk`` and folds the spans into its
-:class:`Tracer`.  The payload bytes are untouched, which is why scenario
-fingerprints are identical with tracing on or off.
+tracing is enabled the worker wraps its chunk ``Table`` in a
+:class:`TracedChunk`; the parent unwraps it in ``decode_chunk`` and folds
+the spans into its :class:`Tracer`.  The payload bytes are untouched,
+which is why scenario fingerprints are identical with tracing on or off.
 
 A :class:`Tracer` is an append-only, thread-safe span buffer with two
 export formats: JSONL (one span per line) and the Chrome ``trace_event``
@@ -159,10 +156,10 @@ class Span:
 class TracedChunk:
     """A worker task result with its spans piggybacked on the return path.
 
-    ``payload`` is exactly what the untraced worker would have returned (a
-    ``Table`` or a ``ChunkEnvelope``); the parent's decode path unwraps it
-    before any byte-producing code sees the result, so enabling tracing
-    cannot change served bytes.
+    ``payload`` is exactly what the untraced worker would have returned
+    (the chunk ``Table``); the parent's decode path unwraps it before any
+    byte-producing code sees the result, so enabling tracing cannot change
+    served bytes.
     """
 
     payload: object

@@ -70,24 +70,14 @@ not by statistics:
   latches; ``repro-experiments serve --fault-plan "kill@1,delay@3:0.2"``
   replays a chaos run end to end.
 
-The chunk transport (the serving data plane)
---------------------------------------------
-Chunks cross the worker pool as **codes, not pickles**: under the
-shared-memory transport (:mod:`repro.serve.shm`, the default where
-``multiprocessing.shared_memory`` works) a worker writes each chunk's
-column buffers — ``float64`` numericals, ``int32`` dictionary codes —
-into a named segment and sends back only a tiny
-:class:`~repro.serve.shm.ChunkEnvelope`; the parent reassembles the table
-as zero-copy views over the mapping (vocabularies travel once with the
-model snapshot, never per chunk).  Segment lifecycle is owned end to end:
-decode unlinks, abandoned attempts (timeouts, hedge losers, cancels) are
-reaped, and a spool-directory sweep collects anything a crashed worker
-left behind — ``tests/test_serve_shm.py`` proves zero segments survive
-fault-injected runs.  ``REPRO_SHM=shm|pickle|auto`` (or
-``ShardedSampler(transport=...)``) selects the transport; bytes are
-transport-invariant by the sharding contract, and
-``benchmarks/BENCH_hotpaths.json`` records the per-chunk IPC-bytes
-reduction under the ``serve_sharded_shm`` kernel.
+The chunk return path (the serving data plane)
+----------------------------------------------
+A pooled chunk comes back as the worker's return value: the pool pickles
+the chunk :class:`~repro.tabular.table.Table`, which is its ``float64``
+numerical and ``int32`` dictionary-code buffers plus a small schema and
+vocabulary header — categoricals stay codes, never decoded strings.  An
+abandoned attempt (a timeout, a hedge loser, a cancel, a worker crash)
+leaves nothing behind to clean up.
 
 Quickstart::
 
@@ -163,7 +153,6 @@ percentiles included.  The serving metric names:
 * faults — ``repro_serve_chunk_{retries,timeouts,hedges,hedge_wins}_total``,
   ``repro_serve_degraded_passes_total``,
   ``repro_serve_cancelled_requests_total``;
-* transport — ``repro_serve_shm_{chunks,bytes,discarded,sweeps,swept_segments}_total``;
 * control — ``repro_serve_admission_{admitted,rejected}_total`` (rejects by
   ``reason``), ``repro_serve_scale_{ups,downs}_total``,
   ``repro_serve_model_swaps_total``.
@@ -177,8 +166,7 @@ Tracing is request-scoped and seed-derived: install a
 :class:`~repro.obs.tracing.Tracer` (``SamplingService(tracer=...)``) and
 each request records the span taxonomy ``request`` → ``admission`` /
 ``queue_wait`` / ``dispatch`` / ``chunk[i]`` → ``attempt[j]`` /
-``worker_compute`` / ``shm_encode`` / ``shm_decode`` / ``assemble`` /
-``deliver``.  Trace and span IDs hash the request seed's
+``worker_compute`` / ``assemble`` / ``deliver``.  Trace and span IDs hash the request seed's
 ``SeedSequence`` identity (the same trick the fault plane uses), so
 worker-side spans stitch under the parent trace with no context header —
 and tracing never touches served bytes (scenario fingerprints are

@@ -367,7 +367,7 @@ class SamplingService:
         ordering effective across ticks under sustained backlog.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` shared by every layer
-        of this service's stack (sampler fault counters, shm transport,
+        of this service's stack (sampler fault counters, pool gauges,
         admission, the request/latency instruments here).  ``None`` creates
         a private registry, exposed as :attr:`metrics`; the front door
         renders it on ``GET /metrics``.
@@ -375,9 +375,8 @@ class SamplingService:
         Optional :class:`~repro.obs.tracing.Tracer`.  When set, each
         request records its span taxonomy (``request`` → ``admission`` /
         ``queue_wait`` / ``dispatch`` / ``chunk[i]``–``attempt[j]`` /
-        ``worker_compute`` / ``shm_encode`` / ``shm_decode`` /
-        ``assemble`` / ``deliver``); ``None`` is a strict no-op — served
-        bytes are identical either way.
+        ``worker_compute`` / ``assemble`` / ``deliver``); ``None`` is a
+        strict no-op — served bytes are identical either way.
 
     The service starts its pool and dispatcher on construction and is a
     context manager; :meth:`close` drains the queue and shuts down.

@@ -70,27 +70,18 @@ Deterministic chaos tests drive all of these paths through the
 :mod:`repro.serve.faults` plan installed via ``fault_plan=``; see
 ``tests/test_serve_faults.py`` for the byte-equality proofs.
 
-The chunk transport
--------------------
-How a finished chunk travels back to the parent is pluggable
-(``transport=`` / the ``REPRO_SHM`` environment toggle):
-
-* ``"shm"`` (the default where available): workers write the chunk's
-  column buffers — ``float64`` numericals, ``int32`` categorical codes,
-  vocabularies travel once with the snapshot — into a named
-  :mod:`multiprocessing.shared_memory` segment and return only a tiny
-  :class:`~repro.serve.shm.ChunkEnvelope`; the parent reassembles
-  zero-copy views and unlinks the segment.  Segment lifecycle (normal
-  consumption, timed-out attempts, hedge losers, worker crashes, pool
-  close) is owned by :mod:`repro.serve.shm`.
-* ``"pickle"``: the pre-transport behaviour — the chunk table itself is
-  the task result.  Output bytes are identical either way; only the IPC
-  cost differs.
+The chunk return path
+---------------------
+A finished chunk is the worker's return value: the pool pickles the chunk
+:class:`~repro.tabular.table.Table` back to the parent.  A sampled chunk
+pickles to its ``float64`` numerical and ``int32`` categorical-code
+buffers plus a small schema-and-vocabulary header (no decoded strings),
+and a timed-out attempt, a hedge loser, a cancel or a worker crash leaves
+nothing behind to clean up.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -109,10 +100,8 @@ from repro.obs.tracing import (
     trace_id_from_child,
 )
 from repro.serve import faults as fault_injection
-from repro.serve import shm as shm_transport
 from repro.serve.api import RequestSpec
 from repro.serve.faults import FaultPlan
-from repro.serve.shm import ChunkEnvelope, ShmTransportConfig
 from repro.tabular.table import Table
 from repro.utils.logging import get_logger
 from repro.utils.parallel import (
@@ -130,11 +119,8 @@ _LOG = get_logger(__name__)
 #: The worker-process model snapshot, set once by :func:`_init_worker`.
 _WORKER_MODEL: Optional[Surrogate] = None
 
-#: The worker-side shm encoder (None under the pickle transport).
-_WORKER_ENCODER: Optional[shm_transport.ChunkEncoder] = None
-
-#: Whether workers should record ``worker_compute``/``shm_encode`` spans and
-#: piggyback them on the task return path (see :mod:`repro.obs.tracing`).
+#: Whether workers should record ``worker_compute`` spans and piggyback them
+#: on the task return path (see :mod:`repro.obs.tracing`).
 _WORKER_TRACING: bool = False
 
 
@@ -142,7 +128,6 @@ def _init_worker(
     snapshot: bytes,
     chunk_rows: int,
     fault_plan: Optional[FaultPlan] = None,
-    shm_config: Optional[ShmTransportConfig] = None,
     tracing: bool = False,
 ) -> None:
     """One-time worker setup: deserialize the model, warm its serving caches.
@@ -151,21 +136,14 @@ def _init_worker(
     workers are exactly as warm as freshly started ones.  When a fault plan
     is provided (chaos tests, ``--fault-plan`` runs) it is installed here —
     the plan's exactly-once token latch lives on disk, so a rebuilt worker
-    does not re-inject already-claimed faults.  With an shm transport
-    config, the worker derives the chunk wire layout (schema + categorical
-    vocabularies) from its own snapshot — the parent derives the identical
-    layout from its copy, so no per-chunk metadata ever ships.  With
-    ``tracing`` enabled the worker wraps each task result in a
-    :class:`~repro.obs.tracing.TracedChunk` carrying its compute/encode
-    spans home.
+    does not re-inject already-claimed faults.  With ``tracing`` enabled the
+    worker wraps each task result in a
+    :class:`~repro.obs.tracing.TracedChunk` carrying its compute span home.
     """
-    global _WORKER_MODEL, _WORKER_ENCODER, _WORKER_TRACING
+    global _WORKER_MODEL, _WORKER_TRACING
     model = Surrogate.from_snapshot(snapshot)
     model.warm_serving_caches(chunk_rows)
     _WORKER_MODEL = model
-    _WORKER_ENCODER = (
-        shm_transport.ChunkEncoder(shm_config, model) if shm_config is not None else None
-    )
     _WORKER_TRACING = bool(tracing)
     fault_injection.install(fault_plan)
 
@@ -178,34 +156,17 @@ def _sample_chunk(size: int, child: np.random.SeedSequence, sampling_mode: str):
     harness target "chunk i" — and the tracing layer derive the parent's
     trace/span IDs — without widening the task descriptor.
 
-    Under the shm transport the return value is a
-    :class:`~repro.serve.shm.ChunkEnvelope` (the table's buffers having been
-    written to a shared segment); under the pickle transport it is the chunk
-    :class:`~repro.tabular.table.Table` itself.  With tracing enabled either
-    payload travels wrapped in a :class:`~repro.obs.tracing.TracedChunk`;
-    the payload bytes are identical.
+    Returns the chunk :class:`~repro.tabular.table.Table`; with tracing
+    enabled it travels wrapped in a :class:`~repro.obs.tracing.TracedChunk`
+    with identical bytes.
     """
     assert _WORKER_MODEL is not None, "worker used before initialization"
     spawn_key = getattr(child, "spawn_key", ())
     index = int(spawn_key[-1]) if spawn_key else 0
     fault_injection.maybe_inject(index)
     tracer = Tracer() if _WORKER_TRACING else None
-    payload: object = _compute_chunk(_WORKER_MODEL, index, size, child, sampling_mode, tracer)
-    if _WORKER_ENCODER is not None:
-        started = time.perf_counter()
-        envelope = _WORKER_ENCODER.encode(payload)
-        if tracer is not None:
-            trace_id = trace_id_from_child(child)
-            tracer.add(
-                "shm_encode",
-                trace_id,
-                index,
-                parent=chunk_span_id(trace_id, index),
-                start=started,
-                attrs={"chunk": index, "nbytes": int(envelope.nbytes)},
-            )
-        payload = envelope
-    return payload if tracer is None else TracedChunk(payload, tracer.spans())
+    table = _compute_chunk(_WORKER_MODEL, index, size, child, sampling_mode, tracer)
+    return table if tracer is None else TracedChunk(table, tracer.spans())
 
 
 def _compute_chunk(
@@ -369,10 +330,8 @@ class _ChunkHandle:
             return
         self._consumed = True
         self._primary.cancel()
-        self._run.sampler._abandon(self._primary)
         if self._hedge is not None:
             self._hedge.cancel()
-            self._run.sampler._abandon(self._hedge)
 
     # -- the resolution loop -----------------------------------------------------
     def result(self) -> Table:
@@ -427,12 +386,10 @@ class _ChunkHandle:
                 )
             if self._hedge is not None:
                 self._hedge.cancel()
-                self._run.sampler._abandon(self._hedge)
             return self._finish(table, self._primary_started, hedged_win=False)
         if hedge_done and hedge_error is None and self._hedge is not None:
             table = self._decode(self._hedge.result(0))
             self._primary.cancel()
-            self._run.sampler._abandon(self._primary)
             return self._finish(table, self._hedge_started, hedged_win=True)
 
         # A failed hedge is simply dropped; a failed primary is promoted or
@@ -455,7 +412,6 @@ class _ChunkHandle:
             if self._hedge is not None:
                 # The younger duplicate inherits the attempt.
                 self._primary.cancel()
-                self._run.sampler._abandon(self._primary)
                 self._primary, self._hedge = self._hedge, None
                 self._primary_started = self._hedge_started
                 return None
@@ -465,7 +421,6 @@ class _ChunkHandle:
                 self.index, self.size, self._attempts + 1, policy.timeout,
             )
             self._primary.cancel()
-            self._run.sampler._abandon(self._primary)
             self._handle_failure(
                 TimeoutError(f"attempt exceeded the {policy.timeout}s chunk deadline")
             )
@@ -554,7 +509,6 @@ class _ChunkHandle:
                     "hedged_win": hedged_win,
                 },
             )
-        self._run.sampler._reap()
         return table
 
 
@@ -631,27 +585,22 @@ class ShardedSampler:
     max_pool_restarts:
         Supervised executor rebuilds tolerated before the pool declares
         itself broken (:class:`~repro.utils.parallel.WorkerPoolBroken`).
-    transport:
-        Chunk transport: ``"shm"`` (codes-only shared-memory segments),
-        ``"pickle"`` (the chunk table as the task result), or ``None`` /
-        ``"auto"`` — resolve from the ``REPRO_SHM`` environment variable,
-        defaulting to shm where the platform supports it.  Output bytes are
-        transport-invariant.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` the sampler's fault
-        counters and transport gauges are registered in.  The owning
-        service passes its registry down so the whole stack shares one;
-        standalone samplers create their own.
+        counters and pool gauges are registered in.  The owning service
+        passes its registry down so the whole stack shares one; standalone
+        samplers create their own.
     tracer:
         An optional :class:`~repro.obs.tracing.Tracer`.  When set, chunk
         handles record ``chunk[i]``/``attempt[j]`` spans (in-process ones
-        ``chunk[i]``/``worker_compute``), workers are
-        started with tracing enabled (their ``worker_compute`` /
-        ``shm_encode`` spans ride home on the task results), and the
-        decode path records ``shm_decode`` spans.  ``None`` (the default)
-        is a strict no-op on every path — bytes are identical either way.
+        ``chunk[i]``/``worker_compute``) and workers are started with
+        tracing enabled (their ``worker_compute`` spans ride home on the
+        task results).  ``None`` (the default) is a strict no-op on every
+        path — bytes are identical either way.
 
-    The sampler is a context manager; :meth:`close` shuts the pool down.
+    Each pooled chunk is the worker's return value, pickled back by the
+    pool.  The sampler is a context manager; :meth:`close` shuts the pool
+    down.
     """
 
     DEFAULT_CHUNK_SIZE = Surrogate.DEFAULT_SERVING_CHUNK
@@ -665,7 +614,6 @@ class ShardedSampler:
         chunk_policy: Optional[ChunkPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         max_pool_restarts: int = 5,
-        transport: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -681,10 +629,8 @@ class ShardedSampler:
         self.chunk_policy = chunk_policy if chunk_policy is not None else ChunkPolicy()
         self.fault_plan = fault_plan
         self.max_pool_restarts = int(max_pool_restarts)
-        self.transport = shm_transport.resolve_transport(transport)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        self._shm_session: Optional[shm_transport.ShmSession] = None
         self._pool: Optional[WorkerPool] = None
         counter = self.metrics.counter
         self._fault_counters = {
@@ -708,10 +654,6 @@ class ShardedSampler:
         self._pool_restarts_gauge = self.metrics.gauge(
             "repro_serve_pool_restarts", "Supervised executor rebuilds, all pool generations."
         )
-        #: Futures cancelled or discarded while possibly carrying an
-        #: unconsumed shm envelope; reaped once they resolve.
-        self._abandoned: List[SupervisedFuture] = []
-        self._abandoned_lock = threading.Lock()
         #: Restarts of pools already torn down (restart / hot swap) — keeps
         #: the cumulative fault counters monotonic across pool generations.
         self._retired_restarts = 0
@@ -755,19 +697,13 @@ class ShardedSampler:
         the pool-free degenerate case of the same chunk plan.
         """
         if self.workers > 1 and self._pool is None:
-            snapshot = self._model.serving_snapshot()
-            shm_config = None
-            if self.transport == "shm":
-                self._shm_session = shm_transport.ShmSession(self._model, metrics=self.metrics)
-                shm_config = self._shm_session.config
             self._pool = WorkerPool(
                 self.workers,
                 initializer=_init_worker,
                 initargs=(
-                    snapshot,
+                    self._model.serving_snapshot(),
                     self.chunk_size,
                     self.fault_plan,
-                    shm_config,
                     self.tracer is not None,
                 ),
                 max_restarts=self.max_pool_restarts,
@@ -821,11 +757,7 @@ class ShardedSampler:
         pool, self._pool = self._pool, None
         if pool is not None:
             self._retired_restarts += pool.restarts
-            pool.close()  # waits for running tasks — segments are all spooled after
-        self._reap(final=True)
-        session, self._shm_session = self._shm_session, None
-        if session is not None:
-            session.close()  # sweep crash leftovers + remove the spool dir
+            pool.close()
 
     def __enter__(self) -> "ShardedSampler":
         return self.start()
@@ -833,75 +765,19 @@ class ShardedSampler:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- transport ---------------------------------------------------------------
     def decode_chunk(self, result) -> Table:
-        """Materialise a worker result: envelopes decode, tables pass through.
+        """Materialise a worker result: the chunk table itself.
 
         Traced results (:class:`~repro.obs.tracing.TracedChunk`) are
-        unwrapped first: their worker-side spans fold into the parent
-        tracer and the payload proceeds exactly as if tracing were off —
-        which is why enabling tracing cannot change served bytes.
+        unwrapped: their worker-side spans fold into the parent tracer and
+        the table proceeds exactly as if tracing were off — which is why
+        enabling tracing cannot change served bytes.
         """
-        spans = None
-        if isinstance(result, TracedChunk):
-            spans = result.spans
-            result = result.payload
-        tracer = self.tracer
-        if tracer is not None and spans:
-            tracer.extend(spans)
-        if not isinstance(result, ChunkEnvelope):
+        if not isinstance(result, TracedChunk):
             return result
-        assert self._shm_session is not None, "envelope received without a session"
-        started = time.perf_counter()
-        table = self._shm_session.decoder.decode(result)
-        if tracer is not None and spans:
-            first = spans[0]
-            tracer.add(
-                "shm_decode",
-                first.trace_id,
-                first.attrs.get("chunk", 0),
-                parent=first.parent_id,
-                start=started,
-                attrs={"nbytes": int(result.nbytes), "rows": int(result.n_rows)},
-            )
-        return table
-
-    def _abandon(self, future: Optional[SupervisedFuture]) -> None:
-        """Track a future whose (possible) envelope will never be decoded."""
-        if future is None or self._shm_session is None:
-            return
-        with self._abandoned_lock:
-            self._abandoned.append(future)
-
-    def _reap(self, *, final: bool = False) -> None:
-        """Discard segments of abandoned futures that have since resolved.
-
-        Called opportunistically on every chunk completion and exhaustively
-        at :meth:`close` (``final=True`` — by then the pool has drained, so
-        every abandoned future is resolved one way or the other).
-        """
-        with self._abandoned_lock:
-            pending, self._abandoned = self._abandoned, []
-        if not pending:
-            return
-        session = self._shm_session
-        still_pending: List[SupervisedFuture] = []
-        for future in pending:
-            if not future.done():
-                if not final:
-                    still_pending.append(future)
-                continue
-            try:
-                result = future.result(0)
-            except BaseException:
-                continue  # failed or cancelled: no envelope to release
-            if isinstance(result, TracedChunk):
-                result = result.payload  # abandoned attempt: spans are dropped
-            if session is not None and isinstance(result, ChunkEnvelope):
-                session.decoder.discard(result)
-        if still_pending:
-            with self._abandoned_lock:
-                self._abandoned.extend(still_pending)
+        if self.tracer is not None:
+            self.tracer.extend(result.spans)
+        return result.payload
 
     # -- fault accounting --------------------------------------------------------
     def _count(self, **deltas: int) -> None:

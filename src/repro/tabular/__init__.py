@@ -24,15 +24,16 @@ Categoricals are **codes end to end, decoded only at the edge**: a table
 stores each categorical column once as dictionary codes, and every internal
 consumer — the label/one-hot encoders, the mixed-space model encoders, the
 distribution and association metrics, the NPZ format and the serving
-transport — computes on ``table.codes(name)`` / ``table.codes_matrix()``
-against ``table.vocab(name)`` without materialising strings.  String arrays
+pool's pickled chunk results — computes on ``table.codes(name)`` /
+``table.codes_matrix()`` against ``table.vocab(name)`` without
+materialising strings.  String arrays
 exist only at the API edge (``table[name]``, ``to_dict``, ``row``, CSV),
 where :meth:`CategoricalColumn.decode` lazily builds and caches them.  The
 refactor is bit-invisible: every codes path reproduces the old string-path
 arithmetic exactly (``tests/test_perf_equivalence.py``,
 ``tests/test_sampling_equivalence.py``), and
 ``benchmarks/BENCH_hotpaths.json`` pins the payoff via the
-``encode_categorical_codes`` and ``serve_sharded_shm`` kernels.
+``encode_categorical_codes`` kernel.
 """
 
 from repro.tabular.schema import ColumnKind, ColumnSchema, TableSchema

@@ -51,9 +51,9 @@ class BenchmarkRecord:
     """One timed measurement of a kernel variant at a problem size.
 
     ``extra`` carries optional side metrics that the kernel measures along
-    with wall clock (e.g. the serving transport benchmark records the bytes
-    each chunk moves over the pool pipe); they round-trip through the JSON
-    baseline so gates can assert on them.
+    with wall clock (e.g. the tracing benchmark records the spans one
+    request produces); they round-trip through the JSON baseline so gates
+    can assert on them.
     """
 
     kernel: str

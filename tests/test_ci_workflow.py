@@ -71,25 +71,6 @@ class TestWorkflowDocument:
         for suite in ("tests/test_serve_sharded.py", "tests/test_serve_service.py"):
             assert os.path.exists(os.path.join(REPO_ROOT, suite))
 
-    def test_test_job_gates_shm_transport_with_forced_workers(self, workflow):
-        # The shm transport suite runs as its own named step with the
-        # transport forced on (REPRO_SHM=1) and REPRO_WORKERS=2: transport
-        # invariance and segment hygiene only mean anything when the
-        # shared-memory path genuinely carries the chunks of a real pool.
-        steps = workflow["jobs"]["tests"]["steps"]
-        shm_steps = [
-            step for step in steps if "tests/test_serve_shm.py" in step.get("run", "")
-        ]
-        assert shm_steps, "no named step runs tests/test_serve_shm.py"
-        step = shm_steps[0]
-        assert step.get("name"), "the shm transport step must be named"
-        assert "tests/test_serve_sharded.py" in step["run"]
-        env = step.get("env") or {}
-        assert str(env.get("REPRO_SHM")) == "1"
-        assert str(env.get("REPRO_WORKERS")) == "2"
-        assert env.get("PYTHONPATH") == "src"
-        assert os.path.exists(os.path.join(REPO_ROOT, "tests", "test_serve_shm.py"))
-
     def test_test_job_gates_fault_injection_with_forced_workers(self, workflow):
         # The chaos suite must run as its own named step with REPRO_WORKERS=2:
         # supervision, retry/timeout/hedging and degraded mode only mean
@@ -178,7 +159,6 @@ class TestWorkflowDocument:
             "serve_sharded_tvae_faulty",
             "serve_front_door",
             "encode_categorical_codes",
-            "serve_sharded_shm",
             "serve_traced",
         } <= module.REQUIRED_KERNELS
         import json
@@ -187,23 +167,6 @@ class TestWorkflowDocument:
             baseline = json.load(fh)
         recorded = {rec["kernel"] for rec in baseline["records"]}
         assert module.REQUIRED_KERNELS <= recorded
-
-    def test_perf_baseline_records_shm_ipc_bytes_reduction(self):
-        # The committed baseline is also the transport's data-movement
-        # contract: every serve_sharded_shm record carries the bytes one
-        # chunk moves over the pool pipe, and the shm envelope must be at
-        # least 5x smaller than the pickled chunk table it replaced.
-        import json
-
-        with open(os.path.join(REPO_ROOT, "benchmarks", "BENCH_hotpaths.json")) as fh:
-            baseline = json.load(fh)
-        by_variant = {}
-        for rec in baseline["records"]:
-            if rec["kernel"] == "serve_sharded_shm":
-                assert "ipc_bytes_per_chunk" in rec.get("extra", {}), rec
-                by_variant.setdefault(rec["variant"], []).append(rec["extra"]["ipc_bytes_per_chunk"])
-        assert by_variant.get("seed") and by_variant.get("optimized")
-        assert max(by_variant["optimized"]) * 5 <= min(by_variant["seed"])
 
     def test_perf_baseline_bounds_tracing_overhead(self):
         # The committed baseline is the observability plane's cost contract:

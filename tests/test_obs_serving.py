@@ -4,7 +4,7 @@ Three contracts:
 
 * **span taxonomy** — a traced request records the full
   ``request → admission/queue_wait/dispatch/chunk[i] → attempt[j] →
-  worker_compute/shm_*/assemble/deliver`` tree, with worker-side spans
+  worker_compute/assemble/deliver`` tree, with worker-side spans
   stitched under the parent's seed-derived trace ID (no context header
   crosses the pool — the chunk's ``SeedSequence`` child *is* the context);
 * **byte invisibility** — tracing never changes served bytes: sampler

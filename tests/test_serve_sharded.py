@@ -8,8 +8,11 @@ reassembled output must be byte-identical
 * across worker counts {1, 2, 4} — including 4 workers on a 1-core box —
 
 for **all five surrogates in both sampling modes**.  These tests prove it,
-plus the request-validation and lifecycle semantics around it.
+plus the request-validation and lifecycle semantics around it and the
+codes-only chunk a pool worker returns.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ N_ROWS = 130
 CHUNK = 40  # deliberately a non-divisor of N_ROWS: chunk plan (40, 40, 40, 10)
 WORKER_COUNTS = (1, 2, 4)
 MODES = ("exact", "fast")
+SURROGATES = ("tvae", "ctabgan", "tabddpm", "smote", "copula")
 
 
 def _serving_table(n=500, seed=23):
@@ -66,7 +70,7 @@ def models(table):
 class TestWorkerCountInvariance:
     """The acceptance bar: bytes identical for workers in {1, 2, 4}, both modes."""
 
-    @pytest.mark.parametrize("name", ["tvae", "ctabgan", "tabddpm", "smote", "copula"])
+    @pytest.mark.parametrize("name", SURROGATES)
     def test_all_surrogates_both_modes(self, models, name):
         model = models[name]
         references = {
@@ -107,6 +111,15 @@ class TestStreaming:
         with ShardedSampler(models["smote"], workers=4, chunk_size=4096) as sampler:
             chunks = list(sampler.sample_batches(90, seed=2))
         assert [len(c) for c in chunks] == [90]
+
+    def test_early_exit_leaves_no_pending_tasks(self, models):
+        # Closing a stream after its first chunk cancels the window's
+        # in-flight siblings: nothing stays queued in the pool.
+        with ShardedSampler(models["tvae"], workers=2, chunk_size=20) as sampler:
+            stream = sampler.sample_batches(400, seed=3, sampling_mode="fast")
+            next(stream)
+            stream.close()
+            assert sampler.pool_pending_tasks == 0
 
     def test_zero_rows(self, models):
         model = models["copula"]
@@ -164,3 +177,19 @@ class TestLifecycleAndValidation:
         assert refit.schema == other.schema
         assert refit == Table.concat(list(model.sample_batches(60, CHUNK, seed=4)))
         sampler.close()
+
+
+class TestChunkReturnPath:
+    """A pool worker returns the chunk table itself: codes, never strings."""
+
+    ROWS = 4096
+
+    @pytest.mark.parametrize("name", SURROGATES)
+    def test_chunk_pickles_to_its_column_buffers(self, models, name):
+        for mode in MODES:
+            chunk = models[name].sample(self.ROWS, seed=11, sampling_mode=mode)
+            categorical = [chunk.categorical_column(c) for c in chunk.schema.categorical]
+            assert all(column._decoded is None for column in categorical), (name, mode)
+            buffers = self.ROWS * (8 * len(chunk.schema.numerical) + 4 * len(categorical))
+            overhead = len(pickle.dumps(chunk)) - buffers
+            assert 0 <= overhead <= 2048, (name, mode, overhead)

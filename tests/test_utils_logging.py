@@ -25,7 +25,7 @@ def _restore_level():
 class TestGetLogger:
     def test_names_are_rooted_under_repro(self):
         assert get_logger("serve.sharded").name == "repro.serve.sharded"
-        assert get_logger("repro.serve.shm").name == "repro.serve.shm"
+        assert get_logger("repro.serve.service").name == "repro.serve.service"
 
     def test_configures_a_single_root_handler(self):
         get_logger("a")
