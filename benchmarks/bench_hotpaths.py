@@ -4,12 +4,12 @@
 Each kernel — GBDT fit, association matrix, filtering-pipeline funnel, grid
 simulator, the three deep-model training stacks (TVAE, CTABGAN+, TabDDPM),
 the broker dispatch path, the per-column Gaussian-mixture fit, the two
-deep-model sampling chains (TabDDPM reverse diffusion, CTABGAN+ generation)
-and the columnar data-plane kernel (dictionary-coded label encoding)
-— is timed at two problem sizes in both the seed implementation
-(``seed_baselines.py``) and the optimized one shipped in ``src/repro``, and
-the results (plus per-kernel speedups) are written to
-``BENCH_hotpaths.json``.  The committed copy of that file is the perf
+deep-model sampling chains (TabDDPM reverse diffusion, CTABGAN+ generation),
+the columnar data-plane kernel (dictionary-coded label encoding) and the
+Table-I fidelity path (SMOTE fit plus DCR, and WD) — is timed at two
+problem sizes in both the seed implementation (``seed_baselines.py``) and
+the optimized one shipped in ``src/repro``, and the results (plus
+per-kernel speedups) are written to ``BENCH_hotpaths.json``.  The committed copy of that file is the perf
 baseline that ``check_regression.py`` guards.
 
 The three relaxed serving-mode kernels (``sample_tabddpm_fast``,
@@ -52,12 +52,18 @@ from seed_baselines import (  # noqa: E402
     SeedTabDDPMSurrogate,
     SeedWatermarkGridSimulator,
     seed_association_matrix,
+    seed_nearest_record_distances,
+    seed_smote_neighbors,
+    seed_wasserstein_1d,
 )
 
 from repro.boosting.gbdt import GradientBoostingRegressor  # noqa: E402
 from repro.metrics.correlation import association_matrix  # noqa: E402
+from repro.metrics.distribution import wasserstein_1d  # noqa: E402
+from repro.metrics.privacy import nearest_record_distances  # noqa: E402
 from repro.mixture.gmm import GaussianMixture  # noqa: E402
 from repro.models.ctabgan import CTABGANConfig, CTABGANPlusSurrogate  # noqa: E402
+from repro.models.smote import SMOTESurrogate  # noqa: E402
 from repro.models.tabddpm.model import TabDDPMConfig, TabDDPMSurrogate  # noqa: E402
 from repro.models.tvae import TVAEConfig, TVAESurrogate  # noqa: E402
 from repro.panda.generator import GeneratorConfig, PandaWorkloadGenerator  # noqa: E402
@@ -135,6 +141,62 @@ def bench_association(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
             lambda: association_matrix(table),
             repeats=repeats,
         )
+
+
+def _fidelity_case(n_rows: int):
+    """Exactly ``n_rows`` PanDA training rows and a SMOTE sample of the same
+    size: the shape of one ``fidelity-14k``-style Table-I evaluation."""
+    # The funnel keeps about half of the raw jobs on this seed.
+    generator = PandaWorkloadGenerator(
+        GeneratorConfig(n_jobs=3 * n_rows, n_days=90.0, seed=5)
+    )
+    train = generator.generate_training_table().sample(n_rows, seed=7)
+    synthetic = SMOTESurrogate().fit(train).sample(n_rows, seed=1)
+    return train, synthetic
+
+
+def bench_fidelity(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
+    """The Table-I fidelity path's neighbour searches and WD.
+
+    ``knn_mixed`` is SMOTE fit plus DCR: the mixed-type kernel on category
+    codes against the seed's one-hot KD-tree searches.  ``wasserstein`` is
+    the per-column WD of every numerical column: linear interpolation of
+    the sorted samples against the seed's ``np.quantile`` grid.  Both
+    variants run the same repeats, and the larger size's records carry the
+    scaling exponent between the two sizes.
+    """
+    cases = {n: _fidelity_case(n) for n in sizes}
+    kernels = {
+        "knn_mixed": (
+            lambda train, synth: (
+                seed_smote_neighbors(train), seed_nearest_record_distances(train, synth)
+            ),
+            lambda train, synth: (
+                SMOTESurrogate().fit(train), nearest_record_distances(train, synth)
+            ),
+        ),
+        "wasserstein": (
+            lambda train, synth: [
+                seed_wasserstein_1d(train[c], synth[c]) for c in train.schema.numerical
+            ],
+            lambda train, synth: [
+                wasserstein_1d(train[c], synth[c]) for c in train.schema.numerical
+            ],
+        ),
+    }
+    for kernel, variants in kernels.items():
+        for variant, fn in zip(("seed", "optimized"), variants):
+            seconds = []
+            for n_rows in sizes:
+                train, synth = cases[n_rows]
+                record = registry.measure(
+                    kernel, variant, f"n={n_rows}", lambda: fn(train, synth), repeats=repeats
+                )
+                seconds.append(record.seconds)
+            if len(sizes) > 1:
+                # Growth per doubling of rows: 1.0 is linear, 2.0 quadratic.
+                growth = np.log(seconds[-1] / seconds[0]) / np.log(sizes[-1] / sizes[0])
+                record.extra = {"scaling_exponent": float(growth)}
 
 
 def bench_pipeline(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
@@ -775,8 +837,11 @@ def run_benchmarks(
     # The tracing kernel prices the span taxonomy on one serving-scale
     # request; its contract is the <=5% overhead ratio, not a sweep.
     serve_traced_sizes = [100_000]
+    # Train rows of the Table-I fidelity kernels (fidelity-14k and half).
+    fidelity_sizes = [7_000, 14_000]
     if quick:
         encode_sizes = encode_sizes[:1]
+        fidelity_sizes = fidelity_sizes[:1]
         (gbdt_sizes, table_sizes, pipe_sizes, sim_sizes, train_sizes, broker_sizes,
          gmm_sizes, ddpm_sample_sizes, gan_sample_sizes,
          ddpm_fast_sizes, gan_fast_sizes, tvae_fast_sizes) = (
@@ -836,6 +901,10 @@ def run_benchmarks(
         (
             ("serve_traced",),
             lambda: bench_serve_traced(registry, serve_traced_sizes, repeats),
+        ),
+        (
+            ("knn_mixed", "wasserstein"),
+            lambda: bench_fidelity(registry, fidelity_sizes, repeats),
         ),
     ]
     if kernels is not None:

@@ -74,6 +74,11 @@ REQUIRED_KERNELS = frozenset(
         # baseline is the <=5% tracing-overhead contract asserted by
         # tests/test_ci_workflow.py.
         "serve_traced",
+        # Table-I fidelity kernels: SMOTE fit plus DCR on the mixed-type
+        # kNN kernel, and the linear WD, each against its seed port (see
+        # bench_hotpaths.bench_fidelity; records carry scaling exponents).
+        "knn_mixed",
+        "wasserstein",
     }
 )
 

@@ -43,10 +43,8 @@ from repro.metrics.correlation import (
     theils_u,
 )
 from repro.metrics.privacy import (
-    TableEmbedder,
     distance_to_closest_record,
     duplicate_fraction,
-    embed_tables,
     nearest_record_distances,
 )
 from repro.metrics.mlef import machine_learning_efficacy, diff_mlef
@@ -70,8 +68,6 @@ __all__ = [
     "theils_u",
     "association_matrix",
     "diff_corr",
-    "TableEmbedder",
-    "embed_tables",
     "nearest_record_distances",
     "distance_to_closest_record",
     "duplicate_fraction",

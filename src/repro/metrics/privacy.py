@@ -1,96 +1,58 @@
 """Privacy metrics: Distance to Closest Record (DCR).
 
 For every synthetic row we find the closest row of the *training* data in a
-mixed-type metric space (min-max scaled numerical columns, one-hot scaled
-categorical columns) and report the mean of those nearest distances.  Small
-DCR means synthetic rows hug the training data — good fidelity but a privacy
-risk; the paper reads higher DCR as better privacy.
+mixed-type metric space and report the mean of those nearest distances.
+Numerical columns are min-max scaled by the training table's ranges; each
+mismatched categorical column adds 1 to the squared distance (the metric of
+one-hot blocks scaled by 1/√2).  Small DCR means synthetic rows hug the
+training data — good fidelity but a privacy risk; the paper reads higher DCR
+as better privacy.
 
-The embedding is fitted once per table pair (:class:`TableEmbedder`) instead
-of refitting a fresh encoder per categorical column per call, and the query
-side can be embedded and searched in chunks (``chunk_size``) so huge
-synthetic tables never materialise one giant one-hot matrix.
+The search is :func:`repro.tabular.neighbors.mixed_knn` on the tables'
+dictionary codes: no strings are decoded and no one-hot matrix is built.
+``chunk_size`` bounds how many synthetic rows are searched at once, so it
+limits memory only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from repro.tabular.encoding import OneHotEncoder
+from repro.tabular.neighbors import mixed_knn
 from repro.tabular.table import Table
-from repro.utils.validation import check_fitted
-
-#: One-hot blocks are scaled so a category mismatch contributes a unit
-#: distance, commensurate with a full-range numerical mismatch.
-_CATEGORY_SCALE = 1.0 / np.sqrt(2.0)
 
 
-class TableEmbedder:
-    """Embed mixed-type tables in a common numeric space.
+def _embed(
+    training: Table, synthetic: Table, columns: Optional[Sequence[str]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled numericals and shared-vocabulary codes of both tables.
 
-    Numerical columns are min-max scaled using the *reference* table's ranges;
-    categorical columns become one-hot blocks over the union of categories
-    seen across all tables passed to :meth:`fit`.  Fit once, then transform
-    any number of (chunks of) tables.
+    Numericals are min-max scaled by the training ranges.  Synthetic codes
+    are remapped onto the training vocabulary; a category the training table
+    never uses gets a code no training row has.
     """
-
-    def __init__(self, columns: Optional[Sequence[str]] = None) -> None:
-        self.columns = list(columns) if columns is not None else None
-        self.columns_: Optional[List[str]] = None
-        self.ranges_: Optional[Dict[str, Tuple[float, float]]] = None
-        self.encoders_: Optional[Dict[str, OneHotEncoder]] = None
-
-    def fit(self, reference: Table, *others: Table) -> "TableEmbedder":
-        """Learn scaling from ``reference`` and categories from all tables."""
-        cols = self.columns if self.columns is not None else reference.columns
-        ranges: Dict[str, Tuple[float, float]] = {}
-        encoders: Dict[str, OneHotEncoder] = {}
-        for name in cols:
-            if reference.schema.kind_of(name).value == "numerical":
-                ref_col = np.asarray(reference[name], dtype=np.float64)
-                lo, hi = float(ref_col.min()), float(ref_col.max())
-                span = hi - lo if hi > lo else 1.0
-                ranges[name] = (lo, span)
-            else:
-                encoder = OneHotEncoder()
-                encoder.fit(np.concatenate([reference[name]] + [t[name] for t in others]))
-                encoders[name] = encoder
-        self.columns_ = list(cols)
-        self.ranges_ = ranges
-        self.encoders_ = encoders
-        return self
-
-    @property
-    def n_features(self) -> int:
-        check_fitted(self, ["columns_"])
-        total = len(self.ranges_)
-        for encoder in self.encoders_.values():
-            total += encoder.n_categories
-        return total
-
-    def transform(self, table: Table) -> np.ndarray:
-        """Embed ``table`` (or any chunk of it) into the fitted space."""
-        check_fitted(self, ["columns_"])
-        parts: List[np.ndarray] = []
-        for name in self.columns_:
-            if name in self.ranges_:
-                lo, span = self.ranges_[name]
-                col = np.asarray(table[name], dtype=np.float64)
-                parts.append(((col - lo) / span)[:, None])
-            else:
-                parts.append(self.encoders_[name].transform(table[name]) * _CATEGORY_SCALE)
-        return np.concatenate(parts, axis=1)
-
-
-def embed_tables(
-    reference: Table, other: Table, columns: Optional[Sequence[str]] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Embed both tables in a common numeric space scaled by the reference table."""
-    embedder = TableEmbedder(columns).fit(reference, other)
-    return embedder.transform(reference), embedder.transform(other)
+    cols = list(columns) if columns is not None else training.columns
+    num = [c for c in cols if training.schema.kind_of(c).value == "numerical"]
+    cat = [c for c in cols if c not in num]
+    train_num = np.empty((len(training), len(num)))
+    synth_num = np.empty((len(synthetic), len(num)))
+    for j, name in enumerate(num):
+        ref = np.asarray(training[name], dtype=np.float64)
+        lo, hi = float(ref.min()), float(ref.max())
+        span = hi - lo if hi > lo else 1.0
+        train_num[:, j] = (ref - lo) / span
+        synth_num[:, j] = (np.asarray(synthetic[name], dtype=np.float64) - lo) / span
+    train_codes = np.empty((len(training), len(cat)), dtype=np.int32)
+    synth_codes = np.empty((len(synthetic), len(cat)), dtype=np.int32)
+    for j, name in enumerate(cat):
+        vocab = training.vocab(name)
+        code_of = {value: i for i, value in enumerate(vocab)}
+        remap = np.array([code_of.get(v, len(vocab)) for v in synthetic.vocab(name)], dtype=np.int32)
+        train_codes[:, j] = training.codes(name)
+        synth_codes[:, j] = remap[synthetic.codes(name)]
+    return train_num, train_codes, synth_num, synth_codes
 
 
 def nearest_record_distances(
@@ -102,24 +64,18 @@ def nearest_record_distances(
 ) -> np.ndarray:
     """Distance from each synthetic row to its nearest training row.
 
-    ``chunk_size`` bounds how many synthetic rows are embedded and queried at
-    once; results are identical to the unchunked computation.
+    ``chunk_size`` bounds how many synthetic rows are searched at once;
+    results are identical to the unchunked computation.
     """
     if len(training) == 0 or len(synthetic) == 0:
         raise ValueError("both tables must be non-empty")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be a positive integer")
-    embedder = TableEmbedder(columns).fit(training, synthetic)
-    tree = cKDTree(embedder.transform(training))
-    n = len(synthetic)
-    if chunk_size is None or chunk_size >= n:
-        distances, _ = tree.query(embedder.transform(synthetic), k=1)
-        return np.asarray(distances, dtype=np.float64)
-    distances = np.empty(n, dtype=np.float64)
-    for start in range(0, n, chunk_size):
-        chunk = synthetic.take(np.arange(start, min(start + chunk_size, n)))
-        distances[start : start + len(chunk)], _ = tree.query(embedder.transform(chunk), k=1)
-    return distances
+    train_num, train_codes, synth_num, synth_codes = _embed(training, synthetic, columns)
+    d2, _ = mixed_knn(
+        train_num, train_codes, synth_num, synth_codes, 1, mismatch_cost=1.0, chunk_size=chunk_size
+    )
+    return np.sqrt(d2[:, 0])
 
 
 def distance_to_closest_record(

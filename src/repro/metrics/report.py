@@ -7,8 +7,9 @@ of the paper's Table I so the benchmark harness can print it directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.correlation import diff_corr
 from repro.metrics.distribution import mean_jsd, mean_wasserstein
@@ -105,7 +106,8 @@ def format_table(scores: Sequence[SurrogateScore], *, title: str = "PERFORMANCE 
 
 def rank_models(scores: Sequence[SurrogateScore]) -> Dict[str, List[str]]:
     """Rank model names per metric (best first), mirroring the paper's reading
-    of Table I (lower is better for everything except DCR)."""
+    of Table I (lower is better for everything except DCR).  A metric that
+    was not computed (NaN, e.g. diff-MLEF under ``--no-mlef``) ranks last."""
     by_metric: Dict[str, List[str]] = {}
     metric_specs = [
         ("WD", lambda s: s.wd, False),
@@ -114,7 +116,14 @@ def rank_models(scores: Sequence[SurrogateScore]) -> Dict[str, List[str]]:
         ("DCR", lambda s: s.dcr, True),
         ("diff-MLEF", lambda s: s.diff_mlef, False),
     ]
-    for name, key, reverse in metric_specs:
-        ordered = sorted(scores, key=key, reverse=reverse)
+    for name, key, higher_is_better in metric_specs:
+        ordered = sorted(scores, key=lambda s: _rank_key(key(s), higher_is_better))
         by_metric[name] = [s.model for s in ordered]
     return by_metric
+
+
+def _rank_key(value: float, higher_is_better: bool) -> Tuple[bool, float]:
+    """Sort key putting the best value first and NaN after every number."""
+    if math.isnan(value):
+        return True, 0.0
+    return False, -value if higher_is_better else value

@@ -12,6 +12,17 @@ realistic category combinations.
 Because every synthetic record lies on a segment between two real records,
 SMOTE attains excellent per-feature and correlation fidelity but the worst
 privacy (lowest DCR) — exactly the trade-off the paper reports.
+
+The neighbour graph is built once at fit time by the exact mixed-type kernel
+:func:`repro.tabular.neighbors.mixed_knn` on the encoder's numericals and
+integer category codes: squared distance is the squared numerical distance
+plus ``categorical_weight²`` per mismatched categorical column, the metric of
+one-hot blocks scaled by ``categorical_weight / √2``.  The kernel partitions
+rows by category codes instead of searching a wide one-hot KD-tree, so fit
+stays near-linear in the number of rows.  Rows whose candidate distances
+hold a near-tie are re-queried against the one-hot KD-tree, whose traversal
+order decides exact ties; the neighbour arrays are therefore identical to a
+one-hot search, row for row.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from scipy.spatial import cKDTree
 
 from repro.models.base import Surrogate
 from repro.tabular.mixed import MixedEncoder
+from repro.tabular.neighbors import mixed_knn
 from repro.tabular.table import Table
 from repro.utils.rng import SeedLike, as_rng
 
@@ -36,8 +48,11 @@ class SMOTESurrogate(Surrogate):
         Number of nearest neighbours considered per seed record (the original
         SMOTE uses 5).
     categorical_weight:
-        Relative weight of a categorical mismatch in the neighbour metric;
-        1.0 makes one category flip comparable to a full-range numerical move.
+        Weight ``w`` of a categorical mismatch in the neighbour metric: one
+        mismatched column adds ``w²`` to the squared distance.  Numericals
+        are Gaussian-quantile transformed (range about ±5.2), so at the
+        default 1.0 a category flip costs about as much as a one-standard-
+        deviation numerical move.
     """
 
     name = "SMOTE"
@@ -62,24 +77,36 @@ class SMOTESurrogate(Surrogate):
         self._numerical = num
         self._categorical_codes = cat
 
-        # Nearest-neighbour search space: transformed numericals plus scaled
-        # one-hot categoricals (so mixed-type distances are balanced).
-        onehot = self._encoder.transform(table).values
-        cat_cols = self._encoder.blocks_ if self._encoder.blocks_ else []
-        search = [num]
-        for block in cat_cols:
-            if block.kind.value == "categorical":
-                search.append(onehot[:, block.slice] * self.categorical_weight / np.sqrt(2.0))
-        search_matrix = np.concatenate(search, axis=1)
-
-        k = min(self.k_neighbors + 1, len(table))
-        tree = cKDTree(search_matrix)
-        _, neighbor_idx = tree.query(search_matrix, k=k)
-        if neighbor_idx.ndim == 1:
-            neighbor_idx = neighbor_idx[:, None]
+        n = len(table)
+        k = min(self.k_neighbors + 1, n)
+        scale = self.categorical_weight / np.sqrt(2.0)
+        # One extra candidate shows whether the k-th neighbour is tied with
+        # the next row, which would make the set itself a tie-break.
+        d2, neighbor_idx = mixed_knn(
+            num, cat, num, cat, min(k + 1, n), mismatch_cost=2.0 * scale**2
+        )
+        neighbor_idx = neighbor_idx[:, :k]
+        tied = _near_tied(d2)
+        if tied.any():
+            neighbor_idx[tied] = self._onehot_neighbors(tied, k, scale)
         # Drop the self-match in the first column when present.
-        self._neighbors = neighbor_idx[:, 1:] if neighbor_idx.shape[1] > 1 else neighbor_idx
+        self._neighbors = neighbor_idx[:, 1:] if k > 1 else neighbor_idx
         return self
+
+    def _onehot_neighbors(self, rows: np.ndarray, k: int, scale: float) -> np.ndarray:
+        """Neighbours of ``rows`` from a KD-tree over the one-hot embedding.
+
+        The kernel and this tree order exact ties differently (the tree
+        breaks them in traversal order), so tied rows take the tree's answer:
+        the neighbour arrays then match the one-hot search row for row.
+        """
+        onehot = [
+            np.eye(width)[self._categorical_codes[:, j]] * scale
+            for j, width in enumerate(self._encoder.category_cardinalities())
+        ]
+        search = np.concatenate([self._numerical] + onehot, axis=1)
+        _, idx = cKDTree(search).query(search[rows], k=k)
+        return np.reshape(idx, (-1, k))
 
     # -- sampling -----------------------------------------------------------------
     def _sample_exact(self, n: int, *, seed: SeedLike = None) -> Table:
@@ -104,3 +131,11 @@ class SMOTESurrogate(Surrogate):
         synthetic_cat = np.where(take_partner, partner_cat, base_cat)
 
         return self._encoder.inverse_transform_codes(synthetic_num, synthetic_cat)
+
+
+def _near_tied(d2: np.ndarray) -> np.ndarray:
+    """Rows whose sorted candidate distances hold a near-tie: two neighbours
+    whose squared distances differ by at most 1e-12 relative, the slack two
+    summation orders of the same distance can leave."""
+    gap = np.diff(d2, axis=1)
+    return np.any(gap <= 1e-12 * d2[:, 1:], axis=1)

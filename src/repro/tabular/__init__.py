@@ -33,7 +33,9 @@ refactor is bit-invisible: every codes path reproduces the old string-path
 arithmetic exactly (``tests/test_perf_equivalence.py``,
 ``tests/test_sampling_equivalence.py``), and
 ``benchmarks/BENCH_hotpaths.json`` pins the payoff via the
-``encode_categorical_codes`` kernel.
+``encode_categorical_codes`` kernel.  The mixed-type nearest-neighbour
+kernel that SMOTE and DCR share (:mod:`repro.tabular.neighbors`) searches
+the same codes directly instead of a one-hot embedding.
 """
 
 from repro.tabular.schema import ColumnKind, ColumnSchema, TableSchema

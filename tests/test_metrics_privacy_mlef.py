@@ -133,3 +133,15 @@ class TestReport:
         assert ranks["diff-MLEF"][0] == "good"
         # DCR is better when larger, so "bad" (higher DCR) ranks first there.
         assert ranks["DCR"][0] == "bad"
+
+    def test_rank_models_puts_nan_last(self):
+        nan = float("nan")
+        scores = [
+            SurrogateScore("A", wd=0.1, jsd=0.1, diff_corr=0.1, dcr=0.3, diff_mlef=3.0),
+            SurrogateScore("B", wd=0.2, jsd=0.2, diff_corr=0.2, dcr=nan, diff_mlef=nan),
+            SurrogateScore("C", wd=0.3, jsd=0.3, diff_corr=0.3, dcr=0.1, diff_mlef=1.0),
+        ]
+        ranks = rank_models(scores)
+        assert ranks["diff-MLEF"] == ["C", "A", "B"]
+        assert ranks["DCR"] == ["A", "C", "B"]
+        assert ranks["WD"] == ["A", "B", "C"]

@@ -9,7 +9,10 @@ grid simulator) must reproduce the outputs of the seed implementations kept in
   predictions — are unchanged on these fixtures),
 * association matrices equal within 1e-12,
 * identical simulator completion times and pipeline funnels on a fixed-seed
-  5k-job workload.
+  5k-job workload,
+* the Table-I fidelity path: WD bit-identical to the ``np.quantile`` form,
+  SMOTE neighbour arrays identical to the one-hot KD-tree search on every
+  SMOTE fixture of the suite, and DCR within 1e-12 of the one-hot search.
 """
 
 import os
@@ -30,18 +33,29 @@ from seed_baselines import (  # noqa: E402
     SeedWatermarkGridSimulator,
     seed_association_matrix,
     seed_kmeans_1d,
+    seed_nearest_record_distances,
+    seed_smote_neighbors,
+    seed_wasserstein_1d,
 )
+from test_degenerate_inputs import _degenerate_table, _tiny_table  # noqa: E402
+from test_obs_serving import _table as _obs_table  # noqa: E402
+from test_serve_faults import _serving_table as _faults_table  # noqa: E402
+from test_serve_sharded import _serving_table as _sharded_table  # noqa: E402
 
 from repro.boosting.gbdt import GradientBoostingRegressor  # noqa: E402
 from repro.metrics.correlation import association_matrix  # noqa: E402
 from repro.mixture.gmm import GaussianMixture, kmeans_1d  # noqa: E402
+from repro.metrics.distribution import _sorted_quantiles, wasserstein_1d  # noqa: E402
 from repro.metrics.privacy import nearest_record_distances  # noqa: E402
+from repro.models import smote  # noqa: E402
+from repro.models.smote import SMOTESurrogate  # noqa: E402
 from repro.panda.generator import GeneratorConfig, PandaWorkloadGenerator  # noqa: E402
 from repro.panda.pipeline import FilteringPipeline  # noqa: E402
 from repro.scheduler.broker import make_broker  # noqa: E402
 from repro.scheduler.cluster import GridCluster  # noqa: E402
 from repro.scheduler.jobs import jobs_from_table  # noqa: E402
 from repro.scheduler.simulator import GridSimulator  # noqa: E402
+from repro.tabular.table import CategoricalColumn, Table  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +210,144 @@ class TestPrivacyChunking:
         full = nearest_record_distances(train, synth)
         chunked = nearest_record_distances(train, synth, chunk_size=7)
         np.testing.assert_array_equal(full, chunked)
+
+
+def _wd_cases():
+    rng = np.random.default_rng(41)
+    return {
+        "n_gt_m": (rng.normal(size=300), rng.normal(0.2, 1.3, size=117)),
+        "n_lt_m": (rng.lognormal(size=64), rng.lognormal(0.1, 0.9, size=1_001)),
+        "n_is_1": (np.array([2.5]), rng.normal(size=50)),
+        "m_is_1": (rng.normal(size=50), np.array([-0.5])),
+        "both_1": (np.array([1.0]), np.array([4.0])),
+        "integer_duplicates": (
+            rng.integers(0, 6, 2_000).astype(float), rng.integers(0, 5, 1_500).astype(float)
+        ),
+        "constant_real": (np.full(400, 7.25), rng.normal(7.0, 0.5, size=350)),
+        "14k_rows": (rng.gamma(2.0, 3.0, 14_000), np.round(rng.gamma(2.1, 3.0, 14_000), 1)),
+    }
+
+
+class TestWassersteinEquivalence:
+    """The linear WD must be bit-identical to the seed's ``np.quantile`` form."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("case", sorted(_wd_cases()))
+    def test_bit_identical(self, case, normalize):
+        real, synthetic = _wd_cases()[case]
+        assert wasserstein_1d(real, synthetic, normalize=normalize) == seed_wasserstein_1d(
+            real, synthetic, normalize=normalize
+        )
+
+    @staticmethod
+    def _assert_grid_identical(values, size):
+        probs = np.linspace(0.0, 1.0, size, endpoint=False) + 0.5 / size
+        np.testing.assert_array_equal(_sorted_quantiles(values, probs), np.quantile(values, probs))
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (4, 1), (300, 117), (64, 1_001)])
+    def test_quantile_grid_bit_identical(self, n, m):
+        # WD's grid has max(n, m) points.
+        values = np.sort(np.random.default_rng(n * m).lognormal(1.0, 1.5, n))
+        self._assert_grid_identical(values, max(n, m))
+
+    def test_quantile_at_half_virtual_index(self):
+        # A 6-point grid on 3 values puts virtual indices at exactly .5,
+        # where numpy's lerp switches formula; between these two values the
+        # two formulas round differently.
+        self._assert_grid_identical(np.array([0.02738500170148095, 8.158535541215322, 9.5]), 6)
+
+
+class TestSmoteNeighborsEquivalence:
+    """SMOTE's kernel neighbours must equal the seed one-hot KD-tree search
+    on every SMOTE fixture of the suite, tie order included."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_train_table(self, train_table, k):
+        model = SMOTESurrogate(k_neighbors=k).fit(train_table)
+        assert np.array_equal(model._neighbors, seed_smote_neighbors(train_table, k))
+
+    def test_train_table_head(self, train_table):
+        tiny = train_table.head(4)
+        model = SMOTESurrogate(k_neighbors=5).fit(tiny)
+        assert np.array_equal(model._neighbors, seed_smote_neighbors(tiny, 5))
+
+    @pytest.mark.parametrize(
+        "build, k",
+        [
+            (_degenerate_table, 3),
+            (_tiny_table, 3),
+            (_sharded_table, 3),
+            (_obs_table, 3),
+            (_faults_table, 4),
+        ],
+        ids=["degenerate", "degenerate_tiny", "serve_sharded", "obs_serving", "serve_faults"],
+    )
+    def test_suite_tables(self, build, k):
+        table = build()
+        model = SMOTESurrogate(k_neighbors=k).fit(table)
+        assert np.array_equal(model._neighbors, seed_smote_neighbors(table, k))
+
+    @pytest.mark.parametrize("which", ["tiny_table", "serve_faults"])
+    def test_tied_rows_take_the_tree_order(self, which, tiny_table, monkeypatch):
+        # These two tables hold exact distance ties (rounded and duplicate
+        # rows), so the one-hot tie resolver must run for the bytes to match.
+        table, k = (tiny_table, 5) if which == "tiny_table" else (_faults_table(), 4)
+        tied = []
+
+        def spy(d2):
+            rows = real_near_tied(d2)
+            tied.append(int(rows.sum()))
+            return rows
+
+        real_near_tied = smote._near_tied
+        monkeypatch.setattr(smote, "_near_tied", spy)
+        model = SMOTESurrogate(k_neighbors=k).fit(table)
+        assert tied and tied[0] > 0
+        assert np.array_equal(model._neighbors, seed_smote_neighbors(table, k))
+
+    def test_categorical_weight(self, tiny_table):
+        for weight in (0.0, 0.3, 2.5):
+            model = SMOTESurrogate(k_neighbors=4, categorical_weight=weight).fit(tiny_table)
+            expected = seed_smote_neighbors(tiny_table, 4, categorical_weight=weight)
+            assert np.array_equal(model._neighbors, expected)
+
+
+def _with_unseen_category(table: Table, column: str, rows: np.ndarray) -> Table:
+    """``table`` with ``rows`` of ``column`` set to a category training never saw."""
+    col = table.categorical_column(column)
+    codes = col.codes.copy()
+    codes[rows] = len(col.vocab)
+    return table.with_column(column, CategoricalColumn(codes, col.vocab + ("unseen",)), "categorical")
+
+
+class TestDCREquivalence:
+    """DCR on the kernel must match the one-hot KD-tree within 1e-12."""
+
+    def _assert_close(self, training, synthetic, **kwargs):
+        got = nearest_record_distances(training, synthetic, **kwargs)
+        want = seed_nearest_record_distances(training, synthetic, **kwargs)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_panda_tables(self, train_table, test_table):
+        self._assert_close(train_table, test_table)
+        synthetic = SMOTESurrogate(k_neighbors=3).fit(train_table).sample(600, seed=2)
+        self._assert_close(train_table, synthetic)
+
+    def test_unseen_category(self, train_table, test_table):
+        synthetic = _with_unseen_category(test_table, "computingsite", np.arange(0, 200, 3))
+        self._assert_close(train_table, synthetic)
+
+    def test_columns_subset_and_chunks(self, train_table, test_table):
+        columns = ["ninputdatafiles", "jobstatus", "workload", "project"]
+        self._assert_close(train_table, test_table, columns=columns)
+        self._assert_close(train_table, test_table, chunk_size=7)
+        self._assert_close(train_table, test_table.head(50), columns=["jobstatus"], chunk_size=7)
+        self._assert_close(train_table, test_table.head(50), columns=["workload"])
+
+    def test_suite_tables(self, tiny_table):
+        self._assert_close(tiny_table.take(np.arange(0, 150)), tiny_table.take(np.arange(150, 200)))
+        table = _faults_table()
+        self._assert_close(table.head(300), table.take(np.arange(300, 400)))
 
 
 def _gmm_test_columns(n=4_000, seed=29):
