@@ -12,6 +12,10 @@ the optimized one shipped in ``src/repro``, and the results (plus
 per-kernel speedups) are written to ``BENCH_hotpaths.json``.  The committed copy of that file is the perf
 baseline that ``check_regression.py`` guards.
 
+``serve_scaling`` compares the pool with in-process serving in the same
+sampling mode (see :func:`bench_serve_scaling`); the gate fails when the
+pool is the slower of the two.
+
 The three relaxed serving-mode kernels (``sample_tabddpm_fast``,
 ``sample_ctabgan_fast``, ``sample_tvae_fast``) are baselined against the
 bit-exact default sampling path instead of a seed port (see
@@ -85,7 +89,8 @@ from repro.obs.tracing import Tracer  # noqa: E402
 from repro.tabular.encoding import LabelEncoder  # noqa: E402
 from repro.tabular.schema import TableSchema  # noqa: E402
 from repro.tabular.table import Table  # noqa: E402
-from repro.utils.profiling import BenchmarkRegistry  # noqa: E402
+from repro.utils.parallel import available_workers  # noqa: E402
+from repro.utils.profiling import BenchmarkRegistry, timer  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_hotpaths.json")
 
@@ -600,6 +605,54 @@ def bench_serve_faulty(registry: BenchmarkRegistry, sizes, repeats: int) -> None
         plan.cleanup()
 
 
+def bench_serve_scaling(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
+    """Pool against no pool: one fast request at 1 and at N workers.
+
+    Both variants serve the same request on the ``serve_sharded_tvae``
+    model and chunk size, in the relaxed ``"fast"`` mode, with the same
+    seed and the same repeats: the ``"seed"`` variant in-process at
+    ``workers=1`` (the parent's BLAS on every core), the ``"optimized"``
+    variant on a warm pool at ``workers=available_workers(None)`` (each
+    worker on its share of the core budget).  Runs alternate between the
+    two so host drift hits both alike, and each keeps its best.  ``extra``
+    records ``workers`` and ``parallel_efficiency = T1 / (N * TN)``;
+    ``check_regression.compare`` fails when N workers are slower than one.
+    """
+    repeats = max(repeats, 5)
+    table = serving_mixed_table(2000)
+    model = TVAESurrogate(
+        TVAEConfig(latent_dim=16, hidden_dims=(64,), epochs=1, batch_size=256), seed=0
+    )
+    model.fit(table)
+    workers = available_workers(None)
+    with ShardedSampler(model, workers=1, chunk_size=SERVE_CHUNK) as solo, ShardedSampler(
+        model, workers=workers, chunk_size=SERVE_CHUNK
+    ) as pooled:
+        for n_rows in sizes:
+            size = f"n={n_rows}"
+            runs = {"seed": solo, "optimized": pooled}
+            best = dict.fromkeys(runs, float("inf"))
+            for sampler in runs.values():  # warm both paths before timing
+                sampler.sample(n_rows, seed=1, sampling_mode="fast")
+            for _ in range(repeats):
+                for variant, sampler in runs.items():
+                    with timer() as elapsed:
+                        sampler.sample(n_rows, seed=1, sampling_mode="fast")
+                    best[variant] = min(best[variant], elapsed.seconds)
+            registry.record("serve_scaling", "seed", size, best["seed"], repeats=repeats)
+            registry.record(
+                "serve_scaling",
+                "optimized",
+                size,
+                best["optimized"],
+                repeats=repeats,
+                extra={
+                    "workers": float(workers),
+                    "parallel_efficiency": best["seed"] / (workers * best["optimized"]),
+                },
+            )
+
+
 #: Rows per request in the front-door stream benchmark: small enough that a
 #: request is one chunk (the stream shape the front door exists for), large
 #: enough that sampling dominates the per-chunk IPC.
@@ -830,6 +883,7 @@ def run_benchmarks(
     # contract they guard is a throughput ratio, not a size sweep.
     serve_tvae_sizes = [100_000]
     serve_ddpm_sizes = [100_000]
+    serve_scaling_sizes = [100_000]
     # The front-door kernel serves a stream of one-chunk mixed-tenant
     # requests at one stream length (the ratio is the contract, not a sweep).
     front_door_sizes = [48]
@@ -885,6 +939,10 @@ def run_benchmarks(
         (
             ("serve_sharded_tvae", "serve_sharded_tabddpm"),
             lambda: bench_serve_sharded(registry, serve_tvae_sizes, serve_ddpm_sizes, repeats),
+        ),
+        (
+            ("serve_scaling",),
+            lambda: bench_serve_scaling(registry, serve_scaling_sizes, repeats),
         ),
         (
             ("serve_sharded_tvae_faulty",),

@@ -12,10 +12,11 @@ against the committed ``BENCH_hotpaths.json``.  The gate fails (exit 1) when
 any optimized kernel is more than ``--threshold * --factor`` times slower
 than the baseline measurement of the same kernel/size — naming the offending
 kernel(s) in the failure message — and warns (but passes) on timings for
-kernel/size pairs missing from the baseline.  ``--factor`` exists for noisy
-or slower machines: hosted CI runs use a looser factor (see
-``.github/workflows/ci.yml``) so only gross regressions fail remotely while
-local runs keep the tight default.
+kernel/size pairs missing from the baseline.  It also fails when the
+worker pool is slower than one in-process worker (``serve_scaling``).
+``--factor`` exists for noisy or slower machines: hosted CI runs use a
+looser factor (see ``.github/workflows/ci.yml``) so only gross regressions
+fail remotely while local runs keep the tight default.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ REQUIRED_KERNELS = frozenset(
         # bench_hotpaths.bench_fidelity; records carry scaling exponents).
         "knn_mixed",
         "wasserstein",
+        # Pool scaling kernel: the same fast request in-process at one worker
+        # and on the warm pool at the whole core budget (see
+        # bench_hotpaths.bench_serve_scaling).
+        "serve_scaling",
     }
 )
 
@@ -92,19 +97,31 @@ def compare(
     both runs measure on their own machine — comparing speedups keeps the
     gate meaningful when the baseline was committed from different hardware.
     When either side lacks the seed measurement, absolute optimized seconds
-    are compared as a fallback.
+    are compared as a fallback.  ``serve_scaling`` also fails when its fresh
+    pool (``optimized``) is slower than its fresh in-process run (``seed``),
+    unless the record says the pool had one worker (a one-core budget).
     """
     failures = []
+    slower = []
     checked = 0
     for rec in fresh.records:
         if rec.variant != "optimized":
             continue
+        fresh_seed = fresh.seconds_of(rec.kernel, "seed", rec.size)
+        workers = (rec.extra or {}).get("workers", 1)
+        if rec.kernel == "serve_scaling" and workers > 1 and fresh_seed is not None:
+            beaten = rec.seconds <= fresh_seed
+            print(
+                f"  [{'ok' if beaten else 'SLOWER'}] {rec.kernel} @ {rec.size}: "
+                f"{workers:.0f} workers {rec.seconds:.4f}s vs one {fresh_seed:.4f}s"
+            )
+            if not beaten:
+                slower.append(f"{rec.kernel} @ {rec.size}")
         base_seconds = baseline.seconds_of(rec.kernel, "optimized", rec.size)
         if base_seconds is None:
             print(f"  [warn] no baseline for {rec.kernel} @ {rec.size}; skipping")
             continue
         checked += 1
-        fresh_seed = fresh.seconds_of(rec.kernel, "seed", rec.size)
         base_seed = baseline.seconds_of(rec.kernel, "seed", rec.size)
         if fresh_seed and base_seed and rec.seconds > 0 and base_seconds > 0:
             fresh_speedup = fresh_seed / rec.seconds
@@ -125,6 +142,9 @@ def compare(
     missing = sorted(REQUIRED_KERNELS - measured)
     if missing:
         print(f"perf gate: fresh run is missing required kernel(s): {', '.join(missing)}")
+        return 1
+    if slower:
+        print(f"perf gate: the pool is slower than one worker: {', '.join(slower)}")
         return 1
     if failures:
         worst = max(failures, key=lambda item: item[2])

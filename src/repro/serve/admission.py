@@ -25,7 +25,9 @@ which the catalog specs guarantee by construction.
 :class:`AutoscalePolicy` is the sibling knob set for queue-depth-driven
 worker scaling: the dispatcher resizes the pool toward
 ``ceil(demand_rows / rows_per_worker)`` within ``[min_workers,
-max_workers]`` at its safe points (between micro-batches).  Scaling up is
+max_workers]``, capped at the core budget
+(:func:`~repro.utils.parallel.available_workers`), at its safe points
+(between micro-batches).  Scaling up is
 immediate; scaling down waits for ``shrink_patience`` consecutive
 under-demand ticks so a lull between bursts does not thrash the pool.
 Resizing never changes output bytes — the sharding contract makes chunk

@@ -38,7 +38,8 @@ should :meth:`SampleRequest.cancel` to release its budget.
 Autoscaling: with an :class:`~repro.serve.admission.AutoscalePolicy` the
 dispatcher resizes the worker pool toward the queue-depth demand
 (``ceil(demand rows / rows_per_worker)`` within ``[min_workers,
-max_workers]``) at its safe points — immediately up, patiently down.
+max_workers]``, and never past the core budget) at its safe points —
+immediately up, patiently down.
 Byte-safe by the worker-count-invariance of the sharding contract.
 
 Fault tolerance is unchanged from PR 6: chunk failures / timeouts /
@@ -78,7 +79,7 @@ from repro.serve.api import RequestSpec, priority_weight
 from repro.serve.faults import FaultPlan
 from repro.serve.sharded import ChunkPolicy, ShardedSampler
 from repro.tabular.table import Table
-from repro.utils.parallel import WorkerPoolBroken
+from repro.utils.parallel import WorkerPoolBroken, available_workers
 from repro.utils.rng import SeedLike
 
 __all__ = ["SampleRequest", "SamplingService", "ServiceOverloaded", "ServiceStats"]
@@ -833,14 +834,16 @@ class SamplingService:
         """Resize the pool toward the demand, at the dispatcher's safe point.
 
         Scale-up is immediate; scale-down waits for ``shrink_patience``
-        consecutive under-demand ticks.  A broken pool is never resized —
-        degraded mode is the supervisor's verdict, not a capacity problem.
-        Bytes are invariant either way (the sharding contract).
+        consecutive under-demand ticks.  The target never exceeds the core
+        budget (:func:`~repro.utils.parallel.available_workers`): workers
+        past it only contend for the same CPUs.  A broken pool is never
+        resized — degraded mode is the supervisor's verdict, not a capacity
+        problem.  Bytes are invariant either way (the sharding contract).
         """
         policy = self._autoscale
         if policy is None or self._sampler.pool_broken:
             return
-        target = policy.target_workers(demand_rows)
+        target = min(policy.target_workers(demand_rows), available_workers(None))
         current = self._sampler.workers
         if target > current:
             self._shrink_streak = 0

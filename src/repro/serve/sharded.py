@@ -82,6 +82,7 @@ nothing behind to clean up.
 
 from __future__ import annotations
 
+import bisect
 import time
 from collections import deque
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -272,6 +273,7 @@ class _ChunkRun:
         self.policy = sampler.chunk_policy
         #: The pool every attempt of this run goes to (started here).
         self.pool: Optional[WorkerPool] = None if in_process else sampler.start()._pool
+        #: Completed-chunk latencies, kept sorted so the median is one lookup.
         self._latencies: List[float] = []
 
     def submit(
@@ -281,13 +283,12 @@ class _ChunkRun:
         return handle(self, index, size, child, sampling_mode)
 
     def record_latency(self, seconds: float) -> None:
-        self._latencies.append(seconds)
+        bisect.insort(self._latencies, seconds)
 
     def median_latency(self) -> Optional[float]:
         if not self._latencies:
             return None
-        ordered = sorted(self._latencies)
-        return ordered[len(ordered) // 2]
+        return self._latencies[len(self._latencies) // 2]
 
 
 class _ChunkHandle:
@@ -573,7 +574,10 @@ class ShardedSampler:
         (:func:`repro.utils.parallel.available_workers`, honouring
         ``REPRO_WORKERS``).  An explicit count is honoured exactly — the
         worker-count-invariance tests rely on being able to demand 4 workers
-        on a one-core box.  ``1`` runs in-process with no pool at all.
+        on a one-core box.  Each pool worker runs ``max(1, budget //
+        workers)`` BLAS threads (never more than the parent), re-applied on
+        every pool rebuild and :meth:`resize`; the parent keeps all its
+        threads.  ``1`` runs in-process with no pool at all, on every core.
     chunk_size:
         Rows per chunk (the sharding grain and the streaming memory bound).
     chunk_policy:

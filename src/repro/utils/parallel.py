@@ -22,6 +22,25 @@ whose workers run a one-time initializer (deserialize a model snapshot, warm
 its packed caches) and then stay hot across requests, so steady-state
 dispatch pays per-task IPC only.
 
+Core budget
+-----------
+Processes and BLAS threads share one budget, ``available_workers(None)``.
+OpenBLAS starts one thread per core in every process, and a forked worker
+inherits that count, so an N-worker pool would run N × cores BLAS threads
+on ``cores`` CPUs and lose more to contention than it gains from sharding.
+Every worker of an N-worker pool (:class:`WorkerPool` and
+:func:`parallel_map` alike) therefore caps each OpenBLAS mapped into it at
+``max(1, budget // N)`` threads before the caller's initializer runs, and
+never raises a count: an operator's ``OPENBLAS_NUM_THREADS`` below the cap
+still wins.  The worker also exports the cap as ``OPENBLAS_NUM_THREADS``,
+so an OpenBLAS it loads later (scipy's, or any under spawn/forkserver)
+starts capped.  The parent process keeps all its threads: it runs the
+Table-I experiments, ``workers=1`` serving and degraded mode.  Pool rebuilds
+re-run the cap with the initializer.  The cap is a ``ctypes`` call into the
+set-threads symbol of every mapped OpenBLAS (:func:`openblas_threads` reads
+the counts the same way) and does nothing where no OpenBLAS or ``/proc``
+exists.
+
 Supervision
 -----------
 A plain :class:`~concurrent.futures.ProcessPoolExecutor` is brittle: one
@@ -54,13 +73,14 @@ restart budget rather than looping forever.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.utils.logging import get_logger
 
@@ -113,6 +133,85 @@ def available_workers(requested: Optional[int] = None) -> int:
     return max(1, min(requested, budget))
 
 
+#: The variable OpenBLAS reads its thread count from when it loads.
+OPENBLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
+
+#: ``(set, get)`` thread-count symbols by OpenBLAS build: numpy's
+#: ``libscipy_openblas64_``, scipy's ``libscipy_openblas``, then plain builds.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_controls() -> Dict[str, Tuple[Callable[[int], None], Callable[[], int]]]:
+    """``{path: (set_num_threads, get_num_threads)}`` of every mapped OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return {}
+    controls = {}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls[path] = (setter, getter)
+                break
+    return controls
+
+
+def openblas_threads() -> Dict[str, int]:
+    """Runtime thread count of every OpenBLAS mapped into this process, by path.
+
+    Empty where no OpenBLAS is loaded or ``/proc`` is missing.
+    """
+    return {path: int(get()) for path, (_set, get) in _openblas_controls().items()}
+
+
+def _cap_openblas_threads(limit: int) -> None:
+    """Lower every mapped OpenBLAS to at most ``limit`` threads, raising none.
+
+    Also exports the cap as ``OPENBLAS_NUM_THREADS`` (unless a lower count is
+    already set there) so an OpenBLAS loaded afterwards starts capped.
+    """
+    preset = os.environ.get(OPENBLAS_THREADS_ENV, "").strip()
+    if not (preset.isdigit() and 0 < int(preset) <= limit):
+        os.environ[OPENBLAS_THREADS_ENV] = str(limit)
+    for set_threads, get_threads in _openblas_controls().values():
+        if get_threads() > limit:
+            set_threads(limit)
+
+
+def _init_budgeted_worker(
+    blas_threads: int, initializer: Optional[Callable[..., object]], initargs: Tuple
+) -> None:
+    """Worker entry: take the pool's share of BLAS threads, then initialize."""
+    _cap_openblas_threads(blas_threads)
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _budgeted_executor(
+    workers: int, initializer: Optional[Callable[..., object]] = None, initargs: Tuple = ()
+) -> ProcessPoolExecutor:
+    """A ``workers``-process executor inside the core budget (module docstring)."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(),
+        initializer=_init_budgeted_worker,
+        initargs=(max(1, available_workers(None) // workers), initializer, initargs),
+    )
+
+
 def parallel_map(
     func: Callable[[T], R],
     items: Sequence[T] | Iterable[T],
@@ -131,6 +230,8 @@ def parallel_map(
     workers:
         Number of worker processes.  ``1`` (the default) runs serially, which
         is also the safe choice when ``func`` closes over non-picklable state.
+        Each worker runs ``budget // workers`` BLAS threads (module
+        docstring, *Core budget*).
     chunksize:
         Forwarded to :meth:`ProcessPoolExecutor.map` to amortise IPC overhead
         for large, cheap work lists.
@@ -139,7 +240,7 @@ def parallel_map(
     n_workers = available_workers(workers)
     if n_workers == 1 or len(work) <= 1:
         return [func(item) for item in work]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    with _budgeted_executor(n_workers) as pool:
         return list(pool.map(func, work, chunksize=max(1, chunksize)))
 
 
@@ -290,7 +391,8 @@ class WorkerPool:
 
     Unlike :func:`parallel_map` (which builds and tears down an executor per
     call), a :class:`WorkerPool` lives for the duration of a serving session:
-    ``initializer(*initargs)`` runs once in every worker when it spawns —
+    ``initializer(*initargs)`` runs once in every worker when it spawns,
+    after the worker took its share of the core budget (module docstring) —
     the serving layer uses it to deserialize a model snapshot and warm its
     packed caches — and subsequent :meth:`submit` calls ship only small task
     descriptors.
@@ -382,13 +484,7 @@ class WorkerPool:
 
     def _spawn(self) -> None:
         """Build a fresh executor and warm every worker (caller holds the lock)."""
-        context = multiprocessing.get_context()
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=context,
-            initializer=self._initializer,
-            initargs=self._initargs,
-        )
+        self._executor = _budgeted_executor(self.workers, self._initializer, self._initargs)
         seen_pids: set = set()
         for round_index in range(self._MAX_WARMUP_ROUNDS):
             missing = self.workers - len(seen_pids)

@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.utils.parallel import openblas_threads, visible_cpus
+
 
 @dataclass
 class TimerResult:
@@ -86,6 +88,17 @@ class BenchmarkRegistry:
 
     def __init__(self) -> None:
         self.records: List[BenchmarkRecord] = []
+        #: The measuring machine; :meth:`from_json` restores the file's.
+        #: ``cores`` (:func:`~repro.utils.parallel.visible_cpus`) and
+        #: ``blas_threads`` (this process's OpenBLAS thread count, the largest
+        #: over the loaded libraries, ``None`` without one) say what core
+        #: budget the pool kernels split.
+        self.meta: Dict[str, object] = {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cores": visible_cpus(),
+            "blas_threads": max(openblas_threads().values(), default=None),
+        }
 
     def record(
         self,
@@ -145,10 +158,7 @@ class BenchmarkRegistry:
     # -- serialisation -----------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
         return {
-            "meta": {
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-            },
+            "meta": dict(self.meta),
             "records": [rec.as_dict() for rec in self.records],
             "speedups": self.speedups(),
         }
@@ -163,6 +173,7 @@ class BenchmarkRegistry:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         registry = cls()
+        registry.meta = dict(payload.get("meta", {}))
         for rec in payload.get("records", []):
             registry.record(
                 rec["kernel"],

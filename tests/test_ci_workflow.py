@@ -190,6 +190,40 @@ class TestWorkflowDocument:
         # The baseline also documents the span volume one request produces.
         assert by_variant["optimized"]["extra"]["spans_per_request"] > 0
 
+    def test_perf_baseline_pool_beats_one_worker(self):
+        # serve_scaling times the same fast request in-process at one worker
+        # (seed) and on the warm pool at the core budget (optimized).
+        import json
+
+        with open(os.path.join(REPO_ROOT, "benchmarks", "BENCH_hotpaths.json")) as fh:
+            baseline = json.load(fh)
+        by_variant = {rec["variant"]: rec for rec in baseline["records"] if rec["kernel"] == "serve_scaling"}
+        assert by_variant["optimized"]["seconds"] < by_variant["seed"]["seconds"]
+        extra = by_variant["optimized"]["extra"]
+        assert extra["workers"] >= 2
+        assert extra["parallel_efficiency"] > 1.0 / extra["workers"]
+        assert {"cores", "blas_threads"} <= set(baseline["meta"])
+
+    @pytest.mark.parametrize("workers, pooled, expected", [(2.0, 0.9, 0), (2.0, 1.1, 1), (1.0, 1.1, 0)])
+    def test_perf_gate_fails_when_the_pool_is_slower(self, workers, pooled, expected):
+        import importlib.util
+
+        from repro.utils.profiling import BenchmarkRegistry
+
+        spec = importlib.util.spec_from_file_location(
+            "check_regression", os.path.join(REPO_ROOT, "benchmarks", "check_regression.py")
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        fresh, baseline = BenchmarkRegistry(), BenchmarkRegistry()
+        for kernel in module.REQUIRED_KERNELS:
+            for registry in (fresh, baseline):
+                registry.record(kernel, "seed", "n=1", 1.0)
+                registry.record(kernel, "optimized", "n=1", 1.0)
+        fresh.records = [rec for rec in fresh.records if (rec.kernel, rec.variant) != ("serve_scaling", "optimized")]
+        fresh.record("serve_scaling", "optimized", "n=1", pooled, extra={"workers": workers})
+        assert module.compare(fresh, baseline, threshold=2.0) == expected
+
     def test_perf_gate_runs_benchmarks_ci_with_loose_factor(self, workflow):
         steps = workflow["jobs"]["perf-gate"]["steps"]
         commands = " ".join(step.get("run", "") for step in steps)

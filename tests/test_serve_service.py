@@ -22,6 +22,7 @@ from repro.models.base import Surrogate
 from repro.models.smote import SMOTESurrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.serve import (
+    AutoscalePolicy,
     ModelRegistry,
     SamplingService,
     ServiceOverloaded,
@@ -184,6 +185,17 @@ class TestSamplingService:
         assert stats.queue_depth == 0
         assert stats.in_flight_rows == 0
         assert 0 <= stats.p50_latency <= stats.p95_latency
+
+    def test_autoscale_stays_inside_the_core_budget(self, tvae, monkeypatch):
+        # max_workers=4 and a demand of 8 workers' rows would resize a
+        # 2-core host into 4 processes; the budget caps the pool at 2.
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        policy = AutoscalePolicy(max_workers=4, rows_per_worker=CHUNK)
+        with SamplingService(tvae, autoscale=policy, chunk_size=CHUNK) as service:
+            served = service.sample(8 * CHUNK, seed=3, sampling_mode="fast")
+            assert service.workers == 2
+        with ShardedSampler(tvae, workers=1, chunk_size=CHUNK) as solo:
+            assert served == solo.sample(8 * CHUNK, seed=3, sampling_mode="fast")
 
     def test_backpressure_rejects_when_budget_is_full(self):
         model = _slow_model(delay=0.3)

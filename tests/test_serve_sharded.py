@@ -17,14 +17,17 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.models.base import Surrogate
 from repro.models.ctabgan import CTABGANConfig, CTABGANPlusSurrogate
 from repro.models.gaussian_copula import GaussianCopulaSurrogate
 from repro.models.smote import SMOTESurrogate
 from repro.models.tabddpm.model import TabDDPMConfig, TabDDPMSurrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.serve import ShardedSampler
+from repro.serve.sharded import _ChunkRun
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
+from repro.utils.parallel import WORKERS_ENV, openblas_threads
 
 N_ROWS = 130
 CHUNK = 40  # deliberately a non-divisor of N_ROWS: chunk plan (40, 40, 40, 10)
@@ -177,6 +180,48 @@ class TestLifecycleAndValidation:
         assert refit.schema == other.schema
         assert refit == Table.concat(list(model.sample_batches(60, CHUNK, seed=4)))
         sampler.close()
+
+
+class _BlasProbe(Surrogate):
+    """Test double: every sampled row holds its process's OpenBLAS thread count."""
+
+    name = "blas-probe"
+
+    def fit(self, table):
+        self._mark_fitted(table)
+        return self
+
+    def _sample_exact(self, n, *, seed=None):
+        threads = max(openblas_threads().values())
+        return Table({"x": np.full(n, float(threads))}, self.schema_)
+
+
+class TestCoreBudget:
+    @pytest.mark.skipif(not openblas_threads(), reason="no OpenBLAS is mapped")
+    def test_resize_reapplies_the_budget(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        probe = _BlasProbe().fit(
+            Table({"x": np.zeros(4)}, TableSchema.from_columns(numerical=["x"]))
+        )
+        parent = max(openblas_threads().values())
+        with ShardedSampler(probe, workers=2, chunk_size=10) as sampler:
+            assert set(sampler.sample(40, seed=1)["x"]) == {1.0}
+            sampler.resize(1)  # in-process: the parent's threads
+            assert set(sampler.sample(40, seed=1)["x"]) == {float(parent)}
+            sampler.resize(2)  # a fresh pool takes its share again
+            assert set(sampler.sample(40, seed=1)["x"]) == {1.0}
+        assert max(openblas_threads().values()) == parent
+
+
+class TestChunkRun:
+    def test_median_latency_matches_the_sorted_form(self, models):
+        run = _ChunkRun(ShardedSampler(models["smote"], workers=1), in_process=True)
+        assert run.median_latency() is None
+        seen = []
+        for value in np.random.default_rng(5).exponential(size=300).tolist():
+            run.record_latency(value)
+            seen.append(value)
+            assert run.median_latency() == sorted(seen)[len(seen) // 2]
 
 
 class TestChunkReturnPath:

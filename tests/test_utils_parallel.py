@@ -1,16 +1,25 @@
 """Tests for repro.utils.parallel."""
 
 import os
+import time
 
+import numpy  # noqa: F401 - maps numpy's OpenBLAS into this process
 import pytest
 
+from repro.utils import parallel
 from repro.utils.parallel import (
+    OPENBLAS_THREADS_ENV,
     WORKERS_ENV,
     WorkerPool,
     WorkerPoolBroken,
     available_workers,
+    openblas_threads,
     parallel_map,
     visible_cpus,
+)
+
+needs_openblas = pytest.mark.skipif(
+    not openblas_threads(), reason="no OpenBLAS is mapped into this process"
 )
 
 
@@ -204,3 +213,91 @@ class TestWorkerPoolSupervision:
     def test_rejects_negative_restart_budget(self):
         with pytest.raises(ValueError, match="max_restarts"):
             WorkerPool(1, max_restarts=-1)
+
+
+def _worker_blas(hold):
+    """The worker's pid, OpenBLAS thread counts and exported thread cap."""
+    time.sleep(hold)
+    return os.getpid(), openblas_threads(), os.environ.get(OPENBLAS_THREADS_ENV)
+
+
+def _blas_by_worker(pool):
+    """``{pid: (counts, env)}`` from every worker of the pool's current generation."""
+    seen = {}
+    for _ in range(50):
+        futures = [pool.submit(_worker_blas, 0.05) for _ in range(pool.workers)]
+        for future in futures:
+            pid, counts, env = future.result(timeout=60)
+            seen[pid] = (counts, env)
+        if len(seen) == pool.workers:
+            break
+    assert len(seen) == pool.workers
+    return seen
+
+
+def _assert_one_thread(by_worker):
+    for counts, env in by_worker.values():
+        assert counts and set(counts.values()) == {1}
+        assert env == "1"
+
+
+@needs_openblas
+class TestCoreBudget:
+    """Pool workers split the core budget; the parent keeps every thread."""
+
+    @pytest.fixture(autouse=True)
+    def _two_core_budget(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "2")
+
+    def test_pool_workers_run_one_blas_thread_each(self):
+        with WorkerPool(2, initializer=_pool_init, initargs=(1,)) as pool:
+            _assert_one_thread(_blas_by_worker(pool))
+
+    def test_parent_keeps_its_threads(self):
+        before = openblas_threads()
+        pool = WorkerPool(2).start()
+        assert openblas_threads() == before
+        assert pool.submit(_square, 3).result(timeout=60) == 9
+        pool.close()
+        assert openblas_threads() == before
+
+    def test_parallel_map_workers_run_one_blas_thread_each(self):
+        results = parallel_map(_worker_blas, [0.05] * 4, workers=2)
+        _assert_one_thread({i: (counts, env) for i, (_pid, counts, env) in enumerate(results)})
+
+    def test_rebuilt_workers_keep_the_budget(self, tmp_path):
+        latch = str(tmp_path / "crash.latch")
+        with WorkerPool(2) as pool:
+            assert pool.submit(_die_once, latch).result(timeout=60) > 0
+            assert pool.restarts >= 1
+            _assert_one_thread(_blas_by_worker(pool))
+
+    def test_the_cap_never_raises_a_count(self, monkeypatch):
+        # A budget of 8 gives each of 2 workers 4 threads, but a worker never
+        # runs more than the parent it forked from.
+        monkeypatch.setenv(WORKERS_ENV, "8")
+        parent = openblas_threads()
+        with WorkerPool(2) as pool:
+            for counts, _env in _blas_by_worker(pool).values():
+                assert counts == {path: min(4, n) for path, n in parent.items()}
+
+
+class TestBlasCap:
+    @pytest.mark.parametrize("preset, exported", [("8", "2"), ("", "2"), ("1", "1")])
+    def test_exports_the_cap_unless_set_lower(self, monkeypatch, preset, exported):
+        # The export is what an OpenBLAS loaded later starts from; an
+        # operator's lower setting wins.
+        monkeypatch.setattr(parallel, "_openblas_controls", dict)
+        monkeypatch.setenv(OPENBLAS_THREADS_ENV, preset)
+        parallel._cap_openblas_threads(2)
+        assert os.environ[OPENBLAS_THREADS_ENV] == exported
+
+    def test_no_proc_is_a_no_op(self, monkeypatch):
+        def no_proc(*_args, **_kwargs):
+            raise OSError("no /proc")
+
+        monkeypatch.setattr(parallel, "open", no_proc, raising=False)
+        monkeypatch.setenv(OPENBLAS_THREADS_ENV, "8")
+        assert openblas_threads() == {}
+        parallel._cap_openblas_threads(1)
+        assert os.environ[OPENBLAS_THREADS_ENV] == "1"
