@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """Time the optimized hot-path kernels against their seed baselines.
 
-Each kernel — GBDT fit, association matrix, filtering-pipeline funnel, grid
-simulator, the three deep-model training stacks (TVAE, CTABGAN+, TabDDPM),
-the broker dispatch path, the per-column Gaussian-mixture fit, the two
-deep-model sampling chains (TabDDPM reverse diffusion, CTABGAN+ generation),
-the columnar data-plane kernel (dictionary-coded label encoding) and the
-Table-I fidelity path (SMOTE fit plus DCR, and WD) — is timed at two
-problem sizes in both the seed implementation (``seed_baselines.py``) and
-the optimized one shipped in ``src/repro``, and the results (plus
-per-kernel speedups) are written to ``BENCH_hotpaths.json``.  The committed copy of that file is the perf
+Each kernel — GBDT fit, MLEF's ordered target encoding, association matrix,
+filtering-pipeline funnel, grid simulator, the three deep-model training
+stacks (TVAE, CTABGAN+, TabDDPM), the broker dispatch path, the per-column
+Gaussian-mixture fit, the two deep-model sampling chains (TabDDPM reverse
+diffusion, CTABGAN+ generation), the columnar data-plane kernel
+(dictionary-coded label encoding) and the Table-I fidelity path (SMOTE fit
+plus DCR, and WD) — is timed at two problem sizes in both the seed
+implementation (``seed_baselines.py``) and the optimized one shipped in
+``src/repro``, and the results (plus per-kernel speedups) are written to
+``BENCH_hotpaths.json``.  The committed copy of that file is the perf
 baseline that ``check_regression.py`` guards.
 
 ``serve_scaling`` compares the pool with in-process serving in the same
@@ -51,6 +52,7 @@ from seed_baselines import (  # noqa: E402
     SeedGaussianMixture,
     SeedGradientBoostingRegressor,
     SeedGridSimulator,
+    SeedOrderedTargetEncoder,
     SeedScanLeastLoadedBroker,
     SeedTVAESurrogate,
     SeedTabDDPMSurrogate,
@@ -62,6 +64,7 @@ from seed_baselines import (  # noqa: E402
 )
 
 from repro.boosting.gbdt import GradientBoostingRegressor  # noqa: E402
+from repro.boosting.target_encoding import OrderedTargetEncoder  # noqa: E402
 from repro.metrics.correlation import association_matrix  # noqa: E402
 from repro.metrics.distribution import wasserstein_1d  # noqa: E402
 from repro.metrics.privacy import nearest_record_distances  # noqa: E402
@@ -114,7 +117,11 @@ def bench_gbdt(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
         X, y, params = _gbdt_case(n_rows)
         size = f"n={n_rows}"
         registry.measure(
-            "gbdt_fit", "seed", size, lambda: SeedGradientBoostingRegressor(**params).fit(X, y)
+            "gbdt_fit",
+            "seed",
+            size,
+            lambda: SeedGradientBoostingRegressor(**params).fit(X, y),
+            repeats=repeats,
         )
         registry.measure(
             "gbdt_fit",
@@ -123,6 +130,50 @@ def bench_gbdt(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
             lambda: GradientBoostingRegressor(**params).fit(X, y),
             repeats=repeats,
         )
+
+
+def bench_target_encoding(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
+    """MLEF's ordered target statistics on the five PanDA categorical columns.
+
+    The ``"seed"`` variant is the seed's row-by-row loop over decoded
+    strings; the ``"optimized"`` variant is :class:`OrderedTargetEncoder` on
+    the table's category codes.  The strings are decoded before the timed
+    region, so the ratio prices the encoder alone.  The optimized side takes
+    a few milliseconds, so both are warmed up, then alternate run by run for
+    the same repeats (at least 5) and keep their best.  The encodings are
+    bit-identical (``tests/test_perf_equivalence.py``).
+    """
+    repeats = max(repeats, 5)
+    for n_rows in sizes:
+        generator = PandaWorkloadGenerator(
+            GeneratorConfig(n_jobs=3 * n_rows, n_days=90.0, seed=5)
+        )
+        table = generator.generate_training_table().sample(n_rows, seed=7)
+        target = np.log(np.maximum(np.asarray(table["workload"]), 1e-12))
+        names = list(table.schema.categorical)
+        strings = [np.asarray(table[name]) for name in names]
+        columns = [table.categorical_column(name) for name in names]
+        size = f"n={n_rows}"
+
+        def run_seed():
+            for values in strings:
+                SeedOrderedTargetEncoder(seed=0).fit_transform_ordered(values, target)
+
+        def run_codes():
+            for column in columns:
+                OrderedTargetEncoder(seed=0).fit_transform_ordered(column, target)
+
+        runs = {"seed": run_seed, "optimized": run_codes}
+        best = dict.fromkeys(runs, float("inf"))
+        for run in runs.values():
+            run()
+        for _ in range(repeats):
+            for variant, run in runs.items():
+                with timer() as elapsed:
+                    run()
+                best[variant] = min(best[variant], elapsed.seconds)
+        for variant, seconds in best.items():
+            registry.record("target_encoding", variant, size, seconds, repeats=repeats)
 
 
 def _table_case(n_rows: int):
@@ -867,6 +918,8 @@ def run_benchmarks(
     # Quick mode keeps only the smaller size of each kernel so its size labels
     # stay comparable with a committed full-mode baseline.
     gbdt_sizes = [5_000, 40_000]
+    # Train rows of MLEF's encoder: fidelity-14k and four times it.
+    encoding_sizes = [14_000, 56_000]
     table_sizes = [5_000, 40_000]
     pipe_sizes = [20_000, 150_000]
     sim_sizes = [1_000, 4_000]
@@ -896,10 +949,11 @@ def run_benchmarks(
     if quick:
         encode_sizes = encode_sizes[:1]
         fidelity_sizes = fidelity_sizes[:1]
-        (gbdt_sizes, table_sizes, pipe_sizes, sim_sizes, train_sizes, broker_sizes,
-         gmm_sizes, ddpm_sample_sizes, gan_sample_sizes,
+        (gbdt_sizes, encoding_sizes, table_sizes, pipe_sizes, sim_sizes, train_sizes,
+         broker_sizes, gmm_sizes, ddpm_sample_sizes, gan_sample_sizes,
          ddpm_fast_sizes, gan_fast_sizes, tvae_fast_sizes) = (
             gbdt_sizes[:1],
+            encoding_sizes[:1],
             table_sizes[:1],
             pipe_sizes[:1],
             sim_sizes[:1],
@@ -917,6 +971,10 @@ def run_benchmarks(
     # whole sweep.
     jobs = [
         (("gbdt_fit",), lambda: bench_gbdt(registry, gbdt_sizes, repeats)),
+        (
+            ("target_encoding",),
+            lambda: bench_target_encoding(registry, encoding_sizes, repeats),
+        ),
         (("association_matrix",), lambda: bench_association(registry, table_sizes, repeats)),
         (("pipeline_funnel",), lambda: bench_pipeline(registry, pipe_sizes, repeats)),
         (("simulator",), lambda: bench_simulator(registry, sim_sizes, repeats)),

@@ -38,6 +38,10 @@ BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_hotpa
 REQUIRED_KERNELS = frozenset(
     {
         "gbdt_fit",
+        # MLEF's ordered target encoding on the five PanDA categorical
+        # columns: codes and one cumsum per category against the seed's
+        # row-by-row loop (see bench_hotpaths.bench_target_encoding).
+        "target_encoding",
         "association_matrix",
         "pipeline_funnel",
         "simulator",

@@ -2,8 +2,9 @@
 
 These are verbatim ports of the implementations the repository shipped with
 before the perf PRs: the per-feature histogram loop of the GBDT tree, the
-O(d^2) per-pair association matrix, the row-by-row dataset-name parse of the
-filtering pipeline, the per-event backlog rescan of the grid simulator, the
+row-by-row ordered target encoder of MLEF, the O(d^2) per-pair association
+matrix, the row-by-row dataset-name parse of the filtering pipeline, the
+per-event backlog rescan of the grid simulator, the
 unfused per-block deep-model training loops (TVAE / CTABGAN+ / TabDDPM with
 allocation-per-parameter Adam/SGD steps), the O(sites) linear-scan brokers
 and the watermark simulator that recomputed its free-core maximum with a
@@ -40,7 +41,8 @@ from repro.tabular.table import Table
 from repro.utils.rng import SeedLike, as_rng
 
 # ---------------------------------------------------------------------------
-# 1. Boosting: per-feature histogram loop, full rescan of both children.
+# 1. Boosting: per-feature histogram loop, full rescan of both children,
+#    and the row-by-row ordered target encoder.
 # ---------------------------------------------------------------------------
 
 
@@ -217,6 +219,68 @@ class SeedGradientBoostingRegressor:
         for tree in self.trees_:
             prediction = prediction + self.learning_rate * tree.predict(binned)
         return prediction
+
+
+class SeedOrderedTargetEncoder:
+    """The seed ordered target encoder: string ``np.unique`` per call and a
+    row-by-row Python loop over the permutation."""
+
+    def __init__(self, smoothing: float = 1.0, *, seed: SeedLike = None) -> None:
+        if smoothing < 0:
+            raise ValueError("smoothing must be non-negative")
+        self.smoothing = float(smoothing)
+        self._rng = as_rng(seed)
+        self.prior_: Optional[float] = None
+        self.statistics_: Optional[Dict[str, float]] = None
+
+    def fit(self, categories: np.ndarray, target: np.ndarray) -> "SeedOrderedTargetEncoder":
+        cats = np.asarray(categories).astype(str)
+        y = np.asarray(target, dtype=np.float64)
+        if cats.shape[0] != y.shape[0]:
+            raise ValueError("categories and target must have the same length")
+        if cats.size == 0:
+            raise ValueError("cannot fit on an empty column")
+        self.prior_ = float(y.mean())
+        uniques, inverse = np.unique(cats, return_inverse=True)
+        sums = np.bincount(inverse, weights=y, minlength=uniques.size)
+        counts = np.bincount(inverse, minlength=uniques.size).astype(np.float64)
+        smoothed = (sums + self.smoothing * self.prior_) / (counts + self.smoothing)
+        self.statistics_ = {str(c): float(v) for c, v in zip(uniques, smoothed)}
+        return self
+
+    def transform(self, categories: np.ndarray) -> np.ndarray:
+        cats = np.asarray(categories).astype(str)
+        keys = np.array(sorted(self.statistics_.keys()))
+        vals = np.array([self.statistics_[k] for k in keys])
+        pos = np.searchsorted(keys, cats)
+        pos = np.clip(pos, 0, keys.size - 1)
+        hit = keys[pos] == cats
+        out = np.full(cats.shape[0], self.prior_, dtype=np.float64)
+        out[hit] = vals[pos[hit]]
+        return out
+
+    def fit_transform_ordered(self, categories: np.ndarray, target: np.ndarray) -> np.ndarray:
+        self.fit(categories, target)
+        cats = np.asarray(categories).astype(str)
+        y = np.asarray(target, dtype=np.float64)
+        n = cats.shape[0]
+        perm = self._rng.permutation(n)
+        uniques, inverse = np.unique(cats, return_inverse=True)
+        codes_in_order = inverse[perm]
+        y_in_order = y[perm]
+        encoded_in_order = np.empty(n, dtype=np.float64)
+        run_sum = np.zeros(uniques.size)
+        run_cnt = np.zeros(uniques.size)
+        for i in range(n):
+            c = codes_in_order[i]
+            encoded_in_order[i] = (run_sum[c] + self.smoothing * self.prior_) / (
+                run_cnt[c] + self.smoothing
+            )
+            run_sum[c] += y_in_order[i]
+            run_cnt[c] += 1.0
+        encoded = np.empty(n, dtype=np.float64)
+        encoded[perm] = encoded_in_order
+        return encoded
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ columns the way CatBoost does.  The latter is what the MLEF metric uses.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -92,9 +93,12 @@ class GradientBoostingRegressor:
             if self.subsample < 1.0:
                 idx = self._rng.choice(n, size=max(2, int(round(self.subsample * n))), replace=False)
                 tree.fit(binned[idx], residuals[idx], n_bins, flat_index=flat[idx])
+                update = tree.predict(binned)
             else:
-                tree.fit(binned, residuals, n_bins, flat_index=flat)
-            update = tree.predict(binned)
+                # The tree was fit on every row, so its own partition already
+                # holds each row's leaf value; only a subsampled tree has rows
+                # it never saw and must route them with predict().
+                update = tree.fit_predict(binned, residuals, n_bins, flat_index=flat)
             prediction = prediction + self.learning_rate * update
             trees.append(tree)
 
@@ -122,7 +126,10 @@ class TabularBoostingRegressor:
 
     Numerical feature columns are used as-is; categorical feature columns are
     encoded with CatBoost-style ordered target statistics during training and
-    full-dataset statistics at prediction time.
+    full-dataset statistics at prediction time, on the table's category codes.
+    ``seed`` is an int (numpy integers included) or ``None``; the booster and
+    each column's encoder are seeded from it by name, so a Generator or
+    SeedSequence raises ``TypeError``.
     """
 
     def __init__(
@@ -136,11 +143,11 @@ class TabularBoostingRegressor:
         subsample: float = 1.0,
         max_bins: int = 64,
         log_target: bool = False,
-        seed: SeedLike = None,
+        seed: Optional[int] = None,
     ) -> None:
         self.target_column = target_column
         self.log_target = bool(log_target)
-        self._seed = seed
+        self._seed = None if seed is None else operator.index(seed)
         self.model = GradientBoostingRegressor(
             n_estimators=n_estimators,
             learning_rate=learning_rate,
@@ -148,7 +155,7 @@ class TabularBoostingRegressor:
             min_samples_leaf=min_samples_leaf,
             subsample=subsample,
             max_bins=max_bins,
-            seed=derive_seed(seed if isinstance(seed, int) else None, "gbdt"),
+            seed=derive_seed(self._seed, "gbdt"),
         )
         self.encoders_: Optional[Dict[str, OrderedTargetEncoder]] = None
         self.feature_columns_: Optional[List[str]] = None
@@ -168,16 +175,13 @@ class TabularBoostingRegressor:
             if col.is_numerical:
                 columns.append(np.asarray(table[col.name], dtype=np.float64))
             else:
+                column = table.categorical_column(col.name)
                 if fit:
-                    encoder = OrderedTargetEncoder(
-                        seed=derive_seed(
-                            self._seed if isinstance(self._seed, int) else None, "te", col.name
-                        )
-                    )
-                    columns.append(encoder.fit_transform_ordered(table[col.name], target))
+                    encoder = OrderedTargetEncoder(seed=derive_seed(self._seed, "te", col.name))
+                    columns.append(encoder.fit_transform_ordered(column, target))
                     self.encoders_[col.name] = encoder
                 else:
-                    columns.append(self.encoders_[col.name].transform(table[col.name]))
+                    columns.append(self.encoders_[col.name].transform(column))
         return np.column_stack(columns) if columns else np.empty((len(table), 0))
 
     # -- API --------------------------------------------------------------------

@@ -6,26 +6,49 @@ rows that precede it in a random permutation, which avoids target leakage
 while still injecting target information.  At inference time the full
 training-set statistics are used.  This module implements exactly that, with
 Laplace-style smoothing towards the global prior.
+
+The encoder works on the ``int32`` codes of a
+:class:`~repro.tabular.table.CategoricalColumn`, so no string is decoded,
+compared or sorted; plain arrays are factorized once through
+:meth:`~repro.tabular.table.CategoricalColumn.from_values`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.tabular.table import ArrayLike, CategoricalColumn
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_fitted
+
+
+def _as_column(categories: ArrayLike) -> CategoricalColumn:
+    if isinstance(categories, CategoricalColumn):
+        return categories
+    return CategoricalColumn.from_values(categories)
 
 
 class OrderedTargetEncoder:
     """Encode one categorical column with (ordered) target statistics.
 
+    Every method takes a :class:`~repro.tabular.table.CategoricalColumn` or
+    a 1-D array of category values.  :meth:`fit` is two ``np.bincount``
+    calls over the codes, and ``statistics_`` keeps the categories present
+    in the fitted rows.  :meth:`transform` gathers from a lookup over the
+    column's vocabulary, with the prior for categories the fit never saw.
+    :meth:`fit_transform_ordered` stable-sorts the permuted codes, so each
+    category's rows sit together in permutation order, and takes one
+    ``np.cumsum`` per category: it adds from 0.0 in permutation order, as a
+    row-by-row running sum does, so the encodings have the same bits.
+
     Parameters
     ----------
     smoothing:
         Pseudo-count weight of the global prior mean; larger values shrink
-        rare categories harder towards the prior.
+        rare categories harder towards the prior.  With ``smoothing=0`` a
+        row with no earlier row of its category is encoded as the prior.
     seed:
         Seed for the encoding permutation used by :meth:`fit_transform_ordered`.
     """
@@ -39,66 +62,73 @@ class OrderedTargetEncoder:
         self.statistics_: Optional[Dict[str, float]] = None
 
     # -- fitting -------------------------------------------------------------
-    def fit(self, categories: np.ndarray, target: np.ndarray) -> "OrderedTargetEncoder":
-        """Fit full-dataset smoothed category means (used at inference time)."""
-        cats = np.asarray(categories).astype(str)
+    def _fit(self, column: CategoricalColumn, target: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+        """Fit the full statistics; return the target and per-code row counts."""
         y = np.asarray(target, dtype=np.float64)
-        if cats.shape[0] != y.shape[0]:
+        if column.codes.shape[0] != y.shape[0]:
             raise ValueError("categories and target must have the same length")
-        if cats.size == 0:
+        if y.size == 0:
             raise ValueError("cannot fit on an empty column")
         self.prior_ = float(y.mean())
-        uniques, inverse = np.unique(cats, return_inverse=True)
-        sums = np.bincount(inverse, weights=y, minlength=uniques.size)
-        counts = np.bincount(inverse, minlength=uniques.size).astype(np.float64)
-        smoothed = (sums + self.smoothing * self.prior_) / (counts + self.smoothing)
-        self.statistics_ = {str(c): float(v) for c, v in zip(uniques, smoothed)}
+        n_codes = len(column.vocab)
+        sums = np.bincount(column.codes, weights=y, minlength=n_codes)
+        counts = np.bincount(column.codes, minlength=n_codes)
+        present = np.flatnonzero(counts)
+        smoothed = (sums[present] + self.smoothing * self.prior_) / (
+            counts[present] + self.smoothing
+        )
+        self.statistics_ = {
+            column.vocab[code]: value for code, value in zip(present.tolist(), smoothed.tolist())
+        }
+        return y, counts
+
+    def fit(self, categories: ArrayLike, target: ArrayLike) -> "OrderedTargetEncoder":
+        """Fit full-dataset smoothed category means (used at inference time)."""
+        self._fit(_as_column(categories), target)
         return self
 
-    def transform(self, categories: np.ndarray) -> np.ndarray:
+    def transform(self, categories: ArrayLike) -> np.ndarray:
         """Encode categories with the fitted full-dataset statistics."""
         check_fitted(self, ["statistics_", "prior_"])
-        cats = np.asarray(categories).astype(str)
-        # Vectorised dictionary lookup through a sorted key table.
-        keys = np.array(sorted(self.statistics_.keys()))
-        vals = np.array([self.statistics_[k] for k in keys])
-        pos = np.searchsorted(keys, cats)
-        pos = np.clip(pos, 0, keys.size - 1)
-        hit = keys[pos] == cats
-        out = np.full(cats.shape[0], self.prior_, dtype=np.float64)
-        out[hit] = vals[pos[hit]]
-        return out
+        column = _as_column(categories)
+        lookup = np.array(
+            [self.statistics_.get(value, self.prior_) for value in column.vocab],
+            dtype=np.float64,
+        )
+        return lookup[column.codes]
 
-    def fit_transform_ordered(self, categories: np.ndarray, target: np.ndarray) -> np.ndarray:
+    def fit_transform_ordered(self, categories: ArrayLike, target: ArrayLike) -> np.ndarray:
         """Fit and return leakage-resistant *ordered* encodings for training rows.
 
         Each row is encoded using only the target values of rows appearing
         earlier in a random permutation (plus the smoothed prior), exactly as
         CatBoost does during training.
         """
-        self.fit(categories, target)
-        cats = np.asarray(categories).astype(str)
-        y = np.asarray(target, dtype=np.float64)
-        n = cats.shape[0]
+        column = _as_column(categories)
+        y, counts = self._fit(column, target)
+        n = y.shape[0]
         perm = self._rng.permutation(n)
-        uniques, inverse = np.unique(cats, return_inverse=True)
-        codes_in_order = inverse[perm]
-        y_in_order = y[perm]
-
-        # Running (exclusive) per-category sums and counts along the permutation.
-        encoded_in_order = np.empty(n, dtype=np.float64)
-        run_sum = np.zeros(uniques.size)
-        run_cnt = np.zeros(uniques.size)
-        # This loop is O(n) with O(1) numpy work per row; n is the training-set
-        # size of the MLEF regressor, so it stays cheap relative to tree fitting.
-        for i in range(n):
-            c = codes_in_order[i]
-            encoded_in_order[i] = (run_sum[c] + self.smoothing * self.prior_) / (
-                run_cnt[c] + self.smoothing
-            )
-            run_sum[c] += y_in_order[i]
-            run_cnt[c] += 1.0
-
-        encoded = np.empty(n, dtype=np.float64)
-        encoded[perm] = encoded_in_order
+        # Row ids grouped by category, each group in permutation order.
+        order = perm[np.argsort(column.codes[perm], kind="stable")]
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # Each group holds 0.0 and then its targets shifted by one row, so a
+        # cumsum over it gives every row the sum over the earlier rows of its
+        # category, added in the order a running sum adds them.
+        running = np.empty(n)
+        running[1:] = y[order[:-1]]
+        running[starts[counts > 0]] = 0.0
+        several = counts > 1
+        for start, end in zip(starts[several].tolist(), ends[several].tolist()):
+            np.cumsum(running[start:end], out=running[start:end])
+        seen = np.arange(n) - np.repeat(starts, counts)
+        weight = seen + self.smoothing
+        encoded = np.empty(n)
+        # Zero weight (smoothing=0, no earlier row) leaves the prior.
+        encoded[order] = np.divide(
+            running + self.smoothing * self.prior_,
+            weight,
+            out=np.full(n, self.prior_),
+            where=weight != 0,
+        )
         return encoded

@@ -184,6 +184,24 @@ class RegressionTree:
         the flattened histogram index is built once per ensemble fit rather
         than once per tree.
         """
+        self.fit_predict(binned, residuals, n_bins_per_feature, flat_index=flat_index)
+        return self
+
+    def fit_predict(
+        self,
+        binned: np.ndarray,
+        residuals: np.ndarray,
+        n_bins_per_feature: List[int],
+        *,
+        flat_index: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Fit like :meth:`fit` and return ``predict(binned)``, bit for bit.
+
+        The fit splits rows with the same ``bin <= threshold`` tests that
+        :meth:`predict` routes by, so each leaf's value is scattered onto the
+        rows the leaf holds instead of routing them again.  Nothing per-row
+        is kept on the tree.
+        """
         if binned.ndim != 2:
             raise ValueError("binned feature matrix must be 2-D")
         g = np.asarray(residuals, dtype=np.float64)
@@ -204,6 +222,7 @@ class RegressionTree:
 
         nodes: List[TreeNode] = []
         lam = self.lambda_reg
+        fitted = np.empty(binned.shape[0], dtype=np.float64)
 
         def leaf_value(grad_sum: float, count: int) -> float:
             return grad_sum / (count + lam)
@@ -228,6 +247,7 @@ class RegressionTree:
             node.value = leaf_value(grad_sum, count)
             node.n_samples = count
             if depth >= self.max_depth or count < 2 * self.min_samples_leaf or total_bins == 0:
+                fitted[rows] = node.value
                 continue
 
             parent_score = grad_sum * grad_sum / (count + lam)
@@ -254,6 +274,7 @@ class RegressionTree:
             # feature-by-feature search.
             best_flat = int(np.argmax(gain))
             if not gain.flat[best_flat] > self.min_gain:
+                fitted[rows] = node.value
                 continue
             best_feature, best_bin = divmod(best_flat, max_nb)
 
@@ -279,7 +300,7 @@ class RegressionTree:
 
         self.nodes_ = nodes
         self._pack_nodes()
-        return self
+        return fitted
 
     @staticmethod
     def flatten_bins(binned: np.ndarray, n_bins_per_feature: List[int]) -> np.ndarray:

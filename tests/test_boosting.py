@@ -6,6 +6,7 @@ import pytest
 from repro.boosting.gbdt import GradientBoostingRegressor, TabularBoostingRegressor
 from repro.boosting.target_encoding import OrderedTargetEncoder
 from repro.boosting.tree import FeatureBinner, RegressionTree
+from repro.tabular.table import CategoricalColumn
 
 
 @pytest.fixture()
@@ -180,6 +181,33 @@ class TestOrderedTargetEncoder:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             OrderedTargetEncoder().fit(np.array(["a"]), np.array([1.0, 2.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_smoothing_encodes_rows_without_history_as_prior(self):
+        # Without smoothing the first row of each category has no earlier
+        # row to average over: 0/0, which used to come out as NaN.
+        cats = np.array(["a", "b", "a", "c", "b"])
+        y = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        ordered = OrderedTargetEncoder(smoothing=0.0, seed=0).fit_transform_ordered(cats, y)
+        assert np.isfinite(ordered).all()
+        # "a" and "b" have two rows each: whichever the permutation puts
+        # first gets the prior, the other that row's target.
+        for first, second in ((0, 2), (1, 4)):
+            got = {ordered[first], ordered[second]}
+            assert got == {y.mean(), y[first]} or got == {y.mean(), y[second]}
+        assert ordered[3] == y.mean()
+
+    def test_accepts_a_categorical_column(self):
+        cats = np.array(["b", "a", "b", "c"])
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        column = CategoricalColumn.from_values(cats)
+        by_column = OrderedTargetEncoder(seed=3)
+        by_array = OrderedTargetEncoder(seed=3)
+        np.testing.assert_array_equal(
+            by_column.fit_transform_ordered(column, y), by_array.fit_transform_ordered(cats, y)
+        )
+        assert by_column.statistics_ == by_array.statistics_
+        np.testing.assert_array_equal(by_column.transform(column), by_array.transform(cats))
 
 
 class TestTabularBoostingRegressor:

@@ -85,6 +85,22 @@ class TestMLEF:
         )
         assert diff_mlef(train_table, noise, test_table, FAST_MLEF, seed=0) > 0.0
 
+    def test_numpy_integer_seed_counts_as_its_int(self, train_table, test_table):
+        def score(seed):
+            return machine_learning_efficacy(train_table, test_table, FAST_MLEF, seed=seed)
+
+        assert score(np.int64(3)) == score(3)
+        assert score(np.int32(7)) == score(7)
+        assert score(3) != score(7)
+
+    @pytest.mark.parametrize(
+        "seed", [np.random.default_rng(3), np.random.SeedSequence(3)], ids=["generator", "seed_sequence"]
+    )
+    def test_unhashable_seed_rejected(self, train_table, test_table, seed):
+        # These used to fall back silently to the seed-less sub-seeds.
+        with pytest.raises(TypeError):
+            machine_learning_efficacy(train_table, test_table, FAST_MLEF, seed=seed)
+
     def test_paper_config_values(self):
         config = MLEFConfig.paper()
         assert config.n_estimators == 200

@@ -12,7 +12,10 @@ grid simulator) must reproduce the outputs of the seed implementations kept in
   5k-job workload,
 * the Table-I fidelity path: WD bit-identical to the ``np.quantile`` form,
   SMOTE neighbour arrays identical to the one-hot KD-tree search on every
-  SMOTE fixture of the suite, and DCR within 1e-12 of the one-hot search.
+  SMOTE fixture of the suite, and DCR within 1e-12 of the one-hot search,
+* MLEF: the codes-native ordered target encoder bit-identical to the seed's
+  row-by-row loop, training-row predictions taken from each tree's own
+  partition bit-identical to ``predict``, and so diff-MLEF unchanged.
 """
 
 import os
@@ -28,6 +31,7 @@ from seed_baselines import (  # noqa: E402
     SeedGaussianMixture,
     SeedGradientBoostingRegressor,
     SeedGridSimulator,
+    SeedOrderedTargetEncoder,
     SeedScanDataLocalityBroker,
     SeedScanLeastLoadedBroker,
     SeedWatermarkGridSimulator,
@@ -42,15 +46,20 @@ from test_obs_serving import _table as _obs_table  # noqa: E402
 from test_serve_faults import _serving_table as _faults_table  # noqa: E402
 from test_serve_sharded import _serving_table as _sharded_table  # noqa: E402
 
+from repro.boosting import gbdt  # noqa: E402
 from repro.boosting.gbdt import GradientBoostingRegressor  # noqa: E402
+from repro.boosting.target_encoding import OrderedTargetEncoder  # noqa: E402
+from repro.boosting.tree import FeatureBinner, RegressionTree  # noqa: E402
 from repro.metrics.correlation import association_matrix  # noqa: E402
 from repro.mixture.gmm import GaussianMixture, kmeans_1d  # noqa: E402
 from repro.metrics.distribution import _sorted_quantiles, wasserstein_1d  # noqa: E402
+from repro.metrics.mlef import MLEFConfig, diff_mlef  # noqa: E402
 from repro.metrics.privacy import nearest_record_distances  # noqa: E402
 from repro.models import smote  # noqa: E402
 from repro.models.smote import SMOTESurrogate  # noqa: E402
 from repro.panda.generator import GeneratorConfig, PandaWorkloadGenerator  # noqa: E402
 from repro.panda.pipeline import FilteringPipeline  # noqa: E402
+from repro.panda.records import CATEGORICAL_FEATURES  # noqa: E402
 from repro.scheduler.broker import make_broker  # noqa: E402
 from repro.scheduler.cluster import GridCluster  # noqa: E402
 from repro.scheduler.jobs import jobs_from_table  # noqa: E402
@@ -405,3 +414,129 @@ class TestGaussianMixtureEquivalence:
         assert opt.log_likelihood(x) == SeedGaussianMixture._logsumexp(
             ref._log_prob_components(x, ref.params_)
         ).mean()
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _assert_encoders_agree(categories, target, *, seed, held_out=None, smoothing=1.0):
+    """Fit the codes-native encoder on ``categories`` and the seed encoder on
+    their decoded strings; every output must carry the same bits."""
+    strings = np.asarray(categories)
+    opt = OrderedTargetEncoder(smoothing, seed=seed)
+    ref = SeedOrderedTargetEncoder(smoothing, seed=seed)
+    _assert_same_bits(
+        opt.fit_transform_ordered(categories, target), ref.fit_transform_ordered(strings, target)
+    )
+    assert opt.prior_ == ref.prior_
+    assert opt.statistics_ == ref.statistics_
+    for query in (categories,) if held_out is None else (categories, held_out):
+        _assert_same_bits(opt.transform(query), ref.transform(np.asarray(query)))
+
+
+class TestTargetEncodingEquivalence:
+    """The codes-native ordered target encoder against the seed's row loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", ["train_table", "workload_5k"])
+    def test_panda_columns_bit_identical(self, size, seed, request):
+        if size == "train_table":
+            table, held_out = request.getfixturevalue("train_table"), request.getfixturevalue("test_table")
+        else:
+            generator, raw = request.getfixturevalue("workload_5k")
+            table, _ = FilteringPipeline(generator.sites).run(raw)
+            table, held_out = table.take(np.arange(4_000)), table.take(np.arange(4_000, len(table)))
+        target = np.log(np.maximum(np.asarray(table["workload"]), 1e-12))
+        for name in CATEGORICAL_FEATURES:
+            _assert_encoders_agree(
+                table.categorical_column(name), target, seed=seed,
+                held_out=held_out.categorical_column(name),
+            )
+
+    def test_one_row(self):
+        _assert_encoders_agree(CategoricalColumn.from_values(["a"]), np.array([2.5]), seed=4)
+
+    def test_one_category(self):
+        target = np.random.default_rng(0).normal(size=50)
+        _assert_encoders_agree(CategoricalColumn.from_values(["x"] * 50), target, seed=4)
+
+    def test_vocabulary_entry_no_row_uses(self):
+        rng = np.random.default_rng(1)
+        codes = rng.choice([0, 2, 3], size=300)
+        column = CategoricalColumn(codes, ("a", "b", "c", "d"))
+        held_out = CategoricalColumn([1, 0, 1, 3], ("a", "b", "c", "d"))
+        _assert_encoders_agree(column, rng.normal(size=300), seed=5, held_out=held_out)
+        # An unsorted vocabulary: the codes' order is not the strings' order.
+        column = CategoricalColumn(codes, ("d", "b", "a", "c"))
+        _assert_encoders_agree(column, rng.normal(size=300), seed=5)
+
+    def test_test_only_categories(self):
+        rng = np.random.default_rng(2)
+        column = CategoricalColumn.from_values(rng.choice(["a", "b", "c"], size=200))
+        held_out = CategoricalColumn.from_values(["zz", "a", "unseen", "c", "zz"])
+        _assert_encoders_agree(column, rng.normal(size=200), seed=6, held_out=held_out)
+
+    @pytest.mark.parametrize("smoothing", [1.0, 0.5, 10.0])
+    def test_string_array_input(self, smoothing):
+        rng = np.random.default_rng(3)
+        strings = rng.choice(["site-%d" % i for i in range(30)], size=1_000)
+        _assert_encoders_agree(
+            strings, rng.gamma(2.0, size=1_000), seed=7, smoothing=smoothing,
+            held_out=np.array(["site-3", "site-99", "site-0"]),
+        )
+
+
+def _fit_then_predict(monkeypatch):
+    """Make ``RegressionTree.fit_predict`` fit and then route every row
+    through ``predict``, as the boosting loop did per tree."""
+    original = RegressionTree.fit_predict
+
+    def fit_then_predict(self, binned, residuals, n_bins, *, flat_index=None):
+        original(self, binned, residuals, n_bins, flat_index=flat_index)
+        return self.predict(binned)
+
+    monkeypatch.setattr(RegressionTree, "fit_predict", fit_then_predict)
+
+
+class TestTrainingRowPredictions:
+    """Predictions scattered from the fit's partition against ``predict``."""
+
+    @pytest.mark.parametrize("max_depth, min_samples_leaf", [(1, 1), (4, 20), (10, 2)])
+    def test_tree_fit_predict_equals_predict(self, max_depth, min_samples_leaf):
+        rng = np.random.default_rng(max_depth)
+        X = rng.normal(size=(2_000, 5))
+        X[:, 4] = np.round(X[:, 4])  # heavy ties
+        residuals = X[:, 0] - 2.0 * X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=2_000)
+        binner = FeatureBinner(max_bins=32).fit(X)
+        binned = binner.transform(X)
+        n_bins = [binner.n_bins(j) for j in range(X.shape[1])]
+        tree = RegressionTree(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        _assert_same_bits(tree.fit_predict(binned, residuals, n_bins), tree.predict(binned))
+        assert tree.n_leaves > 1
+        constant = RegressionTree(max_depth=max_depth)
+        fitted = constant.fit_predict(binned, np.full(2_000, 0.25), n_bins)
+        _assert_same_bits(fitted, constant.predict(binned))
+        assert constant.n_leaves == 1
+
+    def test_boosted_trees_and_losses_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(1_200, 4))
+        y = np.sin(2.0 * X[:, 0]) + X[:, 1] * X[:, 3] + 0.1 * rng.normal(size=1_200)
+        params = dict(n_estimators=12, learning_rate=0.5, max_depth=6, min_samples_leaf=5, seed=2)
+        opt = GradientBoostingRegressor(**params).fit(X, y)
+        _fit_then_predict(monkeypatch)
+        ref = GradientBoostingRegressor(**params).fit(X, y)
+        assert opt.train_losses_ == ref.train_losses_
+        for opt_tree, ref_tree in zip(opt.trees_, ref.trees_):
+            assert opt_tree.nodes_ == ref_tree.nodes_  # structure, n_samples, values
+        _assert_same_bits(opt.predict(X), ref.predict(X))
+
+    def test_diff_mlef_unchanged(self, train_table, test_table, monkeypatch):
+        synthetic = SMOTESurrogate(k_neighbors=3).fit(train_table).sample(800, seed=2)
+        config = MLEFConfig(n_estimators=15)
+        got = diff_mlef(train_table, synthetic, test_table, config, seed=17)
+        monkeypatch.setattr(gbdt, "OrderedTargetEncoder", SeedOrderedTargetEncoder)
+        _fit_then_predict(monkeypatch)
+        assert diff_mlef(train_table, synthetic, test_table, config, seed=17) == got
