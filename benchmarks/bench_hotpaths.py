@@ -2,16 +2,16 @@
 """Time the optimized hot-path kernels against their seed baselines.
 
 Each kernel — GBDT fit, MLEF's ordered target encoding, association matrix,
-filtering-pipeline funnel, grid simulator, the three deep-model training
-stacks (TVAE, CTABGAN+, TabDDPM), the broker dispatch path, the per-column
-Gaussian-mixture fit, the two deep-model sampling chains (TabDDPM reverse
-diffusion, CTABGAN+ generation), the columnar data-plane kernel
-(dictionary-coded label encoding) and the Table-I fidelity path (SMOTE fit
-plus DCR, and WD) — is timed at two problem sizes in both the seed
-implementation (``seed_baselines.py``) and the optimized one shipped in
-``src/repro``, and the results (plus per-kernel speedups) are written to
-``BENCH_hotpaths.json``.  The committed copy of that file is the perf
-baseline that ``check_regression.py`` guards.
+filtering-pipeline funnel, PanDA raw generator, grid simulator, the three
+deep-model training stacks (TVAE, CTABGAN+, TabDDPM), the broker dispatch
+path, the per-column Gaussian-mixture fit, the two deep-model sampling
+chains (TabDDPM reverse diffusion, CTABGAN+ generation), the columnar
+data-plane kernel (dictionary-coded label encoding) and the Table-I
+fidelity path (SMOTE fit plus DCR, and WD) — is timed at two problem sizes
+in both the seed implementation (``seed_baselines.py``) and the optimized
+one shipped in ``src/repro``, and the results (plus per-kernel speedups)
+are written to ``BENCH_hotpaths.json``.  The committed copy of that file is
+the perf baseline that ``check_regression.py`` guards.
 
 ``serve_scaling`` compares the pool with in-process serving in the same
 sampling mode (see :func:`bench_serve_scaling`); the gate fails when the
@@ -58,6 +58,7 @@ from seed_baselines import (  # noqa: E402
     SeedTabDDPMSurrogate,
     SeedWatermarkGridSimulator,
     seed_association_matrix,
+    seed_generate_raw,
     seed_nearest_record_distances,
     seed_smote_neighbors,
     seed_wasserstein_1d,
@@ -256,12 +257,21 @@ def bench_fidelity(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
 
 
 def bench_pipeline(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
+    """The filtering funnel on one raw trace per size, same repeats each side.
+
+    The raw table holds codes; the seed funnel's first run decodes its
+    string columns, which the table caches for the later runs.
+    """
     for n_rows in sizes:
         generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=n_rows, n_days=90.0, seed=5))
         raw = generator.generate_raw()
         size = f"n={n_rows}"
         registry.measure(
-            "pipeline_funnel", "seed", size, lambda: SeedFilteringPipeline(generator.sites).run(raw)
+            "pipeline_funnel",
+            "seed",
+            size,
+            lambda: SeedFilteringPipeline(generator.sites).run(raw),
+            repeats=repeats,
         )
         registry.measure(
             "pipeline_funnel",
@@ -270,6 +280,40 @@ def bench_pipeline(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
             lambda: FilteringPipeline(generator.sites).run(raw),
             repeats=repeats,
         )
+
+
+def bench_generate(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
+    """The PanDA raw generator: the seed's per-row strings against codes.
+
+    ``seed_generate_raw`` builds string columns and factorizes them with
+    ``np.unique``; ``generate_raw`` draws codes into the catalogs and builds
+    each column once.  The tables are identical
+    (``tests/test_perf_equivalence.py``).  Runs alternate between the two,
+    both keep their best of the same repeats, and the larger size's records
+    carry the scaling exponent.
+    """
+    runs = {
+        "seed": seed_generate_raw,
+        "optimized": lambda generator: generator.generate_raw(),
+    }
+    seconds = {variant: [] for variant in runs}
+    for n_jobs in sizes:
+        generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=n_jobs, n_days=90.0, seed=5))
+        best = dict.fromkeys(runs, float("inf"))
+        for _ in range(repeats):
+            for variant, run in runs.items():
+                with timer() as elapsed:
+                    run(generator)
+                best[variant] = min(best[variant], elapsed.seconds)
+        for variant, value in best.items():
+            seconds[variant].append(value)
+            record = registry.record(
+                "panda_generate", variant, f"n={n_jobs}", value, repeats=repeats
+            )
+            if len(sizes) > 1 and n_jobs == sizes[-1]:
+                # Growth per doubling of rows: 1.0 is linear, 2.0 quadratic.
+                growth = np.log(value / seconds[variant][0]) / np.log(sizes[-1] / sizes[0])
+                record.extra = {"scaling_exponent": float(growth)}
 
 
 def bench_simulator(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
@@ -922,6 +966,8 @@ def run_benchmarks(
     encoding_sizes = [14_000, 56_000]
     table_sizes = [5_000, 40_000]
     pipe_sizes = [20_000, 150_000]
+    # Raw jobs of the generator kernel: fidelity-14k's build and four times it.
+    generate_sizes = [60_000, 240_000]
     sim_sizes = [1_000, 4_000]
     train_sizes = [2_000, 8_000]
     broker_sizes = [64, 512]
@@ -949,13 +995,14 @@ def run_benchmarks(
     if quick:
         encode_sizes = encode_sizes[:1]
         fidelity_sizes = fidelity_sizes[:1]
-        (gbdt_sizes, encoding_sizes, table_sizes, pipe_sizes, sim_sizes, train_sizes,
-         broker_sizes, gmm_sizes, ddpm_sample_sizes, gan_sample_sizes,
+        (gbdt_sizes, encoding_sizes, table_sizes, pipe_sizes, generate_sizes, sim_sizes,
+         train_sizes, broker_sizes, gmm_sizes, ddpm_sample_sizes, gan_sample_sizes,
          ddpm_fast_sizes, gan_fast_sizes, tvae_fast_sizes) = (
             gbdt_sizes[:1],
             encoding_sizes[:1],
             table_sizes[:1],
             pipe_sizes[:1],
+            generate_sizes[:1],
             sim_sizes[:1],
             train_sizes[:1],
             broker_sizes[:1],
@@ -977,6 +1024,7 @@ def run_benchmarks(
         ),
         (("association_matrix",), lambda: bench_association(registry, table_sizes, repeats)),
         (("pipeline_funnel",), lambda: bench_pipeline(registry, pipe_sizes, repeats)),
+        (("panda_generate",), lambda: bench_generate(registry, generate_sizes, repeats)),
         (("simulator",), lambda: bench_simulator(registry, sim_sizes, repeats)),
         (
             ("train_tvae", "train_ctabgan", "train_tabddpm"),

@@ -44,6 +44,10 @@ REQUIRED_KERNELS = frozenset(
         "target_encoding",
         "association_matrix",
         "pipeline_funnel",
+        # The PanDA raw generator: codes into the catalogs against the
+        # seed's per-row strings (see bench_hotpaths.bench_generate; the
+        # larger size's records carry scaling exponents).
+        "panda_generate",
         "simulator",
         "train_tvae",
         "train_ctabgan",

@@ -3,7 +3,8 @@
 These are verbatim ports of the implementations the repository shipped with
 before the perf PRs: the per-feature histogram loop of the GBDT tree, the
 row-by-row ordered target encoder of MLEF, the O(d^2) per-pair association
-matrix, the row-by-row dataset-name parse of the filtering pipeline, the
+matrix, the per-row string columns of the PanDA raw generator and the
+row-by-row dataset-name parse of the filtering pipeline, the
 per-event backlog rescan of the grid simulator, the
 unfused per-block deep-model training loops (TVAE / CTABGAN+ / TabDDPM with
 allocation-per-parameter Adam/SGD steps), the O(sites) linear-scan brokers
@@ -32,13 +33,13 @@ from scipy.spatial import cKDTree
 from repro.boosting.tree import FeatureBinner, TreeNode
 from repro.metrics.correlation import correlation_ratio, pearson_correlation, theils_u
 from repro.panda.daod import parse_dataset_name
-from repro.panda.records import JOB_STATUSES, PANDA_SCHEMA
-from repro.panda.workload import hs23_workload
+from repro.panda.records import JOB_STATUSES, PANDA_SCHEMA, RAW_SCHEMA, TRANSIENT_STATUSES
+from repro.panda.workload import hs23_workload, sample_core_counts
 from repro.scheduler.events import Event, EventQueue, EventType
 from repro.scheduler.jobs import SimulatedJob
 from repro.tabular.schema import ColumnKind
 from repro.tabular.table import Table
-from repro.utils.rng import SeedLike, as_rng
+from repro.utils.rng import SeedLike, as_rng, derive_seed
 
 # ---------------------------------------------------------------------------
 # 1. Boosting: per-feature histogram loop, full rescan of both children,
@@ -441,8 +442,105 @@ def seed_association_matrix(
 
 
 # ---------------------------------------------------------------------------
-# 3. Panda: row-by-row dataset-name parsing in the filtering pipeline.
+# 3. Panda: the string-path raw generator (per-row name, site and status
+#    strings) and row-by-row dataset-name parsing in the filtering pipeline.
 # ---------------------------------------------------------------------------
+
+
+def _seed_cpu_time_hours(n_files, file_bytes, datatype, rng, *, base_seconds_per_gb=900.0):
+    """The seed CPU-time draw: data-type factors from per-row strings."""
+    nf = np.asarray(n_files, dtype=np.float64)
+    fb = np.asarray(file_bytes, dtype=np.float64)
+    dtypes = np.asarray(datatype).astype(str)
+    gigabytes = fb / 1e9
+
+    factor = np.ones(dtypes.shape[0])
+    factor[np.char.startswith(dtypes, "DAOD_PHYSLITE")] = 0.35
+    factor[dtypes == "DAOD_PHYS"] = 1.0
+    factor[np.char.startswith(dtypes, "DAOD_JETM")] = 1.6
+    factor[np.char.startswith(dtypes, "DAOD_EXOT")] = 1.4
+    factor[np.char.startswith(dtypes, "DAOD_HIGG")] = 1.3
+    factor[~np.char.startswith(dtypes, "DAOD")] = 2.5
+
+    noise = rng.lognormal(mean=0.0, sigma=0.6, size=dtypes.shape[0])
+    seconds = base_seconds_per_gb * gigabytes * factor * noise
+    seconds += 30.0 * nf * rng.lognormal(0.0, 0.3, size=dtypes.shape[0])
+    return seconds / 3600.0
+
+
+def seed_generate_raw(generator, n_jobs=None, *, seed: SeedLike = None) -> Table:
+    """The seed ``PandaWorkloadGenerator.generate_raw``: per-row strings.
+
+    Dataset names, site names, task types and job statuses are built as
+    per-row string arrays, the site reliability is a per-row dict lookup,
+    the project-affinity hash runs once per catalog dataset, and the
+    ``Table`` constructor factorizes every string column with ``np.unique``.
+    """
+    cfg = generator.config
+    n = int(n_jobs if n_jobs is not None else cfg.n_jobs)
+    rng = as_rng(seed if seed is not None else derive_seed(cfg.seed, "records"))
+
+    creation = generator.arrivals.sample_times(n, seed=rng)
+    generator.users.sample_users(n, rng)
+    dataset_idx = generator.datasets.sample_indices(n, rng)
+
+    dataset_names = generator.datasets.name_array[dataset_idx]
+    datatype = generator.datasets.datatype_array[dataset_idx]
+    ds_files = generator.datasets.n_files_array[dataset_idx]
+    ds_bytes = generator.datasets.total_bytes_array[dataset_idx]
+
+    read_fraction = np.clip(rng.beta(2.0, 3.0, size=n), 0.02, 1.0)
+    n_files = np.maximum(1, np.rint(ds_files * read_fraction)).astype(np.float64)
+    bytes_per_file = ds_bytes / np.maximum(ds_files, 1.0)
+    input_bytes = n_files * bytes_per_file * rng.lognormal(0.0, 0.15, size=n)
+
+    is_analysis = rng.random(n) < cfg.analysis_fraction
+    tasktype = np.where(is_analysis, "analysis", "production")
+
+    sites = generator.sites
+    idx = rng.choice(len(sites.sites), size=n, p=sites.popularity)
+    site_names = np.array(sites.names, dtype=object)[idx].astype(str)
+    catalog_codes = np.array(
+        [
+            derive_seed(0, "project-affinity", p) % len(sites)
+            for p in generator.datasets.project_array
+        ]
+    )
+    project_codes = catalog_codes[dataset_idx]
+    affinity = rng.random(n) < 0.25
+    preferred_sites = np.array(sites.names, dtype=object)[project_codes]
+    site_names = np.where(affinity, preferred_sites, site_names).astype(str)
+
+    core_count = sample_core_counts(n, rng)
+    cpu_hours = _seed_cpu_time_hours(n_files, input_bytes, datatype, rng)
+
+    reliability = sites.reliability_of(site_names)
+    log_hours = np.log1p(cpu_hours)
+    fail_prob = np.clip((1.0 - reliability) * (0.6 + 0.25 * log_hours), 0.0, 0.9)
+    u = rng.random(n)
+    status = np.full(n, "finished", dtype=object)
+    status[u < fail_prob] = "failed"
+    cancel_band = (u >= fail_prob) & (u < fail_prob + 0.03)
+    status[cancel_band] = "cancelled"
+    closed_band = (u >= fail_prob + 0.03) & (u < fail_prob + 0.05)
+    status[closed_band] = "closed"
+    transient = rng.random(n) < cfg.transient_fraction
+    status[transient] = rng.choice(
+        np.array(TRANSIENT_STATUSES, dtype=object), size=int(transient.sum())
+    )
+
+    data = {
+        "creationtime": creation,
+        "ninputdatafiles": n_files,
+        "inputfilebytes": input_bytes,
+        "corecount": core_count,
+        "cputime_hours": cpu_hours,
+        "tasktype": tasktype,
+        "jobstatus": status.astype(str),
+        "computingsite": site_names,
+        "inputdatasetname": dataset_names.astype(str),
+    }
+    return Table(data, RAW_SCHEMA)
 
 
 class SeedFilteringPipeline:

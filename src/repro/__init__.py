@@ -41,9 +41,12 @@ The hottest loops run through a vectorized engine:
   fills both Theil directions of a categorical pair from one contingency
   table, with the numerical block as a single BLAS Gram product
   (:func:`repro.metrics.correlation.association_matrix`);
-* **panda** — dataset names are parsed once per *distinct* name
-  (:func:`repro.panda.daod.parse_dataset_names`), so the filtering funnel and
-  the workload generator scale with the number of datasets, not rows;
+* **panda** — the generator draws every categorical column as integer
+  codes into its catalog and builds it once
+  (:meth:`repro.tabular.table.CategoricalColumn.from_codes`); the filtering
+  funnel masks by code and parses only the dataset names of the vocabulary
+  (:func:`repro.panda.daod.parse_dataset_name`), so neither creates a
+  per-row string;
 * **scheduler** — the grid simulator keeps free-slot watermarks next to its
   event heap so a saturated backlog is never rescanned with brokerage calls
   (:mod:`repro.scheduler.simulator`), and the cluster maintains a

@@ -23,6 +23,7 @@ qualitative behaviour (and its ranking in Table I) matches the paper.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -674,10 +675,11 @@ class CTABGANPlusSurrogate(Surrogate):
     name = "CTABGAN+"
     _TRANSIENT_ATTRS = ("_packed_generator", "_block_sampler")
 
-    def __init__(self, config: Optional[CTABGANConfig] = None, *, seed: SeedLike = 0) -> None:
+    def __init__(self, config: Optional[CTABGANConfig] = None, *, seed: Optional[int] = 0) -> None:
         super().__init__()
         self.config = config or CTABGANConfig()
-        self._seed = seed
+        # Numpy integers seed like the same int; a Generator raises TypeError.
+        self._seed = None if seed is None else operator.index(seed)
         self._encoder: Optional[_ModeSpecificEncoder] = None
         self._condition: Optional[_ConditionSampler] = None
         self._generator: Optional[MLP] = None
@@ -714,13 +716,12 @@ class CTABGANPlusSurrogate(Surrogate):
     def fit(self, table: Table) -> "CTABGANPlusSurrogate":
         self._mark_fitted(table)
         cfg = self.config
-        seed_int = self._seed if isinstance(self._seed, int) else None
-        rng = as_rng(derive_seed(seed_int, "fit"))
+        rng = as_rng(derive_seed(self._seed, "fit"))
 
         # Encode once: mode-specific normalisation runs over the full table a
         # single time, and each discriminator step below only gathers rows
         # (``encoded[row_c]``) from the resulting dense matrix.
-        self._encoder = _ModeSpecificEncoder(cfg.gmm_components, seed_int).fit(table)
+        self._encoder = _ModeSpecificEncoder(cfg.gmm_components, self._seed).fit(table)
         encoded = self._encoder.transform(table, rng)
         self._activation_layout = self._output_layout()
         # The sampler is derived from the encoder layout and the packed
@@ -741,7 +742,7 @@ class CTABGANPlusSurrogate(Surrogate):
             list(cfg.generator_dims),
             data_dim,
             activation="relu",
-            seed=derive_seed(seed_int, "generator"),
+            seed=derive_seed(self._seed, "generator"),
         )
         self._discriminator = MLP(
             data_dim + cond_dim,
@@ -749,7 +750,7 @@ class CTABGANPlusSurrogate(Surrogate):
             1,
             activation="leaky_relu",
             dropout=0.25,
-            seed=derive_seed(seed_int, "discriminator"),
+            seed=derive_seed(self._seed, "discriminator"),
         )
 
         g_params = self._generator.parameters()

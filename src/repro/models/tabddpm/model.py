@@ -12,6 +12,7 @@ cross-entropy, as in the reference implementation's simplified objective.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -64,10 +65,11 @@ class TabDDPMSurrogate(Surrogate):
     name = "TabDDPM"
     _TRANSIENT_ATTRS = ("_packed_serving",)
 
-    def __init__(self, config: Optional[TabDDPMConfig] = None, *, seed: SeedLike = 0) -> None:
+    def __init__(self, config: Optional[TabDDPMConfig] = None, *, seed: Optional[int] = 0) -> None:
         super().__init__()
         self.config = config or TabDDPMConfig()
-        self._seed = seed
+        # Numpy integers seed like the same int; a Generator raises TypeError.
+        self._seed = None if seed is None else operator.index(seed)
         self._encoder: Optional[MixedEncoder] = None
         self._denoiser: Optional[MLPDenoiser] = None
         self._gaussian: Optional[GaussianDiffusion] = None
@@ -111,7 +113,7 @@ class TabDDPMSurrogate(Surrogate):
             n_features,
             hidden_dims=list(cfg.hidden_dims),
             time_embedding_dim=cfg.time_embedding_dim,
-            seed=derive_seed(self._seed if isinstance(self._seed, int) else None, "denoiser"),
+            seed=derive_seed(self._seed, "denoiser"),
         )
 
     # -- training -------------------------------------------------------------------
@@ -121,7 +123,7 @@ class TabDDPMSurrogate(Surrogate):
         # The packed serving cache snapshots the denoiser weights; a refit
         # must not serve through stale ones.
         self._packed_serving = None
-        rng = as_rng(derive_seed(self._seed if isinstance(self._seed, int) else None, "fit"))
+        rng = as_rng(derive_seed(self._seed, "fit"))
 
         # Encode once; training steps only slice shuffled index blocks.
         self._encoder = MixedEncoder()

@@ -15,6 +15,7 @@ diversity instead of collapsing to the arg-max category.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -75,12 +76,13 @@ class TVAESurrogate(Surrogate):
         self,
         config: Optional[TVAEConfig] = None,
         *,
-        seed: SeedLike = 0,
+        seed: Optional[int] = 0,
         numerical_transform_factory=None,
     ) -> None:
         super().__init__()
         self.config = config or TVAEConfig()
-        self._seed = seed
+        # Numpy integers seed like the same int; a Generator raises TypeError.
+        self._seed = None if seed is None else operator.index(seed)
         self._numerical_transform_factory = numerical_transform_factory
         self._encoder_data: Optional[MixedEncoder] = None
         self._encoder_net: Optional[MLP] = None
@@ -90,7 +92,7 @@ class TVAESurrogate(Surrogate):
     # -- model pieces -------------------------------------------------------------
     def _build(self, n_features: int) -> None:
         cfg = self.config
-        net_seed = derive_seed(self._seed if isinstance(self._seed, int) else None, "tvae")
+        net_seed = derive_seed(self._seed, "tvae")
         self._encoder_net = MLP(
             n_features, list(cfg.hidden_dims), 2 * cfg.latent_dim, activation="relu", seed=net_seed
         )
@@ -118,7 +120,7 @@ class TVAESurrogate(Surrogate):
         # sampler is derived from the encoder layout; refits rebuild both.
         self._packed_decoder = None
         self._serving_block_sampler = None
-        rng = as_rng(derive_seed(self._seed if isinstance(self._seed, int) else None, "fit"))
+        rng = as_rng(derive_seed(self._seed, "fit"))
 
         self._encoder_data = MixedEncoder(
             numerical_transform_factory=self._numerical_transform_factory

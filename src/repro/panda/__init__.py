@@ -17,6 +17,10 @@ equivalent: a statistical model of the ATLAS user-analysis job stream with
 * the Fig. 3(b) filtering/derivation pipeline producing the exact nine-column
   table the surrogates are trained on (`pipeline`).
 
+The generator and the funnel are codes-native: categories are drawn and
+filtered as integer codes into the catalogs, so the build holds a few
+numbers per job and strings only per catalog entry.
+
 Every draw is controlled by a single seed, so the "real" data of this
 reproduction is itself reproducible.
 """

@@ -11,6 +11,11 @@ imbalanced frequencies across projects (Monte-Carlo campaigns vs. data-taking
 periods), production steps and data types — including non-DAOD types so the
 filtering funnel removes a realistic fraction of raw records — plus
 per-dataset file counts and byte sizes with heavy tails.
+
+Jobs reference datasets by catalog index, so a raw table's
+``inputdatasetname`` vocabulary holds at most ``n_datasets`` names; the
+funnel parses each of them once with :func:`parse_dataset_name`, never a
+name per job.
 """
 
 from __future__ import annotations
@@ -91,42 +96,6 @@ def parse_dataset_name(name: str) -> Dict[str, str]:
         "datatype": datatype,
         "version": version,
     }
-
-
-def parse_dataset_names(names: Sequence[str]) -> Dict[str, np.ndarray]:
-    """Vectorised :func:`parse_dataset_name` over an array of dataset names.
-
-    Real PanDA streams reference each dataset from many jobs, so parsing is
-    memoised over the *unique* names (a dict-based factorization, cheaper than
-    sorting the strings) and the per-row fields are gathered back through the
-    integer codes; the parse cost scales with distinct datasets, not rows.
-    Returns ``{field: array_of_str}`` with the same six keys as
-    :func:`parse_dataset_name`.  Malformed names raise ``ValueError`` exactly
-    as the scalar parser does (though not necessarily at the first bad *row*,
-    since each distinct name is parsed only once).
-    """
-    arr = np.asarray(names)
-    if arr.dtype.kind != "U":
-        arr = arr.astype(str)
-    code_of: Dict[str, int] = {}
-    codes = np.empty(arr.size, dtype=np.int64)
-    uniques: List[str] = []
-    for i, name in enumerate(arr.tolist()):
-        code = code_of.get(name)
-        if code is None:
-            code = code_of[name] = len(uniques)
-            uniques.append(name)
-        codes[i] = code
-    fields = ("project", "run", "stream", "prodstep", "datatype", "version")
-    parsed = [parse_dataset_name(name) for name in uniques]
-    out: Dict[str, np.ndarray] = {}
-    for key in fields:
-        # A unicode-dtype unique table makes the per-row gather a plain C copy.
-        table = np.array([record[key] for record in parsed], dtype=str)
-        out[key] = (
-            table[codes] if table.size else np.empty(arr.size, dtype="<U1")
-        )
-    return out
 
 
 def is_daod(datatype: str) -> bool:
@@ -240,9 +209,9 @@ class DatasetCatalog:
                     total_bytes=float(total_bytes[i]),
                 )
             )
-        # Columnar views of the catalog, cached once so per-job gathers in the
-        # workload generator are single fancy-indexing operations instead of
-        # Python loops over DatasetRecord objects.
+        # Columnar views of the catalog, indexed by dataset code: the
+        # generator gathers per-job numbers through the codes and labels its
+        # categorical columns with these arrays, never with per-job strings.
         self.name_array = np.array([d.name for d in self.datasets], dtype=object)
         self.project_array = project_draw.astype(object).astype(str)
         self.prodstep_array = prodstep_draw.astype(object).astype(str)

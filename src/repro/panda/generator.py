@@ -6,6 +6,14 @@ records.  The generated table has the columns of a (simplified) PanDA dump
 *before* filtering — including production jobs, non-DAOD inputs and transient
 job statuses — so the Fig. 3(b) filtering funnel operates on realistic input.
 
+The categorical columns are drawn as integer codes into their catalogs
+(task types, job statuses, sites, datasets), and per-job numbers that depend
+on a category (site reliability, the data type's CPU cost, the project's
+preferred site) are computed once per catalog entry and gathered through
+the codes.  Each column is built once with
+:meth:`~repro.tabular.table.CategoricalColumn.from_codes`, so no per-job
+string exists: the raw table holds 56 bytes per job.
+
 Cross-feature structure built into the generator (and therefore learnable by
 the surrogates):
 
@@ -28,12 +36,15 @@ import numpy as np
 
 from repro.panda import workload as wl
 from repro.panda.daod import DatasetCatalog
-from repro.panda.records import RAW_SCHEMA, TRANSIENT_STATUSES
+from repro.panda.records import JOB_STATUSES, RAW_SCHEMA, TASK_TYPES, TRANSIENT_STATUSES
 from repro.panda.sites import SiteCatalog
 from repro.panda.temporal import ArrivalProcess
 from repro.panda.users import UserPopulation
-from repro.tabular.table import Table
+from repro.tabular.table import CategoricalColumn, Table
 from repro.utils.rng import SeedLike, as_rng, derive_seed
+
+#: Every raw job status; ``jobstatus`` is drawn as codes into this catalog.
+_STATUSES = JOB_STATUSES + TRANSIENT_STATUSES
 
 
 @dataclass
@@ -91,13 +102,11 @@ class PandaWorkloadGenerator:
         rng = as_rng(seed if seed is not None else derive_seed(cfg.seed, "records"))
 
         creation = self.arrivals.sample_times(n, seed=rng)
-        user_idx = self.users.sample_users(n, rng)
+        # No column uses the submitting user yet; the draw keeps the stream.
+        self.users.sample_users(n, rng)
         dataset_idx = self.datasets.sample_indices(n, rng)
 
-        # Columnar gathers over the catalog's cached arrays: cost scales with
-        # the number of distinct datasets, not with the number of job rows.
-        dataset_names = self.datasets.name_array[dataset_idx]
-        datatype = self.datasets.datatype_array[dataset_idx]
+        # Per-dataset numbers, gathered through the dataset codes.
         ds_files = self.datasets.n_files_array[dataset_idx]
         ds_bytes = self.datasets.total_bytes_array[dataset_idx]
 
@@ -109,54 +118,55 @@ class PandaWorkloadGenerator:
 
         # Task type: user analysis vs centralized production.
         is_analysis = rng.random(n) < cfg.analysis_fraction
-        tasktype = np.where(is_analysis, "analysis", "production")
+        tasktype = np.where(
+            is_analysis, TASK_TYPES.index("analysis"), TASK_TYPES.index("production")
+        )
 
         # Site choice with mild project/region affinity: hash the project onto a
-        # preferred site subset and boost its probability.  The hash must be
-        # stable across processes (builtin ``hash`` is salted per interpreter,
-        # which would break cross-run replay determinism), so it goes through
-        # the SHA-256-backed ``derive_seed``.
-        site_names = self.sites.sample_sites(n, rng)
-        # Hash once per catalog dataset, then gather per row.
-        catalog_codes = np.array(
-            [
-                derive_seed(0, "project-affinity", p) % len(self.sites)
-                for p in self.datasets.project_array
-            ]
+        # preferred site and boost its probability.  The hash must be stable
+        # across processes (builtin ``hash`` is salted per interpreter, which
+        # would break cross-run replay determinism), so it goes through the
+        # SHA-256-backed ``derive_seed``, once per distinct project.
+        site = self.sites.sample_indices(n, rng)
+        projects, project_of = np.unique(self.datasets.project_array, return_inverse=True)
+        preferred = np.array(
+            [derive_seed(0, "project-affinity", p) % len(self.sites) for p in projects],
+            dtype=np.intp,
         )
-        project_codes = catalog_codes[dataset_idx]
         affinity = rng.random(n) < 0.25
-        preferred_sites = np.array(self.sites.names, dtype=object)[project_codes]
-        site_names = np.where(affinity, preferred_sites, site_names).astype(str)
+        site = np.where(affinity, preferred[project_of][dataset_idx], site)
 
         core_count = wl.sample_core_counts(n, rng)
+        datatype = CategoricalColumn.from_codes(dataset_idx, self.datasets.datatype_array)
         cpu_hours = wl.sample_cpu_time_hours(n_files, input_bytes, datatype, rng)
 
         # Job status: failure probability rises with CPU time, falls with site
         # reliability; a small fraction of records is still in a transient state.
-        reliability = self.sites.reliability_of(site_names)
+        reliability = self.sites.reliability_of(self.sites.names)[site]
         log_hours = np.log1p(cpu_hours)
         fail_prob = np.clip((1.0 - reliability) * (0.6 + 0.25 * log_hours), 0.0, 0.9)
         u = rng.random(n)
-        status = np.full(n, "finished", dtype=object)
-        status[u < fail_prob] = "failed"
-        cancel_band = (u >= fail_prob) & (u < fail_prob + 0.03)
-        status[cancel_band] = "cancelled"
-        closed_band = (u >= fail_prob + 0.03) & (u < fail_prob + 0.05)
-        status[closed_band] = "closed"
+        code = {label: i for i, label in enumerate(_STATUSES)}
+        status = np.full(n, code["finished"], dtype=np.int8)
+        status[u < fail_prob] = code["failed"]
+        status[(u >= fail_prob) & (u < fail_prob + 0.03)] = code["cancelled"]
+        status[(u >= fail_prob + 0.03) & (u < fail_prob + 0.05)] = code["closed"]
+        # The transient statuses follow the final ones in ``_STATUSES``.
         transient = rng.random(n) < cfg.transient_fraction
-        status[transient] = rng.choice(np.array(TRANSIENT_STATUSES, dtype=object), size=int(transient.sum()))
+        status[transient] = len(JOB_STATUSES) + rng.choice(
+            len(TRANSIENT_STATUSES), size=int(transient.sum())
+        )
 
-        data: Dict[str, np.ndarray] = {
+        data: Dict[str, object] = {
             "creationtime": creation,
             "ninputdatafiles": n_files,
             "inputfilebytes": input_bytes,
             "corecount": core_count,
             "cputime_hours": cpu_hours,
-            "tasktype": tasktype,
-            "jobstatus": status.astype(str),
-            "computingsite": site_names,
-            "inputdatasetname": dataset_names.astype(str),
+            "tasktype": CategoricalColumn.from_codes(tasktype, TASK_TYPES),
+            "jobstatus": CategoricalColumn.from_codes(status, _STATUSES),
+            "computingsite": CategoricalColumn.from_codes(site, self.sites.names),
+            "inputdatasetname": CategoricalColumn.from_codes(dataset_idx, self.datasets.name_array),
         }
         return Table(data, RAW_SCHEMA)
 

@@ -9,20 +9,25 @@ be regenerated:
 3. keep only jobs in a final status (finished / failed / cancelled / closed),
 4. parse the dataset name into project / prodstep / datatype and derive the
    HS23-weighted ``workload`` feature.
+
+Every stage works on category codes: a filter decides once per vocabulary
+entry and masks the rows through their codes, the dataset names of the
+vocabulary (at most the catalog size) are the only names parsed, and HS23
+is looked up once per site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.panda.daod import parse_dataset_names
+from repro.panda.daod import is_daod, parse_dataset_name
 from repro.panda.records import JOB_STATUSES, PANDA_SCHEMA
 from repro.panda.sites import SiteCatalog
 from repro.panda.workload import hs23_workload
-from repro.tabular.table import Table
+from repro.tabular.table import CategoricalColumn, Table
 
 
 @dataclass
@@ -75,61 +80,65 @@ class FilteringPipeline:
         report = FilterReport(gross_records=len(raw))
 
         # Stage 1: user-analysis jobs only.
-        analysis = raw.mask(np.asarray(raw["tasktype"]) == "analysis")
+        analysis = raw.mask(_keep_rows(raw, "tasktype", lambda task: task == "analysis"))
         report.add("user analysis jobs", len(raw), len(analysis))
 
-        # Stage 2: DAOD input datasets only (parsed once per distinct dataset;
-        # the parsed fields are masked through the remaining stages so the
-        # names are never parsed twice).
-        parsed = parse_dataset_names(analysis["inputdatasetname"])
-        daod_mask = np.char.startswith(parsed["datatype"], "DAOD")
-        daod = analysis.mask(daod_mask)
-        parsed = {key: values[daod_mask] for key, values in parsed.items()}
+        # Stage 2: DAOD input datasets only.
+        daod = analysis.mask(
+            _keep_rows(
+                analysis,
+                "inputdatasetname",
+                lambda name: is_daod(parse_dataset_name(name)["datatype"]),
+            )
+        )
         report.add("DAOD input datasets", len(analysis), len(daod))
 
         # Stage 3: final job statuses only.
-        final_mask = np.isin(np.asarray(daod["jobstatus"]), np.asarray(JOB_STATUSES))
-        final = daod.mask(final_mask)
-        parsed = {key: values[final_mask] for key, values in parsed.items()}
+        final = daod.mask(_keep_rows(daod, "jobstatus", lambda status: status in JOB_STATUSES))
         report.add("final job status", len(daod), len(final))
 
         # Stage 4: parse nomenclature and derive workload.
-        table = self.derive_features(final, parsed=parsed)
+        table = self.derive_features(final)
         report.add("feature derivation", len(final), len(table))
         return table, report
 
-    def derive_features(
-        self, records: Table, *, parsed: Optional[Dict[str, np.ndarray]] = None
-    ) -> Table:
+    def derive_features(self, records: Table) -> Table:
         """Parse dataset names and compute the workload feature.
 
-        Dataset names are parsed once per distinct name
-        (:func:`~repro.panda.daod.parse_dataset_names`), so this stage scales
-        with the number of datasets rather than the number of job rows.
-        ``parsed`` lets :meth:`run` pass the already-parsed (and row-masked)
-        nomenclature fields instead of re-parsing.
+        Works on the category codes: each name in the ``inputdatasetname``
+        vocabulary is parsed once and each site in the ``computingsite``
+        vocabulary is looked up once, and the rows gather the results
+        through their codes.  Every categorical column is rebuilt with the
+        sorted vocabulary of the labels its rows hold.
         """
-        if parsed is None:
-            parsed = parse_dataset_names(records["inputdatasetname"])
-        project = parsed["project"]
-        prodstep = parsed["prodstep"]
-        datatype = parsed["datatype"]
-
-        hs23 = self.sites.hs23_of(records["computingsite"])
-        workload = hs23_workload(records["corecount"], records["cputime_hours"], hs23)
+        names = records.categorical_column("inputdatasetname")
+        parsed = [parse_dataset_name(name) for name in names.vocab]
+        sites = records.categorical_column("computingsite")
+        hs23 = self.sites.hs23_of(sites.vocab)[sites.codes]
+        status = records.categorical_column("jobstatus")
 
         data = {
-            "workload": workload,
+            "workload": hs23_workload(records["corecount"], records["cputime_hours"], hs23),
             "creationtime": records["creationtime"],
             "ninputdatafiles": records["ninputdatafiles"],
             "inputfilebytes": records["inputfilebytes"],
-            "jobstatus": records["jobstatus"],
-            "computingsite": records["computingsite"],
-            "project": project,
-            "prodstep": prodstep,
-            "datatype": datatype,
+            "jobstatus": CategoricalColumn.from_codes(status.codes, status.vocab),
+            "computingsite": CategoricalColumn.from_codes(sites.codes, sites.vocab),
         }
+        for key in ("project", "prodstep", "datatype"):
+            data[key] = CategoricalColumn.from_codes(names.codes, [p[key] for p in parsed])
         return Table(data, PANDA_SCHEMA)
+
+
+def _keep_rows(table: Table, name: str, keep: Callable[[str], bool]) -> np.ndarray:
+    """Row mask of ``table`` where ``keep`` holds for the ``name`` label.
+
+    ``keep`` runs once per vocabulary entry; the rows gather the verdict
+    through their codes.
+    """
+    column = table.categorical_column(name)
+    verdict = np.array([keep(label) for label in column.vocab], dtype=bool)
+    return verdict[column.codes]
 
 
 def dataset_profile(table: Table) -> List[Dict[str, object]]:

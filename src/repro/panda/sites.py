@@ -152,10 +152,13 @@ class SiteCatalog:
         table = {s.name: s.reliability for s in self.sites}
         return np.array([table[n] for n in np.asarray(names).astype(str)])
 
+    def sample_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``n`` site indices (codes into :attr:`names`) by popularity."""
+        return rng.choice(len(self.sites), size=n, p=self.popularity)
+
     def sample_sites(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` site names according to the popularity distribution."""
-        idx = rng.choice(len(self.sites), size=n, p=self.popularity)
-        return np.array(self.names, dtype=object)[idx].astype(str)
+        return np.array(self.names, dtype=object)[self.sample_indices(n, rng)].astype(str)
 
     def total_cores(self) -> int:
         return int(sum(s.n_cores for s in self.sites))

@@ -8,9 +8,11 @@ sample realistic CPU times given the input size and data type.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
+
+from repro.tabular.table import CategoricalColumn
 
 
 def hs23_workload(
@@ -29,10 +31,23 @@ def hs23_workload(
     return cores * power * hours
 
 
+def _cpu_cost_factor(datatypes: Sequence[str]) -> np.ndarray:
+    """CPU seconds per input GB of each data type, relative to ``DAOD_PHYS``."""
+    dtypes = np.asarray(datatypes, dtype=str)
+    factor = np.ones(dtypes.shape[0])
+    factor[np.char.startswith(dtypes, "DAOD_PHYSLITE")] = 0.35
+    factor[dtypes == "DAOD_PHYS"] = 1.0
+    factor[np.char.startswith(dtypes, "DAOD_JETM")] = 1.6
+    factor[np.char.startswith(dtypes, "DAOD_EXOT")] = 1.4
+    factor[np.char.startswith(dtypes, "DAOD_HIGG")] = 1.3
+    factor[~np.char.startswith(dtypes, "DAOD")] = 2.5
+    return factor
+
+
 def sample_cpu_time_hours(
     n_files: np.ndarray,
     file_bytes: np.ndarray,
-    datatype: Sequence[str],
+    datatype: Union[Sequence[str], CategoricalColumn],
     rng: np.random.Generator,
     *,
     base_seconds_per_gb: float = 900.0,
@@ -45,24 +60,22 @@ def sample_cpu_time_hours(
     log-normal noise term capturing algorithmic variety between analyses.
     This produces the multi-peaked workload distribution visible in the
     paper's Fig. 4(a).
+
+    ``datatype`` gives one data type per job, as strings or as a
+    :class:`~repro.tabular.table.CategoricalColumn`; the factor is computed
+    once per vocabulary entry and gathered through the codes.
     """
     nf = np.asarray(n_files, dtype=np.float64)
     fb = np.asarray(file_bytes, dtype=np.float64)
-    dtypes = np.asarray(datatype).astype(str)
+    if not isinstance(datatype, CategoricalColumn):
+        datatype = CategoricalColumn.from_values(datatype)
     gigabytes = fb / 1e9
+    factor = _cpu_cost_factor(datatype.vocab)[datatype.codes]
 
-    factor = np.ones(dtypes.shape[0])
-    factor[np.char.startswith(dtypes, "DAOD_PHYSLITE")] = 0.35
-    factor[dtypes == "DAOD_PHYS"] = 1.0
-    factor[np.char.startswith(dtypes, "DAOD_JETM")] = 1.6
-    factor[np.char.startswith(dtypes, "DAOD_EXOT")] = 1.4
-    factor[np.char.startswith(dtypes, "DAOD_HIGG")] = 1.3
-    factor[~np.char.startswith(dtypes, "DAOD")] = 2.5
-
-    noise = rng.lognormal(mean=0.0, sigma=0.6, size=dtypes.shape[0])
+    noise = rng.lognormal(mean=0.0, sigma=0.6, size=len(datatype))
     seconds = base_seconds_per_gb * gigabytes * factor * noise
     # Per-file overhead (staging, metadata) keeps tiny jobs from being free.
-    seconds += 30.0 * nf * rng.lognormal(0.0, 0.3, size=dtypes.shape[0])
+    seconds += 30.0 * nf * rng.lognormal(0.0, 0.3, size=len(datatype))
     return seconds / 3600.0
 
 

@@ -23,6 +23,10 @@ Categorical data lives as integer codes from construction to consumption:
 * Summaries (``value_counts``, ``nunique``) count via ``np.bincount`` on
   codes, with results ordered exactly as the historical string-based
   implementations produced them.
+* Producers that draw categories as indices into a catalog (the PanDA
+  generator and funnel) build columns with
+  :meth:`CategoricalColumn.from_codes`, so no per-row string exists
+  between the draw and the decode edge.
 """
 
 from __future__ import annotations
@@ -86,6 +90,27 @@ class CategoricalColumn:
         col = cls._wrap(codes.astype(CODES_DTYPE), tuple(vocab.tolist()))
         col._decoded = arr  # exact original strings; saves the re-gather
         return col
+
+    @classmethod
+    def from_codes(cls, codes: ArrayLike, labels: Sequence[str]) -> "CategoricalColumn":
+        """The column of ``labels[codes]``, built without per-row strings.
+
+        ``labels`` is a catalog: any order, unused and repeated entries
+        allowed.  The result equals ``from_values(labels[codes])`` — the
+        sorted vocabulary of the labels present, equal labels merged as
+        ``np.unique`` merges them — but only the catalog is sorted, and
+        the rows cost one scatter and one gather of integer codes.
+        """
+        idx = np.asarray(codes)
+        if idx.ndim != 1:
+            raise ValueError(f"columns must be 1-D, got shape {idx.shape}")
+        names = np.asarray(labels, dtype=str)
+        present = np.zeros(names.size, dtype=bool)
+        present[idx] = True
+        vocab, inverse = np.unique(names[present], return_inverse=True)
+        remap = np.zeros(names.size, dtype=CODES_DTYPE)
+        remap[present] = inverse
+        return cls._wrap(remap[idx], tuple(vocab.tolist()))
 
     # -- basic protocol ----------------------------------------------------
     def __len__(self) -> int:

@@ -1,4 +1,5 @@
-"""Tests for the neural surrogates: TVAE and CTABGAN+.
+"""Tests for the neural surrogates: TVAE and CTABGAN+ (plus the seed
+normalisation shared with TabDDPM).
 
 Training budgets are intentionally tiny (``*.fast()`` configs) — the goal is
 to verify the training loop runs, losses move, and the sampling path produces
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.models.ctabgan import CTABGANConfig, CTABGANPlusSurrogate, _ConditionSampler, _ModeSpecificEncoder
+from repro.models.tabddpm import TabDDPMConfig, TabDDPMSurrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 
 
@@ -143,3 +145,29 @@ class TestCTABGAN:
 
     def test_deterministic_sampling(self, fitted):
         assert fitted.sample(60, seed=7) == fitted.sample(60, seed=7)
+
+
+_NEURAL_MODELS = {
+    "tvae": lambda seed: TVAESurrogate(TVAEConfig.fast(), seed=seed),
+    "ctabgan": lambda seed: CTABGANPlusSurrogate(CTABGANConfig.fast(), seed=seed),
+    "tabddpm": lambda seed: TabDDPMSurrogate(TabDDPMConfig.fast(), seed=seed),
+}
+
+
+class TestSeedNormalisation:
+    """A numpy integer seeds a neural surrogate exactly like the same int."""
+
+    @pytest.mark.parametrize("name", sorted(_NEURAL_MODELS))
+    def test_numpy_integer_seed_matches_int(self, name, small_train):
+        make = _NEURAL_MODELS[name]
+        plain = make(3).fit(small_train)
+        numpy_int = make(np.int64(3)).fit(small_train)
+        assert numpy_int.loss_history_ == plain.loss_history_
+        assert numpy_int.sample(120, seed=1) == plain.sample(120, seed=1)
+
+    @pytest.mark.parametrize("name", sorted(_NEURAL_MODELS))
+    def test_generator_seed_rejected(self, name):
+        with pytest.raises(TypeError):
+            _NEURAL_MODELS[name](np.random.default_rng(3))
+        with pytest.raises(TypeError):
+            _NEURAL_MODELS[name](np.random.SeedSequence(3))

@@ -1,8 +1,13 @@
 """Tests for the raw-record generator and the Fig. 3(b) filtering pipeline."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.data import build_dataset
 from repro.panda.generator import GeneratorConfig, PandaWorkloadGenerator
 from repro.panda.pipeline import dataset_profile
 from repro.panda.records import (
@@ -134,3 +139,28 @@ class TestFilteringPipeline:
         # computing site should dominate the least common by a wide margin.
         counts = list(panda_table.value_counts("computingsite").values())
         assert counts[0] > 5 * counts[-1]
+
+
+class TestBuildMemory:
+    def test_build_dataset_peak_bytes_per_raw_job(self):
+        """``build_dataset`` peaks at no more than 400 B per raw job.
+
+        The raw table holds 56 B per job (five float64 columns and four
+        int32 code columns).  A per-row string column breaks the bound:
+        ``inputdatasetname`` alone would take about 250 B per job.
+        """
+        config = replace(ExperimentConfig.ci(), n_raw_jobs=60_000, seed=1)
+        build_dataset(replace(config, n_raw_jobs=1_000))  # one-time allocations
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            data = build_dataset(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(data.raw) == config.n_raw_jobs
+        assert (peak - before) / config.n_raw_jobs <= 400

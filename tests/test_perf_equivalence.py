@@ -15,7 +15,10 @@ grid simulator) must reproduce the outputs of the seed implementations kept in
   SMOTE fixture of the suite, and DCR within 1e-12 of the one-hot search,
 * MLEF: the codes-native ordered target encoder bit-identical to the seed's
   row-by-row loop, training-row predictions taken from each tree's own
-  partition bit-identical to ``predict``, and so diff-MLEF unchanged.
+  partition bit-identical to ``predict``, and so diff-MLEF unchanged,
+* the PanDA build: the codes-native generator and funnel give the raw
+  table, the funnel report and the training table of the string path —
+  the same vocabulary tuples, int32 codes and float bytes.
 """
 
 import os
@@ -36,6 +39,7 @@ from seed_baselines import (  # noqa: E402
     SeedScanLeastLoadedBroker,
     SeedWatermarkGridSimulator,
     seed_association_matrix,
+    seed_generate_raw,
     seed_kmeans_1d,
     seed_nearest_record_distances,
     seed_smote_neighbors,
@@ -134,6 +138,94 @@ class TestPipelineEquivalence:
         opt_table, opt_report = FilteringPipeline(generator.sites).run(raw)
         assert seed_report.as_rows() == opt_report.as_rows()
         assert seed_table == opt_table  # column-wise array equality
+
+
+def _assert_identical_tables(expected: Table, actual: Table) -> None:
+    """Same schema, vocabulary tuples, int32 codes and float bytes."""
+    assert actual.schema == expected.schema
+    assert len(actual) == len(expected)
+    for name in expected.schema.categorical:
+        want, got = expected.categorical_column(name), actual.categorical_column(name)
+        assert got.vocab == want.vocab, name
+        assert got.codes.dtype == want.codes.dtype == np.int32, name
+        np.testing.assert_array_equal(got.codes, want.codes, err_msg=name)
+    for name in expected.schema.numerical:
+        assert actual[name].dtype == expected[name].dtype == np.float64, name
+        assert actual[name].tobytes() == expected[name].tobytes(), name
+
+
+class TestDatasetBuildEquivalence:
+    """The codes-native generator and funnel against the string path.
+
+    The oracle is the seed generator (per-row strings) followed by the seed
+    funnel (per-row name parsing); both build their tables from strings, so
+    every vocabulary is what ``np.unique`` makes of the rows.
+    """
+
+    def _assert_same_build(self, generator, n_jobs=None):
+        seed_raw = seed_generate_raw(generator, n_jobs)
+        raw = generator.generate_raw(n_jobs)
+        _assert_identical_tables(seed_raw, raw)
+        seed_table, seed_report = SeedFilteringPipeline(generator.sites).run(seed_raw)
+        table, report = FilteringPipeline(generator.sites).run(raw)
+        assert report.as_rows() == seed_report.as_rows()
+        _assert_identical_tables(seed_table, table)
+        return raw, table, report
+
+    @pytest.mark.parametrize("n_jobs", [2_700, 60_000])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_identical_build(self, seed, n_jobs):
+        generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=n_jobs, seed=seed))
+        raw, table, _ = self._assert_same_build(generator)
+        assert len(raw) == n_jobs and len(table) > 0
+
+    def test_zero_jobs(self):
+        generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=100, seed=4))
+        raw, table, _ = self._assert_same_build(generator, 0)
+        assert len(raw) == 0 and len(table) == 0
+        assert all(raw.vocab(name) == () for name in raw.schema.categorical)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_job(self, seed):
+        generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=1, seed=seed))
+        _raw, table, _ = self._assert_same_build(generator)
+        if seed == 1:  # this job reads a non-DAOD dataset
+            assert len(table) == 0
+            assert all(table.vocab(name) == () for name in table.schema.categorical)
+        else:
+            assert len(table) == 1
+
+    def test_nothing_filtered_before_derivation(self):
+        generator = PandaWorkloadGenerator(
+            GeneratorConfig(
+                n_jobs=5_000, seed=5,
+                analysis_fraction=1.0, transient_fraction=0.0, daod_fraction=1.0,
+            )
+        )
+        raw, _table, report = self._assert_same_build(generator)
+        assert raw.vocab("tasktype") == ("analysis",)
+        assert [row["removed"] for row in report.as_rows()] == [0] * 5
+
+    def test_synthesised_site_names(self):
+        generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=20_000, seed=6, n_sites=75))
+        raw, table, _ = self._assert_same_build(generator)
+        assert any(site.startswith("T2_SITE_") for site in table.vocab("computingsite"))
+        assert len(raw.vocab("computingsite")) > 60
+
+    def test_one_dataset(self):
+        generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=3_000, seed=7, n_datasets=1))
+        raw, _table, _ = self._assert_same_build(generator)
+        assert len(raw.vocab("inputdatasetname")) == 1
+
+    def test_repeated_catalog_names_merge(self):
+        # Two catalog datasets under one name: the vocabulary merges them as
+        # np.unique would, while each keeps its own catalog data type for the
+        # CPU-time draw.
+        generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=5_000, seed=8, n_datasets=20))
+        names = generator.datasets.name_array
+        names[1] = names[0]
+        raw, _table, _ = self._assert_same_build(generator)
+        assert len(raw.vocab("inputdatasetname")) == 19
 
 
 class TestSimulatorEquivalence:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tabular.schema import ColumnKind, TableSchema
-from repro.tabular.table import Table
+from repro.tabular.table import CategoricalColumn, Table
 
 
 @pytest.fixture()
@@ -221,3 +221,30 @@ class TestMatricesAndSummaries:
         records = table.to_records()
         rebuilt = Table.from_records(records, table.schema)
         assert rebuilt == table
+
+
+class TestFromCodes:
+    """``from_codes(codes, labels)`` builds ``from_values(labels[codes])``."""
+
+    @pytest.mark.parametrize(
+        "labels, codes",
+        [
+            (["b", "a", "c"], [2, 0, 0, 2]),  # unsorted, one label unused
+            (["x", "y", "x", "z"], [2, 0, 1, 3]),  # a repeated label merges
+            (("only",), [0, 0]),
+            (["a", "b"], np.array([], dtype=np.intp)),  # no rows: empty vocabulary
+            (np.array(["p", "q"], dtype=object), np.array([1, 1], dtype=np.int8)),
+        ],
+    )
+    def test_matches_from_values(self, labels, codes):
+        column = CategoricalColumn.from_codes(codes, labels)
+        rows = np.asarray(labels, dtype=str)[np.asarray(codes, dtype=np.intp)]
+        expected = CategoricalColumn.from_values(rows)
+        assert column.vocab == expected.vocab
+        assert column.codes.dtype == np.int32
+        np.testing.assert_array_equal(column.codes, expected.codes)
+        np.testing.assert_array_equal(column.decode(), expected.decode())
+
+    def test_code_out_of_range_raises(self):
+        with pytest.raises(IndexError):
+            CategoricalColumn.from_codes([0, 3], ["a", "b"])
