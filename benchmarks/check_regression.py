@@ -61,8 +61,8 @@ REQUIRED_KERNELS = frozenset(
         "sample_tabddpm_fast",
         "sample_ctabgan_fast",
         "sample_tvae_fast",
-        # Serving-stack kernels: the sharded fast-mode service against the
-        # single-worker exact-mode serving loop (see
+        # Serving-stack kernels: the sharded service against the in-process
+        # serving loop, both in fast mode with the same repeats (see
         # bench_hotpaths.bench_serve_sharded for the contract).
         "serve_sharded_tvae",
         "serve_sharded_tabddpm",
@@ -72,8 +72,8 @@ REQUIRED_KERNELS = frozenset(
         "serve_sharded_tvae_faulty",
         # Front-door kernel: the coalescing dispatch path (FrontDoor routing
         # + micro-batched fair queueing) against a one-request-at-a-time
-        # client loop (see bench_hotpaths.bench_front_door) — guards the
-        # per-request plumbing the multi-tenant front door adds.
+        # client loop, both in fast mode (see bench_hotpaths.bench_front_door)
+        # — guards the per-request plumbing the multi-tenant front door adds.
         "serve_front_door",
         # Columnar data-plane kernel: dictionary-coded label encoding vs the
         # string path (see bench_hotpaths.bench_encode_categorical).
@@ -92,6 +92,10 @@ REQUIRED_KERNELS = frozenset(
         # and on the warm pool at the whole core budget (see
         # bench_hotpaths.bench_serve_scaling).
         "serve_scaling",
+        # The decoders' quantile inverse: np.interp's binary search against
+        # the O(1) lookup on the uniform knot grid (see
+        # bench_hotpaths.bench_quantile_inverse).
+        "quantile_inverse",
     }
 )
 

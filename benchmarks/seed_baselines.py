@@ -9,9 +9,9 @@ per-event backlog rescan of the grid simulator, the
 unfused per-block deep-model training loops (TVAE / CTABGAN+ / TabDDPM with
 allocation-per-parameter Adam/SGD steps), the O(sites) linear-scan brokers
 and the watermark simulator that recomputed its free-core maximum with a
-full pass per allocation, and the Table-I fidelity path's ``np.quantile``
-WD and one-hot KD-tree neighbour searches (SMOTE fit, DCR).  They exist for
-two reasons:
+full pass per allocation, the Table-I fidelity path's ``np.quantile``
+WD and one-hot KD-tree neighbour searches (SMOTE fit, DCR), and the
+decoders' ``np.interp`` quantile inverse.  They exist for two reasons:
 
 * ``bench_hotpaths.py`` times them against the optimized kernels so the
   speedup is a measured number rather than a claim, and
@@ -1496,3 +1496,19 @@ def seed_nearest_record_distances(
         chunk = synthetic.take(np.arange(start, min(start + chunk_size, n)))
         distances[start : start + len(chunk)], _ = tree.query(embedder.transform(chunk), k=1)
     return distances
+
+
+# ---------------------------------------------------------------------------
+# 9. Decoding: the quantile inverse by binary search over the knots.
+# ---------------------------------------------------------------------------
+
+from scipy import special  # noqa: E402
+
+
+def seed_quantile_inverse(transform, values) -> np.ndarray:
+    """The seed ``GaussianQuantileTransform.inverse_transform``: ``np.interp``
+    finds each probability's knot interval by binary search."""
+    arr = np.asarray(values, dtype=np.float64)
+    prob = special.ndtr(arr)
+    prob = np.clip(prob, 0.0, 1.0)
+    return np.interp(prob, transform.references_, transform.quantiles_)

@@ -125,9 +125,12 @@ class _SoftmaxBlockSampler:
     _LANE_WIDTH_LIMIT = 8
 
     #: The *relaxed* code draw (:meth:`sample_codes_fast`) has no rounding
-    #: contract, so it lane-batches much wider blocks; see
+    #: contract, so it lane-batches much wider blocks into shared padded
+    #: cubes; see
     #: :attr:`repro.models.tabddpm.multinomial.MultinomialBlockDiffusion._FAST_LANE_WIDTH_LIMIT`
-    #: for the same trade-off in the diffusion posterior.
+    #: for the same trade-off in the diffusion posterior.  Blocks at or
+    #: beyond this width would mostly pad a shared cube, so each runs the
+    #: same relaxed passes over its own columns (:meth:`_codes_huge_fast`).
     _FAST_LANE_WIDTH_LIMIT = 32
 
     def __init__(self, spans: List[Tuple[int, int]]):
@@ -211,7 +214,11 @@ class _SoftmaxBlockSampler:
         self._codes_wide_blocks(raw, draws, codes, self._wide)
 
     def _codes_wide_blocks(self, raw, draws, codes, blocks) -> None:
-        """Verbatim per-block softmax + draw (defines the exact path's bits)."""
+        """Verbatim per-block softmax + draw (defines the exact path's bits).
+
+        Exact path only: the relaxed draw takes its wide blocks through
+        :meth:`_codes_huge_fast`.
+        """
         for b in blocks:
             start, stop = self.spans[b]
             logits = raw[:, start:stop]
@@ -230,9 +237,9 @@ class _SoftmaxBlockSampler:
 
         Same construction as the diffusion kernel's: one padded cube per
         width bucket ([2, 8) and [8, 32)), each padding to its own bucket
-        maximum; blocks at or beyond ``_FAST_LANE_WIDTH_LIMIT`` keep the
-        per-block path.  Built lazily (the sampler itself is a lazily-built
-        serving cache).
+        maximum; blocks at or beyond ``_FAST_LANE_WIDTH_LIMIT`` go through
+        :meth:`_codes_huge_fast`.  Built lazily (the sampler itself is a
+        lazily-built serving cache).
         """
         cached = getattr(self, "_fast_tables_", None)
         if cached is not None:
@@ -251,20 +258,17 @@ class _SoftmaxBlockSampler:
         return tables
 
     def _fast_scratch(self, gi: int, nb: int, pad: int, nc: int, dtype: np.dtype):
-        key = ("fast", gi, nb, pad, nc, dtype)
-        scratch = self._buffers.get(key)
-        if scratch is None:
-            if len(self._buffers) >= 16:
-                self._buffers.clear()
-            scratch = {
+        return bounded_scratch(
+            self._buffers,
+            ("fast", gi, nb, pad, nc, dtype),
+            lambda: {
                 "cube": np.empty((pad, nc, nb), dtype=dtype),
                 "mx": np.empty((nc, nb), dtype=dtype),
                 "dg": np.empty((nc, nb), dtype=dtype),
                 "cmp": np.empty((nc, nb), dtype=bool),
                 "cnt": np.empty((nc, nb), dtype=np.intp),
-            }
-            self._buffers[key] = scratch
-        return scratch
+            },
+        )
 
     def sample_codes_fast(self, raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Relaxed code draw: same per-block categorical law, contract waived.
@@ -274,11 +278,13 @@ class _SoftmaxBlockSampler:
         which removes most of the work: blocks up to
         ``_FAST_LANE_WIDTH_LIMIT - 1`` categories wide evaluate as padded
         width-bucket cubes (single whole-cube numpy passes instead of a
-        Python loop per wide block), the probabilities stay unnormalised —
-        the uniform draw is scaled by the total mass, skipping the exact
-        path's log/renormalise passes entirely — and the draws are taken in
-        the logits' precision.  Used by ``sampling_mode="fast"``; validated
-        distributionally (chi-squared) in ``tests/test_serving_modes.py``.
+        Python loop per wide block) and wider blocks run the same passes
+        over their own columns; the probabilities stay unnormalised — the
+        uniform draw is scaled by the total mass, skipping the exact path's
+        log/renormalise passes entirely — and the draws are taken in the
+        logits' precision.  Used by ``sampling_mode="fast"``; validated
+        distributionally (chi-squared, float64 and float32 logits, blocks
+        up to 100 wide) in ``tests/test_serving_modes.py``.
         """
         n = raw.shape[0]
         codes = np.empty((n, self.n_blocks), dtype=np.intp)
@@ -329,7 +335,35 @@ class _SoftmaxBlockSampler:
                 np.add(cnt, s["cmp"], out=cnt, casting="unsafe")
             np.minimum(cnt, gwidths[None, :] - 1, out=cnt)
             codes[:, gids] = cnt
-        self._codes_wide_blocks(raw, draws, codes, huge)
+        self._codes_huge_fast(raw, draws, codes, huge)
+
+    def _codes_huge_fast(self, raw, draws, codes, blocks) -> None:
+        """The relaxed draw for blocks too wide to share a padded cube.
+
+        The cube passes, run over the block's own columns: the row maximum,
+        ``exp`` of the shifted logits, the unnormalised CDF as one running
+        add per column, and the count of CDF entries at or below
+        ``draw × total mass``, clamped to ``width - 1`` for a scaled draw
+        that rounds up to the total.  The CDF never decreases, so that count
+        is the first entry above the scaled draw.  Column passes over the
+        strided block are several times cheaper than numpy's row-wise
+        ``max``/``cumsum`` at these widths.
+        """
+        for b in blocks:
+            start, stop = self.spans[b]
+            width = stop - start
+            logits = raw[:, start:stop]
+            mx = logits[:, 0].copy()
+            for j in range(1, width):
+                np.maximum(mx, logits[:, j], out=mx)
+            cdf = logits - mx[:, None]
+            np.exp(cdf, out=cdf)
+            for j in range(1, width):
+                np.add(cdf[:, j], cdf[:, j - 1], out=cdf[:, j])
+            scaled = draws[b] * cdf[:, -1]
+            chosen = (cdf > scaled[:, None]).argmax(axis=1)
+            chosen[cdf[:, -1] <= scaled] = width - 1
+            codes[:, b] = chosen
 
     def __getstate__(self):
         # Scratch buffers are request-sized; regrown on first use (the lazy
@@ -890,11 +924,13 @@ class CTABGANPlusSurrogate(Surrogate):
         """Relaxed serving path: fused forwards freed from the training batch.
 
         The condition vectors come from the batched ``mode="fast"``
-        condition sampler, and each request-sized chunk runs through a
-        single pre-packed float32 generator forward
-        (:class:`~repro.nn.serving.PackedForward`) instead of the
-        per-``batch_size`` float64 graph loop.  Distribution-identical
-        to the exact mode (KS / chi-squared tested), stream-different.
+        condition sampler, the noise is drawn as float32, and each
+        request-sized chunk runs through a single pre-packed float32
+        generator forward (:class:`~repro.nn.serving.PackedForward`) instead
+        of the per-``batch_size`` float64 graph loop.  The block codes come
+        from :meth:`_SoftmaxBlockSampler.sample_codes_fast`.
+        Distribution-identical to the exact mode (KS / chi-squared tested),
+        stream-different.
         """
         self._require_fitted()
         cfg = self.config
@@ -908,8 +944,11 @@ class CTABGANPlusSurrogate(Surrogate):
         for r0 in range(0, n, self._FAST_FORWARD_CHUNK):
             batch = min(self._FAST_FORWARD_CHUNK, n - r0)
             cond, _, _, _ = self._condition.sample(batch, rng, mode="fast", need_rows=False)
-            noise = rng.standard_normal((batch, cfg.noise_dim))
+            # The packed forward runs in float32, so the noise is drawn there.
+            noise = rng.standard_normal((batch, cfg.noise_dim), dtype=np.float32)
             # The forward returns a reused buffer; the store into the request
             # matrix is the consuming copy.
-            raw_matrix[r0 : r0 + batch] = packed(np.concatenate([noise, cond], axis=1))
+            raw_matrix[r0 : r0 + batch] = packed(
+                np.concatenate([noise, cond], axis=1, dtype=np.float32)
+            )
         return self._decode_raw(raw_matrix, rng, relaxed=True)

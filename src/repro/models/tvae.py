@@ -247,15 +247,16 @@ class TVAESurrogate(Surrogate):
         The exact mode decodes the whole request in one float64 graph
         forward (peak memory grows with ``n``), hardens every categorical
         block into a one-hot matrix and re-``argmax``es it during decoding.
-        The serving path runs the decoder through a
+        The serving path draws float32 latents, runs the decoder through a
         :class:`~repro.nn.serving.PackedForward` float32 weight cache in
         bounded chunks, draws the block categories straight from the stacked
-        raw logits (the width-grouped
-        :class:`~repro.models.ctabgan._SoftmaxBlockSampler` — the hardened
-        matrix was never observable, only the drawn codes) and assembles the
-        table from codes plus the numerical columns, never materialising the
-        one-hot matrix.  Distribution-identical (KS / chi-squared tested),
-        stream-different.
+        raw logits (the relaxed
+        :meth:`~repro.models.ctabgan._SoftmaxBlockSampler.sample_codes_fast`
+        — the hardened matrix was never observable, only the drawn codes)
+        and assembles the table from codes plus the numerical columns, never
+        materialising the one-hot matrix.  The numerical columns decode
+        through the same quantile inverse as the exact mode.
+        Distribution-identical (KS / chi-squared tested), stream-different.
         """
         self._require_fitted()
         cfg = self.config
@@ -266,7 +267,8 @@ class TVAESurrogate(Surrogate):
         decoded = np.empty((n, packed.out_features), dtype=np.float32)
         for r0 in range(0, n, self._FAST_FORWARD_CHUNK):
             batch = min(self._FAST_FORWARD_CHUNK, n - r0)
-            z = rng.standard_normal((batch, cfg.latent_dim))
+            # The packed forward runs in float32, so the latents are drawn there.
+            z = rng.standard_normal((batch, cfg.latent_dim), dtype=np.float32)
             # The forward returns a reused buffer; the store into the request
             # matrix is the consuming copy.
             decoded[r0 : r0 + batch] = packed(z)

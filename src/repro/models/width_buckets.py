@@ -41,8 +41,9 @@ def build_width_bucket_tables(
     ``exp`` — as recorded in the per-lane ``pad_blocks`` lists.
 
     Returns ``(buckets, huge)`` where ``huge`` lists the block ids at or
-    beyond ``fast_limit`` (kept on the per-block path by every caller);
-    width-0/1 blocks are in neither and are the caller's concern.
+    beyond ``fast_limit``, which each caller takes outside the cubes (the
+    diffusion kernel per block, the code draw through a column-wise pass of
+    its own); width-0/1 blocks are in neither and are the caller's concern.
     """
     widths = np.asarray(widths, dtype=np.intp)
     starts = np.asarray(starts, dtype=np.intp)

@@ -149,6 +149,11 @@ class GaussianQuantileTransform(ColumnTransform):
     function; the inverse applies the normal CDF and interpolates the quantile
     function.  Values outside the training range are clipped to the range, as
     scikit-learn does.
+
+    ``fit`` always places the reference probabilities on the uniform grid
+    ``np.linspace(0, 1, n_q)``; :meth:`inverse_transform` relies on that to
+    find each probability's knot interval arithmetically instead of by
+    binary search (see :func:`_interp_uniform_grid`).
     """
 
     #: Clip probabilities away from {0, 1} to keep the probit finite.
@@ -200,7 +205,45 @@ class GaussianQuantileTransform(ColumnTransform):
         arr = np.asarray(values, dtype=np.float64)
         prob = special.ndtr(arr)
         prob = np.clip(prob, 0.0, 1.0)
-        return np.interp(prob, self.references_, self.quantiles_)
+        return _interp_uniform_grid(prob, self.references_, self.quantiles_)
+
+
+def _interp_uniform_grid(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp)`` bit for bit, with the bracket found in O(1).
+
+    Preconditions: ``xp`` is ``np.linspace(0, 1, xp.size)`` and every ``x``
+    lies in ``[0, 1]`` or is NaN.  On that grid the interval of ``x`` is
+    ``floor(x * (n - 1))`` up to one rounding step, so one comparison each
+    way corrects it to numpy's bracket (the last knot ``<= x``).  The value
+    then follows numpy's formula and its special cases: NaN in gives the
+    same NaN back, a knot gives its own ``fp`` (which also covers the right
+    edge), and a NaN from the slope between knots is retried from the right
+    knot, then replaced by the knot value on a flat interval.  Grids of
+    fewer than two points, and scalar ``x``, keep ``np.interp``.
+    """
+    n = xp.size
+    if n < 2 or np.ndim(x) == 0:
+        return np.interp(x, xp, fp)
+    with np.errstate(all="ignore"):
+        # fmin maps NaN to the last interval, so the cast stays defined.
+        guess = np.fmin(x * (n - 1), n - 2).astype(np.intp)
+        j = guess - (xp[guess] > x) + (xp[guess + 1] <= x)
+        # A trailing zero slope pads the right edge, where x equals the knot.
+        slopes = np.append(np.diff(fp) / np.diff(xp), 0.0)
+        x0 = xp[j]
+        f0 = fp[j]
+        out = slopes[j] * (x - x0) + f0
+        np.copyto(out, f0, where=x == x0)
+        nan = np.isnan(out)
+        if nan.any():
+            nan_in = np.isnan(x)
+            out[nan_in] = x[nan_in]
+            retry = nan & ~nan_in & (x != x0)
+            k = j[retry]
+            again = slopes[k] * (x[retry] - xp[k + 1]) + fp[k + 1]
+            flat = np.isnan(again) & (fp[k] == fp[k + 1])
+            out[retry] = np.where(flat, fp[k], again)
+    return out
 
 
 class TransformPipeline(ColumnTransform):

@@ -18,7 +18,9 @@ grid simulator) must reproduce the outputs of the seed implementations kept in
   partition bit-identical to ``predict``, and so diff-MLEF unchanged,
 * the PanDA build: the codes-native generator and funnel give the raw
   table, the funnel report and the training table of the string path —
-  the same vocabulary tuples, int32 codes and float bytes.
+  the same vocabulary tuples, int32 codes and float bytes,
+* decoding: the quantile inverse's O(1) knot lookup carries the bits of
+  ``np.interp``'s binary search, so exact samples are unchanged.
 """
 
 import os
@@ -42,6 +44,7 @@ from seed_baselines import (  # noqa: E402
     seed_generate_raw,
     seed_kmeans_1d,
     seed_nearest_record_distances,
+    seed_quantile_inverse,
     seed_smote_neighbors,
     seed_wasserstein_1d,
 )
@@ -60,7 +63,10 @@ from repro.metrics.distribution import _sorted_quantiles, wasserstein_1d  # noqa
 from repro.metrics.mlef import MLEFConfig, diff_mlef  # noqa: E402
 from repro.metrics.privacy import nearest_record_distances  # noqa: E402
 from repro.models import smote  # noqa: E402
+from repro.models.gaussian_copula import GaussianCopulaSurrogate  # noqa: E402
 from repro.models.smote import SMOTESurrogate  # noqa: E402
+from repro.models.tabddpm.model import TabDDPMConfig, TabDDPMSurrogate  # noqa: E402
+from repro.models.tvae import TVAEConfig, TVAESurrogate  # noqa: E402
 from repro.panda.generator import GeneratorConfig, PandaWorkloadGenerator  # noqa: E402
 from repro.panda.pipeline import FilteringPipeline  # noqa: E402
 from repro.panda.records import CATEGORICAL_FEATURES  # noqa: E402
@@ -68,7 +74,9 @@ from repro.scheduler.broker import make_broker  # noqa: E402
 from repro.scheduler.cluster import GridCluster  # noqa: E402
 from repro.scheduler.jobs import jobs_from_table  # noqa: E402
 from repro.scheduler.simulator import GridSimulator  # noqa: E402
+from repro.serve.api import table_fingerprint  # noqa: E402
 from repro.tabular.table import CategoricalColumn, Table  # noqa: E402
+from repro.tabular.transforms import GaussianQuantileTransform, _interp_uniform_grid  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -632,3 +640,97 @@ class TestTrainingRowPredictions:
         monkeypatch.setattr(gbdt, "OrderedTargetEncoder", SeedOrderedTargetEncoder)
         _fit_then_predict(monkeypatch)
         assert diff_mlef(train_table, synthetic, test_table, config, seed=17) == got
+
+
+def _quantile_transforms():
+    """Fitted transforms on grids of 1, 2, 3, 41, 999 and 1,000 knots, each
+    once on continuous data and once on tied data (plateaus in the
+    quantiles).  At the knots and their one-ulp neighbours,
+    ``floor(p * (n - 1))`` lands one interval low somewhere on every grid of
+    two or more points, and one interval high 19 times on the 41-point
+    grid, so both bracket corrections are exercised."""
+    rng = np.random.default_rng(29)
+    cases = {}
+    for size in (1, 2, 3, 41, 999, 5_000):
+        knots = min(size, 1_000)
+        cases[f"{knots}-knots"] = rng.lognormal(1.0, 1.5, size)
+        cases[f"{knots}-knots-tied"] = rng.integers(0, 4, size).astype(np.float64)
+    return {name: GaussianQuantileTransform().fit(column) for name, column in cases.items()}
+
+
+class TestQuantileInverseEquivalence:
+    """The O(1) knot lookup against ``np.interp``'s binary search, bit for bit.
+
+    Twelve grids of 200k uniform probabilities each, plus 0, 1, NaN and
+    every knot with both of its one-ulp neighbours: over two million values.
+    """
+
+    @pytest.mark.parametrize("name", sorted(_quantile_transforms()))
+    def test_probabilities_bit_identical(self, name):
+        tf = _quantile_transforms()[name]
+        knots = tf.references_
+        assert knots.size == int(name.split("-")[0])
+        probs = np.concatenate(
+            [
+                [0.0, 1.0, np.nan],
+                knots,
+                np.nextafter(knots, -np.inf),
+                np.nextafter(knots, np.inf),
+                np.random.default_rng(knots.size).random(200_000),
+            ]
+        )
+        probs = np.clip(probs, 0.0, 1.0)
+        _assert_same_bits(
+            _interp_uniform_grid(probs, knots, tf.quantiles_),
+            np.interp(probs, knots, tf.quantiles_),
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 41, 1_000])
+    def test_non_finite_quantiles_and_nan_payloads(self, n):
+        # Infinite end quantiles make inf - inf slopes (numpy's retry and
+        # flat-interval branches), a NaN quantile poisons its intervals, and
+        # NaN inputs must come back with their own payload.
+        knots = np.linspace(0.0, 1.0, n)
+        rng = np.random.default_rng(n)
+        quantiles = np.sort(rng.normal(size=n) * 1e307)
+        quantiles[0], quantiles[-1] = -np.inf, np.inf
+        poisoned = quantiles.copy()
+        poisoned[n // 2] = np.nan
+        payloads = np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64)
+        probs = np.concatenate(
+            [[0.0, 1.0], payloads.view(np.float64), knots, rng.random(10_000)]
+        )
+        for fp in (quantiles, poisoned, np.full(n, np.inf)):
+            with np.errstate(all="ignore"):
+                want = np.interp(probs, knots, fp)
+            _assert_same_bits(_interp_uniform_grid(probs, knots, fp), want)
+
+    @pytest.mark.parametrize("name", sorted(_quantile_transforms()))
+    def test_inverse_transform_bit_identical(self, name):
+        tf = _quantile_transforms()[name]
+        latents = np.concatenate(
+            [
+                [0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0],
+                np.random.default_rng(3).normal(scale=2.5, size=50_000),
+            ]
+        )
+        for values in (latents, latents[:1_000].reshape(40, 25), np.empty(0), 0.3, np.nan):
+            got, want = tf.inverse_transform(values), seed_quantile_inverse(tf, values)
+            assert np.shape(got) == np.shape(want)
+            _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: TVAESurrogate(TVAEConfig.fast(), seed=0),
+            lambda: TabDDPMSurrogate(TabDDPMConfig.fast(), seed=0),
+            lambda: SMOTESurrogate(k_neighbors=3),
+            lambda: GaussianCopulaSurrogate(),
+        ],
+        ids=["tvae", "tabddpm", "smote", "gaussian_copula"],
+    )
+    def test_exact_samples_unchanged(self, factory, train_table, monkeypatch):
+        model = factory().fit(train_table)
+        got = model.sample(3000, seed=7)
+        monkeypatch.setattr(GaussianQuantileTransform, "inverse_transform", seed_quantile_inverse)
+        assert table_fingerprint(got) == table_fingerprint(model.sample(3000, seed=7))

@@ -33,17 +33,23 @@ P_FLOOR = 1e-3
 
 def _mixed_table(n=1000, seed=23):
     rng = np.random.default_rng(seed)
+    # 40 sites, like the PanDA ``computingsite`` column: a block at least
+    # ``_FAST_LANE_WIDTH_LIMIT`` wide, outside the relaxed draw's lane cubes.
+    site_weights = np.linspace(1.0, 3.0, 40)
     data = {
         "x0": np.round(rng.lognormal(1.0, 0.7, n), 2),
         "x1": rng.normal(size=n) * 4.0,
         "cat_a": rng.choice(["a", "b"], n, p=[0.7, 0.3]),
         "cat_b": rng.choice(["u", "v", "w"], n),
         "cat_wide": rng.choice([f"s{i}" for i in range(9)], n),
+        "cat_site": rng.choice(
+            [f"site{i:02d}" for i in range(40)], n, p=site_weights / site_weights.sum()
+        ),
     }
     return Table(
         data,
         TableSchema.from_columns(
-            numerical=["x0", "x1"], categorical=["cat_a", "cat_b", "cat_wide"]
+            numerical=["x0", "x1"], categorical=["cat_a", "cat_b", "cat_wide", "cat_site"]
         ),
     )
 
@@ -257,23 +263,26 @@ class TestRelaxedCodeSampler:
         return _SoftmaxBlockSampler(spans), raw
 
     def test_same_distribution_as_exact_incl_wide_and_huge_blocks(self):
-        # Width 9/12 exercises the relaxed wide bucket, width 40 the
-        # per-block fallback beyond _FAST_LANE_WIDTH_LIMIT.
-        widths = [2, 3, 3, 9, 12, 40]
-        sampler, raw = self._sampler_and_logits(widths, n=6000)
-        exact = sampler.sample_codes(raw, np.random.default_rng(1))
-        fast = sampler.sample_codes_fast(raw, np.random.default_rng(2))
-        assert fast.shape == exact.shape
-        for b, w in enumerate(widths):
-            observed = np.array(
-                [
-                    np.bincount(exact[:, b], minlength=w),
-                    np.bincount(fast[:, b], minlength=w),
-                ]
-            )
-            keep = observed.sum(axis=0) > 0
-            result = stats.chi2_contingency(observed[:, keep])
-            assert result.pvalue > P_FLOOR, (b, w, result.pvalue)
+        # Width 9/12 exercises the relaxed wide bucket, widths 40 and 100
+        # the column-wise pass beyond _FAST_LANE_WIDTH_LIMIT.  float32 is
+        # the serving dtype; the exact reference draws from the same logits
+        # in float64.
+        widths = [2, 3, 3, 9, 12, 40, 100]
+        for dtype in (np.float64, np.float32):
+            sampler, raw = self._sampler_and_logits(widths, n=6000, dtype=dtype)
+            exact = sampler.sample_codes(raw.astype(np.float64), np.random.default_rng(1))
+            fast = sampler.sample_codes_fast(raw, np.random.default_rng(2))
+            assert fast.shape == exact.shape
+            for b, w in enumerate(widths):
+                observed = np.array(
+                    [
+                        np.bincount(exact[:, b], minlength=w),
+                        np.bincount(fast[:, b], minlength=w),
+                    ]
+                )
+                keep = observed.sum(axis=0) > 0
+                result = stats.chi2_contingency(observed[:, keep])
+                assert result.pvalue > P_FLOOR, (dtype, b, w, result.pvalue)
 
     def test_width_one_blocks_are_constant_zero(self):
         sampler, raw = self._sampler_and_logits([1, 4, 1], n=200)
