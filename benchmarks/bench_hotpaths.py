@@ -14,11 +14,16 @@ one shipped in ``src/repro``, and the results (plus per-kernel speedups)
 are written to ``BENCH_hotpaths.json``.  The committed copy of that file is
 the perf baseline that ``check_regression.py`` guards.
 
+Every kernel makes one :meth:`BenchmarkRegistry.measure` call per size:
+its two variants alternate round by round for the same repeats
+(``--repeats``, which some kernels raise to a floor of their own), and
+each keeps its best wall-clock time.
+
 ``serve_scaling`` compares the pool with in-process serving in the same
 sampling mode (see :func:`bench_serve_scaling`); the gate fails when the
 pool is the slower of the two.  The ``serve_sharded_*`` and
 ``serve_front_door`` kernels likewise time both sides in the relaxed
-``"fast"`` mode with the same repeats.
+``"fast"`` mode.
 
 The three relaxed serving-mode kernels (``sample_tabddpm_fast``,
 ``sample_ctabgan_fast``, ``sample_tvae_fast``) are baselined against the
@@ -100,24 +105,21 @@ from repro.tabular.schema import TableSchema  # noqa: E402
 from repro.tabular.table import Table  # noqa: E402
 from repro.tabular.transforms import GaussianQuantileTransform  # noqa: E402
 from repro.utils.parallel import available_workers  # noqa: E402
-from repro.utils.profiling import BenchmarkRegistry, timer  # noqa: E402
+from repro.utils.profiling import BenchmarkRegistry  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_hotpaths.json")
 
 
-def alternating_best(runs, repeats: int) -> dict:
-    """Best seconds of each ``runs`` entry over ``repeats`` rounds.
+def record_scaling(first: dict, last: dict, sizes) -> None:
+    """Attach each variant's scaling exponent to its larger-size record.
 
-    Each round times every run once, in order, so host drift hits all
-    variants alike.
+    ``first`` and ``last`` are :meth:`BenchmarkRegistry.measure` results at
+    ``sizes[0]`` and ``sizes[-1]``; the exponent is 1.0 for linear growth
+    in rows and 2.0 for quadratic.
     """
-    best = dict.fromkeys(runs, float("inf"))
-    for _ in range(repeats):
-        for variant, run in runs.items():
-            with timer() as elapsed:
-                run()
-            best[variant] = min(best[variant], elapsed.seconds)
-    return best
+    for variant, record in last.items():
+        growth = np.log(record.seconds / first[variant].seconds) / np.log(sizes[-1] / sizes[0])
+        record.extra = {"scaling_exponent": float(growth)}
 
 
 def _gbdt_case(n_rows: int):
@@ -137,21 +139,11 @@ def _gbdt_case(n_rows: int):
 def bench_gbdt(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     for n_rows in sizes:
         X, y, params = _gbdt_case(n_rows)
-        size = f"n={n_rows}"
-        registry.measure(
-            "gbdt_fit",
-            "seed",
-            size,
-            lambda: SeedGradientBoostingRegressor(**params).fit(X, y),
-            repeats=repeats,
-        )
-        registry.measure(
-            "gbdt_fit",
-            "optimized",
-            size,
-            lambda: GradientBoostingRegressor(**params).fit(X, y),
-            repeats=repeats,
-        )
+        runs = {
+            "seed": lambda: SeedGradientBoostingRegressor(**params).fit(X, y),
+            "optimized": lambda: GradientBoostingRegressor(**params).fit(X, y),
+        }
+        registry.measure("gbdt_fit", f"n={n_rows}", runs, repeats=repeats)
 
 
 def bench_target_encoding(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
@@ -161,9 +153,8 @@ def bench_target_encoding(registry: BenchmarkRegistry, sizes, repeats: int) -> N
     strings; the ``"optimized"`` variant is :class:`OrderedTargetEncoder` on
     the table's category codes.  The strings are decoded before the timed
     region, so the ratio prices the encoder alone.  The optimized side takes
-    a few milliseconds, so both are warmed up, then alternate run by run for
-    the same repeats (at least 5) and keep their best.  The encodings are
-    bit-identical (``tests/test_perf_equivalence.py``).
+    a few milliseconds, so both are warmed up and run at least 5 repeats.
+    The encodings are bit-identical (``tests/test_perf_equivalence.py``).
     """
     repeats = max(repeats, 5)
     for n_rows in sizes:
@@ -175,7 +166,6 @@ def bench_target_encoding(registry: BenchmarkRegistry, sizes, repeats: int) -> N
         names = list(table.schema.categorical)
         strings = [np.asarray(table[name]) for name in names]
         columns = [table.categorical_column(name) for name in names]
-        size = f"n={n_rows}"
 
         def run_seed():
             for values in strings:
@@ -188,8 +178,7 @@ def bench_target_encoding(registry: BenchmarkRegistry, sizes, repeats: int) -> N
         runs = {"seed": run_seed, "optimized": run_codes}
         for run in runs.values():
             run()
-        for variant, seconds in alternating_best(runs, repeats).items():
-            registry.record("target_encoding", variant, size, seconds, repeats=repeats)
+        registry.measure("target_encoding", f"n={n_rows}", runs, repeats=repeats)
 
 
 def _table_case(n_rows: int):
@@ -202,17 +191,11 @@ def _table_case(n_rows: int):
 def bench_association(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     for n_rows in sizes:
         _generator, table = _table_case(n_rows)
-        size = f"n={len(table)}"
-        registry.measure(
-            "association_matrix", "seed", size, lambda: seed_association_matrix(table)
-        )
-        registry.measure(
-            "association_matrix",
-            "optimized",
-            size,
-            lambda: association_matrix(table),
-            repeats=repeats,
-        )
+        runs = {
+            "seed": lambda: seed_association_matrix(table),
+            "optimized": lambda: association_matrix(table),
+        }
+        registry.measure("association_matrix", f"n={len(table)}", runs, repeats=repeats)
 
 
 def _fidelity_case(n_rows: int):
@@ -233,9 +216,8 @@ def bench_fidelity(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     ``knn_mixed`` is SMOTE fit plus DCR: the mixed-type kernel on category
     codes against the seed's one-hot KD-tree searches.  ``wasserstein`` is
     the per-column WD of every numerical column: linear interpolation of
-    the sorted samples against the seed's ``np.quantile`` grid.  Both
-    variants run the same repeats, and the larger size's records carry the
-    scaling exponent between the two sizes.
+    the sorted samples against the seed's ``np.quantile`` grid.  The larger
+    size's records carry the scaling exponent between the two sizes.
     """
     cases = {n: _fidelity_case(n) for n in sizes}
     kernels = {
@@ -256,23 +238,21 @@ def bench_fidelity(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
             ],
         ),
     }
-    for kernel, variants in kernels.items():
-        for variant, fn in zip(("seed", "optimized"), variants):
-            seconds = []
-            for n_rows in sizes:
-                train, synth = cases[n_rows]
-                record = registry.measure(
-                    kernel, variant, f"n={n_rows}", lambda: fn(train, synth), repeats=repeats
-                )
-                seconds.append(record.seconds)
-            if len(sizes) > 1:
-                # Growth per doubling of rows: 1.0 is linear, 2.0 quadratic.
-                growth = np.log(seconds[-1] / seconds[0]) / np.log(sizes[-1] / sizes[0])
-                record.extra = {"scaling_exponent": float(growth)}
+    for kernel, (seed_fn, optimized_fn) in kernels.items():
+        records = []
+        for n_rows in sizes:
+            train, synth = cases[n_rows]
+            runs = {
+                "seed": lambda: seed_fn(train, synth),
+                "optimized": lambda: optimized_fn(train, synth),
+            }
+            records.append(registry.measure(kernel, f"n={n_rows}", runs, repeats=repeats))
+        if len(sizes) > 1:
+            record_scaling(records[0], records[-1], sizes)
 
 
 def bench_pipeline(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
-    """The filtering funnel on one raw trace per size, same repeats each side.
+    """The filtering funnel on one raw trace per size.
 
     The raw table holds codes; the seed funnel's first run decodes its
     string columns, which the table caches for the later runs.
@@ -280,21 +260,11 @@ def bench_pipeline(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     for n_rows in sizes:
         generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=n_rows, n_days=90.0, seed=5))
         raw = generator.generate_raw()
-        size = f"n={n_rows}"
-        registry.measure(
-            "pipeline_funnel",
-            "seed",
-            size,
-            lambda: SeedFilteringPipeline(generator.sites).run(raw),
-            repeats=repeats,
-        )
-        registry.measure(
-            "pipeline_funnel",
-            "optimized",
-            size,
-            lambda: FilteringPipeline(generator.sites).run(raw),
-            repeats=repeats,
-        )
+        runs = {
+            "seed": lambda: SeedFilteringPipeline(generator.sites).run(raw),
+            "optimized": lambda: FilteringPipeline(generator.sites).run(raw),
+        }
+        registry.measure("pipeline_funnel", f"n={n_rows}", runs, repeats=repeats)
 
 
 def bench_generate(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
@@ -303,26 +273,19 @@ def bench_generate(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     ``seed_generate_raw`` builds string columns and factorizes them with
     ``np.unique``; ``generate_raw`` draws codes into the catalogs and builds
     each column once.  The tables are identical
-    (``tests/test_perf_equivalence.py``).  Runs alternate between the two,
-    both keep their best of the same repeats, and the larger size's records
-    carry the scaling exponent.
+    (``tests/test_perf_equivalence.py``).  The larger size's records carry
+    the scaling exponent.
     """
-    seconds = {"seed": [], "optimized": []}
+    records = []
     for n_jobs in sizes:
         generator = PandaWorkloadGenerator(GeneratorConfig(n_jobs=n_jobs, n_days=90.0, seed=5))
         runs = {
             "seed": lambda: seed_generate_raw(generator),
             "optimized": generator.generate_raw,
         }
-        for variant, value in alternating_best(runs, repeats).items():
-            seconds[variant].append(value)
-            record = registry.record(
-                "panda_generate", variant, f"n={n_jobs}", value, repeats=repeats
-            )
-            if len(sizes) > 1 and n_jobs == sizes[-1]:
-                # Growth per doubling of rows: 1.0 is linear, 2.0 quadratic.
-                growth = np.log(value / seconds[variant][0]) / np.log(sizes[-1] / sizes[0])
-                record.extra = {"scaling_exponent": float(growth)}
+        records.append(registry.measure("panda_generate", f"n={n_jobs}", runs, repeats=repeats))
+    if len(sizes) > 1:
+        record_scaling(records[0], records[-1], sizes)
 
 
 def bench_simulator(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
@@ -335,7 +298,6 @@ def bench_simulator(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     all_jobs = jobs_from_table(generator.generate_training_table())
     for n_jobs in sizes:
         jobs = all_jobs[:n_jobs]
-        size = f"n={len(jobs)}"
 
         def run_seed():
             cluster = GridCluster(generator.sites, capacity_scale=1e-9, min_capacity=1)
@@ -345,8 +307,8 @@ def bench_simulator(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
             cluster = GridCluster(generator.sites, capacity_scale=1e-9, min_capacity=1)
             return GridSimulator(cluster, LeastLoadedBroker()).run(jobs)
 
-        registry.measure("simulator", "seed", size, run_seed)
-        registry.measure("simulator", "optimized", size, run_optimized, repeats=repeats)
+        runs = {"seed": run_seed, "optimized": run_optimized}
+        registry.measure("simulator", f"n={len(jobs)}", runs, repeats=repeats)
 
 
 def wide_mixed_table(
@@ -399,18 +361,12 @@ _TRAIN_CASES = {
 def bench_training(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     for n_rows in sizes:
         table = wide_mixed_table(n_rows)
-        size = f"n={n_rows}"
         for kernel, (seed_cls, opt_cls, config_factory) in _TRAIN_CASES.items():
-            registry.measure(
-                kernel, "seed", size, lambda: seed_cls(config_factory(), seed=0).fit(table)
-            )
-            registry.measure(
-                kernel,
-                "optimized",
-                size,
-                lambda: opt_cls(config_factory(), seed=0).fit(table),
-                repeats=repeats,
-            )
+            runs = {
+                "seed": lambda: seed_cls(config_factory(), seed=0).fit(table),
+                "optimized": lambda: opt_cls(config_factory(), seed=0).fit(table),
+            }
+            registry.measure(kernel, f"n={n_rows}", runs, repeats=repeats)
 
 
 def gmm_columns(n_rows: int, *, seed: int = 13) -> dict:
@@ -436,16 +392,11 @@ def gmm_columns(n_rows: int, *, seed: int = 13) -> dict:
 def bench_gmm(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     for n_rows in sizes:
         columns = gmm_columns(n_rows)
-        size = f"n={n_rows}"
-
-        def run_seed():
-            return [SeedGaussianMixture(8, seed=0).fit(col) for col in columns.values()]
-
-        def run_optimized():
-            return [GaussianMixture(8, seed=0).fit(col) for col in columns.values()]
-
-        registry.measure("gmm_fit", "seed", size, run_seed)
-        registry.measure("gmm_fit", "optimized", size, run_optimized, repeats=repeats)
+        runs = {
+            "seed": lambda: [SeedGaussianMixture(8, seed=0).fit(c) for c in columns.values()],
+            "optimized": lambda: [GaussianMixture(8, seed=0).fit(c) for c in columns.values()],
+        }
+        registry.measure("gmm_fit", f"n={n_rows}", runs, repeats=repeats)
 
 
 def bench_sampling(registry: BenchmarkRegistry, tabddpm_sizes, ctabgan_sizes, repeats: int) -> None:
@@ -465,12 +416,11 @@ def bench_sampling(registry: BenchmarkRegistry, tabddpm_sizes, ctabgan_sizes, re
     seed_ddpm = SeedTabDDPMSurrogate(ddpm_config(), seed=0).fit(table)
     live_ddpm = TabDDPMSurrogate(ddpm_config(), seed=0).fit(table)
     for n_rows in tabddpm_sizes:
-        size = f"n={n_rows}"
-        registry.measure("sample_tabddpm", "seed", size, lambda: seed_ddpm.sample(n_rows, seed=1))
-        registry.measure(
-            "sample_tabddpm", "optimized", size,
-            lambda: live_ddpm.sample(n_rows, seed=1), repeats=repeats,
-        )
+        runs = {
+            "seed": lambda: seed_ddpm.sample(n_rows, seed=1),
+            "optimized": lambda: live_ddpm.sample(n_rows, seed=1),
+        }
+        registry.measure("sample_tabddpm", f"n={n_rows}", runs, repeats=repeats)
 
     gan_config = lambda: CTABGANConfig(  # noqa: E731
         noise_dim=8, generator_dims=(32,), discriminator_dims=(32,),
@@ -479,12 +429,11 @@ def bench_sampling(registry: BenchmarkRegistry, tabddpm_sizes, ctabgan_sizes, re
     seed_gan = SeedCTABGANSurrogate(gan_config(), seed=0).fit(table)
     live_gan = CTABGANPlusSurrogate(gan_config(), seed=0).fit(table)
     for n_rows in ctabgan_sizes:
-        size = f"n={n_rows}"
-        registry.measure("sample_ctabgan", "seed", size, lambda: seed_gan.sample(n_rows, seed=1))
-        registry.measure(
-            "sample_ctabgan", "optimized", size,
-            lambda: live_gan.sample(n_rows, seed=1), repeats=repeats,
-        )
+        runs = {
+            "seed": lambda: seed_gan.sample(n_rows, seed=1),
+            "optimized": lambda: live_gan.sample(n_rows, seed=1),
+        }
+        registry.measure("sample_ctabgan", f"n={n_rows}", runs, repeats=repeats)
 
 
 def bench_fast_sampling(
@@ -510,10 +459,10 @@ def bench_fast_sampling(
     to the 96 narrow ones, so their relaxed code draw times a block too wide
     for the lane cubes, as serving PanDA's ``computingsite`` does.
 
-    Both variants are timed best-of-``repeats`` (at least 5) after a warm-up
-    draw: the exact path here is already fast, so a single cold measurement
-    (first-touch page faults of the large request matrices) would skew the
-    recorded serving speedup in either direction.
+    Both variants run at least 5 repeats after a warm-up draw: the exact
+    path here is already fast, so a single cold measurement (first-touch
+    page faults of the large request matrices) would skew the recorded
+    serving speedup in either direction.
     """
     repeats = max(repeats, 5)
     table = wide_mixed_table(2000)
@@ -557,18 +506,13 @@ def bench_fast_sampling(
     for kernel, model, fit_table, sizes in cases:
         model.fit(fit_table)
         for n_rows in sizes:
-            size = f"n={n_rows}"
-            model.sample(n_rows, seed=1)
-            model.sample(n_rows, seed=1, sampling_mode="fast")
-            registry.measure(
-                kernel, "seed", size,
-                lambda: model.sample(n_rows, seed=1), repeats=repeats,
-            )
-            registry.measure(
-                kernel, "optimized", size,
-                lambda: model.sample(n_rows, seed=1, sampling_mode="fast"),
-                repeats=repeats,
-            )
+            runs = {
+                "seed": lambda: model.sample(n_rows, seed=1),
+                "optimized": lambda: model.sample(n_rows, seed=1, sampling_mode="fast"),
+            }
+            for run in runs.values():
+                run()
+            registry.measure(kernel, f"n={n_rows}", runs, repeats=repeats)
 
 
 def bench_quantile_inverse(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
@@ -582,8 +526,7 @@ def bench_quantile_inverse(registry: BenchmarkRegistry, sizes, repeats: int) -> 
     ``inverse_transform``'s arithmetic bracket on the uniform grid.  The
     outputs are bit-identical (``tests/test_perf_equivalence.py``).  A call
     takes well under a millisecond at the smaller size, so both are warmed
-    up, then alternate run by run for the same repeats (at least 10) and
-    keep their best.
+    up and run at least 10 repeats.
     """
     repeats = max(repeats, 10)
     rng = np.random.default_rng(17)
@@ -596,8 +539,7 @@ def bench_quantile_inverse(registry: BenchmarkRegistry, sizes, repeats: int) -> 
         }
         for run in runs.values():
             run()
-        for variant, seconds in alternating_best(runs, repeats).items():
-            registry.record("quantile_inverse", variant, f"n={n_values}", seconds, repeats=repeats)
+        registry.measure("quantile_inverse", f"n={n_values}", runs, repeats=repeats)
 
 
 def serving_mixed_table(
@@ -655,11 +597,10 @@ def bench_serve_sharded(registry: BenchmarkRegistry, tvae_sizes, ddpm_sizes, rep
     (per-chunk ``SeedSequence`` streams keep the bytes
     worker-count-invariant, so the pool changes wall clock only).
 
-    Both sides run the relaxed ``"fast"`` mode and the same repeats,
-    alternating run by run, so the recorded speedup is what sharding buys
-    net of the pool's IPC — a faster generation kernel speeds up both
-    sides instead of reading as a sharding gain (the ``sample_*_fast``
-    kernels price the serving mode itself).  On a few-core box the
+    Both sides run the relaxed ``"fast"`` mode, so the recorded speedup is
+    what sharding buys net of the pool's IPC — a faster generation kernel
+    speeds up both sides instead of reading as a sharding gain (the
+    ``sample_*_fast`` kernels price the serving mode itself).  On a few-core box the
     sharding factor stays small; every additional core multiplies it.
     Both variants are timed warm — persistent-pool serving amortises
     startup, so cold costs (pool spawn, cache builds) stay outside the
@@ -692,7 +633,6 @@ def bench_serve_sharded(registry: BenchmarkRegistry, tvae_sizes, ddpm_sizes, rep
         model.fit(table)
         with ShardedSampler(model, workers=SERVE_WORKERS, chunk_size=SERVE_CHUNK) as sampler:
             for n_rows in sizes:
-                size = f"n={n_rows}"
                 runs = {
                     "seed": lambda: _serve_in_process(model, n_rows, SERVE_CHUNK),
                     "optimized": lambda: sampler.sample(n_rows, seed=1, sampling_mode="fast"),
@@ -701,8 +641,7 @@ def bench_serve_sharded(registry: BenchmarkRegistry, tvae_sizes, ddpm_sizes, rep
                 # caches and result plumbing).
                 for run in runs.values():
                     run()
-                for variant, seconds in alternating_best(runs, repeats).items():
-                    registry.record(kernel, variant, size, seconds, repeats=repeats)
+                registry.measure(kernel, f"n={n_rows}", runs, repeats=repeats)
 
 
 def bench_serve_faulty(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
@@ -710,17 +649,17 @@ def bench_serve_faulty(registry: BenchmarkRegistry, sizes, repeats: int) -> None
 
     Same shape as ``serve_sharded_tvae`` — the in-process fast
     ``sample_batches`` concatenation as the ``"seed"`` variant, the warm
-    4-worker sharded fast path as ``"optimized"``, the same repeats,
-    alternating — except a ``kill@1`` fault plan is re-armed before every
-    optimized run, so each measurement pays exactly one worker crash: pool
-    teardown, executor rebuild, the snapshot/warm-cache initializer, and
-    resubmission of the chunks queued behind the crash.  The recorded
-    speedup is therefore the *recovery-inclusive* sharding gain, and the
-    perf gate guards the overhead of supervision itself: a regression that
-    makes recovery slow (or worse, makes the supervised happy path slow)
-    shows up here even if the fault-free kernels hold.  The output is still
-    byte-checked against the fault-free plan by
-    ``tests/test_serve_faults.py``; this kernel only times it.
+    4-worker sharded fast path as ``"optimized"`` — except a ``kill@1``
+    fault plan is re-armed before every optimized run, so each measurement
+    pays exactly one worker crash: pool teardown, executor rebuild, the
+    snapshot/warm-cache initializer, and resubmission of the chunks queued
+    behind the crash.  The recorded speedup is therefore the
+    *recovery-inclusive* sharding gain, and the perf gate guards the
+    overhead of supervision itself: a regression that makes recovery slow
+    (or worse, makes the supervised happy path slow) shows up here even if
+    the fault-free kernels hold.  The output is still byte-checked against
+    the fault-free plan by ``tests/test_serve_faults.py``; this kernel only
+    times it.
     """
     repeats = max(repeats, 2)
     table = serving_mixed_table(2000)
@@ -738,8 +677,6 @@ def bench_serve_faulty(registry: BenchmarkRegistry, sizes, repeats: int) -> None
             max_pool_restarts=repeats + 8,  # one restart per armed run + warm-up
         ) as sampler:
             for n_rows in sizes:
-                size = f"n={n_rows}"
-
                 def run_faulty():
                     plan.arm()  # the kill fires afresh inside every timed run
                     return sampler.sample(n_rows, seed=1, sampling_mode="fast")
@@ -751,10 +688,7 @@ def bench_serve_faulty(registry: BenchmarkRegistry, sizes, repeats: int) -> None
                 # Warm both paths; the pool warms up with one full recovery.
                 for run in runs.values():
                     run()
-                for variant, seconds in alternating_best(runs, repeats).items():
-                    registry.record(
-                        "serve_sharded_tvae_faulty", variant, size, seconds, repeats=repeats
-                    )
+                registry.measure("serve_sharded_tvae_faulty", f"n={n_rows}", runs, repeats=repeats)
     finally:
         plan.cleanup()
 
@@ -767,9 +701,8 @@ def bench_serve_scaling(registry: BenchmarkRegistry, sizes, repeats: int) -> Non
     seed and the same repeats: the ``"seed"`` variant in-process at
     ``workers=1`` (the parent's BLAS on every core), the ``"optimized"``
     variant on a warm pool at ``workers=available_workers(None)`` (each
-    worker on its share of the core budget).  Runs alternate between the
-    two so host drift hits both alike, and each keeps its best.  ``extra``
-    records ``workers`` and ``parallel_efficiency = T1 / (N * TN)``;
+    worker on its share of the core budget).  ``extra`` records
+    ``workers`` and ``parallel_efficiency = T1 / (N * TN)``;
     ``check_regression.compare`` fails when N workers are slower than one.
     """
     repeats = max(repeats, 5)
@@ -783,26 +716,18 @@ def bench_serve_scaling(registry: BenchmarkRegistry, sizes, repeats: int) -> Non
         model, workers=workers, chunk_size=SERVE_CHUNK
     ) as pooled:
         for n_rows in sizes:
-            size = f"n={n_rows}"
             runs = {
                 variant: functools.partial(sampler.sample, n_rows, seed=1, sampling_mode="fast")
                 for variant, sampler in (("seed", solo), ("optimized", pooled))
             }
             for run in runs.values():  # warm both paths before timing
                 run()
-            best = alternating_best(runs, repeats)
-            registry.record("serve_scaling", "seed", size, best["seed"], repeats=repeats)
-            registry.record(
-                "serve_scaling",
-                "optimized",
-                size,
-                best["optimized"],
-                repeats=repeats,
-                extra={
-                    "workers": float(workers),
-                    "parallel_efficiency": best["seed"] / (workers * best["optimized"]),
-                },
-            )
+            records = registry.measure("serve_scaling", f"n={n_rows}", runs, repeats=repeats)
+            one, pool = records["seed"].seconds, records["optimized"].seconds
+            records["optimized"].extra = {
+                "workers": float(workers),
+                "parallel_efficiency": one / (workers * pool),
+            }
 
 
 #: Rows per request in the front-door stream benchmark: small enough that a
@@ -820,18 +745,17 @@ def bench_front_door(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     ``"optimized"`` variant is the serving stack's front-door path end to
     end: every request becomes a :class:`RequestSpec` submitted through
     :class:`FrontDoor` (broker slot accounting included), the service's
-    dispatcher coalesces the queued stream into weighted-fair
-    micro-batches, and the warm 4-worker pool serves the chunks.  Both
-    sides run the relaxed ``"fast"`` mode and the same repeats, alternating
-    run by run, so — like the ``serve_sharded_*`` kernels — the recorded
-    speedup is what micro-batched, pool-backed dispatch buys net of the
-    front door's own plumbing, charged honestly (routing, fair queueing and
-    ticket resolution are all inside the timed region).  Requests are one
-    chunk each on purpose: a stream of small requests is the shape the
+    dispatcher coalesces the queued stream into weighted-fair micro-batches,
+    and the warm 4-worker pool serves the chunks.  Both sides run the
+    relaxed ``"fast"`` mode, so — like the ``serve_sharded_*`` kernels — the
+    recorded speedup is what micro-batched, pool-backed dispatch buys net of
+    the front door's own plumbing, charged honestly (routing, fair queueing
+    and ticket resolution are all inside the timed region).  Requests are
+    one chunk each on purpose: a stream of small requests is the shape the
     front door exists for, and it maximises the per-request overhead this
     kernel guards.  Bytes are equivalent either way (each request keeps its
-    own seed's chunk streams); ``tests/test_serve_http.py`` proves the
-    byte contract, this kernel only times it.
+    own seed's chunk streams); ``tests/test_serve_http.py`` proves the byte
+    contract, this kernel only times it.
     """
     repeats = max(repeats, 2)
     table = serving_mixed_table(2000)
@@ -846,7 +770,6 @@ def bench_front_door(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
         door = FrontDoor({"prod": service})
         try:
             for n_requests in sizes:
-                size = f"requests={n_requests}"
                 specs = [
                     RequestSpec(
                         FRONT_DOOR_ROWS,
@@ -872,8 +795,7 @@ def bench_front_door(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
                 # caches and the dispatch plumbing).
                 for run in runs.values():
                     run()
-                for variant, seconds in alternating_best(runs, repeats).items():
-                    registry.record("serve_front_door", variant, size, seconds, repeats=repeats)
+                registry.measure("serve_front_door", f"requests={n_requests}", runs, repeats=repeats)
         finally:
             door.close()
 
@@ -896,7 +818,6 @@ def bench_encode_categorical(registry: BenchmarkRegistry, sizes, repeats: int) -
         table = serving_mixed_table(n_rows)
         names = list(table.schema.categorical)
         strings = {name: np.asarray(table[name]) for name in names}
-        size = f"n={n_rows}"
 
         def run_strings():
             for name in names:
@@ -909,10 +830,8 @@ def bench_encode_categorical(registry: BenchmarkRegistry, sizes, repeats: int) -
                 enc = LabelEncoder().fit(column)
                 enc.transform(column)
 
-        registry.measure("encode_categorical_codes", "seed", size, run_strings)
-        registry.measure(
-            "encode_categorical_codes", "optimized", size, run_codes, repeats=repeats
-        )
+        runs = {"seed": run_strings, "optimized": run_codes}
+        registry.measure("encode_categorical_codes", f"n={n_rows}", runs, repeats=repeats)
 
 
 def bench_serve_traced(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
@@ -945,8 +864,6 @@ def bench_serve_traced(registry: BenchmarkRegistry, sizes, repeats: int) -> None
         model, workers=SERVE_WORKERS, chunk_size=SERVE_CHUNK, tracer=tracer
     ) as traced:
         for n_rows in sizes:
-            size = f"n={n_rows}"
-
             def run_untraced():
                 return plain.sample(n_rows, seed=1, sampling_mode="fast")
 
@@ -954,18 +871,12 @@ def bench_serve_traced(registry: BenchmarkRegistry, sizes, repeats: int) -> None
                 tracer.clear()  # each run records (and pays for) its own spans
                 return traced.sample(n_rows, seed=1, sampling_mode="fast")
 
-            run_untraced()  # warm both pools before timing
-            run_traced()
+            runs = {"seed": run_untraced, "optimized": run_traced}
+            for run in runs.values():  # warm both pools before timing
+                run()
             spans_per_request = float(len(tracer))
-            registry.measure("serve_traced", "seed", size, run_untraced, repeats=repeats)
-            registry.measure(
-                "serve_traced",
-                "optimized",
-                size,
-                run_traced,
-                repeats=repeats,
-                extra={"spans_per_request": spans_per_request},
-            )
+            records = registry.measure("serve_traced", f"n={n_rows}", runs, repeats=repeats)
+            records["optimized"].extra = {"spans_per_request": spans_per_request}
 
 
 def _broker_jobs(n_jobs: int = 3000) -> list:
@@ -989,7 +900,6 @@ def bench_broker(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     jobs = _broker_jobs()
     for n_sites in sizes:
         catalog = SiteCatalog.default(n_sites, seed=3)
-        size = f"sites={n_sites}"
 
         def run_seed():
             cluster = GridCluster(catalog, capacity_scale=1e-9, min_capacity=1)
@@ -999,8 +909,8 @@ def bench_broker(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
             cluster = GridCluster(catalog, capacity_scale=1e-9, min_capacity=1)
             return GridSimulator(cluster, LeastLoadedBroker()).run(jobs)
 
-        registry.measure("broker_dispatch", "seed", size, run_seed)
-        registry.measure("broker_dispatch", "optimized", size, run_optimized, repeats=repeats)
+        runs = {"seed": run_seed, "optimized": run_optimized}
+        registry.measure("broker_dispatch", f"sites={n_sites}", runs, repeats=repeats)
 
 
 def run_benchmarks(
@@ -1147,7 +1057,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick", action="store_true", help="single small size per kernel (smoke test)"
     )
-    parser.add_argument("--repeats", type=int, default=3, help="repeats for optimized variants")
+    parser.add_argument(
+        "--repeats", type=int, default=3,
+        help="timed rounds per kernel and size; every variant runs once per round",
+    )
     parser.add_argument(
         "--kernels", nargs="+", default=None,
         help="only run the benchmarks producing these kernels",

@@ -136,8 +136,9 @@ implementation at two problem sizes and writes ``BENCH_hotpaths.json``;
 against the committed baseline (``python -m benchmarks.ci`` chains it after
 the test suite), and ``tests/test_perf_equivalence.py`` proves the optimized
 kernels reproduce the seed outputs.  See ``benchmarks/README.md`` for the
-harness, baseline and re-baselining policy.  Timing helpers live in
-:mod:`repro.utils.profiling`.
+harness, baseline and re-baselining policy.  Every kernel is timed by
+:meth:`repro.utils.profiling.BenchmarkRegistry.measure`: seed and optimized
+variants alternate round by round with equal repeats.
 
 Continuous integration
 ----------------------

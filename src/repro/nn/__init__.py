@@ -3,9 +3,9 @@
 The paper's neural surrogates (TVAE, CTABGAN+, TabDDPM) are implemented in
 PyTorch by the authors.  This sub-package provides the pieces those models
 actually need — a reverse-mode autodiff :class:`~repro.nn.tensor.Tensor`,
-dense layers, the usual activations, dropout and layer normalisation, mixed
-reconstruction losses, and Adam/SGD with a cosine learning-rate schedule — as
-a self-contained, CPU-only, vectorised numpy implementation.
+dense layers, the usual activations, dropout, mixed reconstruction losses,
+and Adam/SGD with a cosine learning-rate schedule — as a self-contained,
+CPU-only, vectorised numpy implementation.
 
 It is deliberately small: only the operations required by the surrogate
 models are implemented, each with an analytically derived backward pass that
@@ -16,14 +16,11 @@ from repro.nn.tensor import Tensor, no_grad
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import (
     Dropout,
-    Embedding,
     FusedLinear,
-    LayerNorm,
     LeakyReLU,
     Linear,
     MLP,
     ReLU,
-    Residual,
     Sequential,
     Sigmoid,
     Tanh,
@@ -40,7 +37,6 @@ from repro.nn.losses import (
     bce_with_logits,
     cross_entropy_logits,
     gaussian_kl,
-    gaussian_nll,
     mse_loss,
 )
 from repro.nn.optim import SGD, Adam, CosineSchedule, clip_grad_norm
@@ -61,14 +57,10 @@ __all__ = [
     "Tanh",
     "Sigmoid",
     "Dropout",
-    "LayerNorm",
-    "Embedding",
-    "Residual",
     "mse_loss",
     "bce_with_logits",
     "cross_entropy_logits",
     "gaussian_kl",
-    "gaussian_nll",
     "SGD",
     "Adam",
     "CosineSchedule",

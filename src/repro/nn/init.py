@@ -7,21 +7,8 @@ import numpy as np
 from repro.utils.rng import SeedLike, as_rng
 
 
-def xavier_uniform(fan_in: int, fan_out: int, rng: SeedLike = None) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for a ``(fan_in, fan_out)`` matrix."""
-    rng = as_rng(rng)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def kaiming_uniform(fan_in: int, fan_out: int, rng: SeedLike = None) -> np.ndarray:
     """He/Kaiming uniform initialisation, appropriate before ReLU layers."""
     rng = as_rng(rng)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def normal(shape, std: float = 0.02, rng: SeedLike = None) -> np.ndarray:
-    """Small-variance Gaussian initialisation."""
-    rng = as_rng(rng)
-    return rng.normal(0.0, std, size=shape)

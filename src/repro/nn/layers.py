@@ -1,4 +1,4 @@
-"""Neural layers: Linear, activations, Dropout, LayerNorm, Embedding, MLP.
+"""Neural layers: Linear, FusedLinear, activations, Dropout, Sequential, MLP.
 
 Only the layers the tabular surrogates use are provided.  Every layer stores
 its parameters as :class:`~repro.nn.module.Parameter` tensors and composes
@@ -196,40 +196,6 @@ class Dropout(Module):
         return x * Tensor(mask)
 
 
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
-
-    def __init__(self, normalized_shape: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(normalized_shape))
-        self.beta = Parameter(np.zeros(normalized_shape))
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        normed = (x - mu) / ((var + self.eps) ** 0.5)
-        return normed * self.gamma + self.beta
-
-
-class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int, *, seed: SeedLike = None):
-        super().__init__()
-        if num_embeddings <= 0 or embedding_dim <= 0:
-            raise ValueError("num_embeddings and embedding_dim must be positive")
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(init.normal((num_embeddings, embedding_dim), std=0.05, rng=seed))
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_embeddings):
-            raise ValueError("embedding indices out of range")
-        return self.weight[idx]
-
-
 class Sequential(Module):
     """Chain of modules applied in order."""
 
@@ -253,17 +219,6 @@ class Sequential(Module):
         return self.layers[i]
 
 
-class Residual(Module):
-    """Residual wrapper ``y = x + f(x)`` (dimensions must match)."""
-
-    def __init__(self, inner: Module):
-        super().__init__()
-        self.inner = inner
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x + self.inner(x)
-
-
 class MLP(Module):
     """Multi-layer perceptron with a configurable activation and dropout.
 
@@ -279,7 +234,6 @@ class MLP(Module):
         *,
         activation: str = "relu",
         dropout: float = 0.0,
-        layer_norm: bool = False,
         fused: bool = True,
         seed: SeedLike = None,
     ) -> None:
@@ -297,22 +251,17 @@ class MLP(Module):
         prev = in_features
         # The fused path collapses each Linear+activation pair into one graph
         # node (see :class:`FusedLinear`); it is bit-identical to the unfused
-        # composition, including the weight-initialisation RNG draws.  Layer
-        # normalisation sits between the affine map and the activation, so it
-        # forces the unfused composition.
-        use_fused = fused and not layer_norm
+        # composition, including the weight-initialisation RNG draws.
         for width in hidden:
-            if use_fused:
+            if fused:
                 layers.append(FusedLinear(prev, width, activation, seed=rng))
             else:
                 layers.append(Linear(prev, width, seed=rng))
-                if layer_norm:
-                    layers.append(LayerNorm(width))
                 layers.append(acts[activation]())
             if dropout > 0:
                 layers.append(Dropout(dropout, seed=rng))
             prev = width
-        if use_fused:
+        if fused:
             layers.append(FusedLinear(prev, out_features, None, seed=rng))
         else:
             layers.append(Linear(prev, out_features, seed=rng))

@@ -82,22 +82,3 @@ def gaussian_kl(mu: Tensor, logvar: Tensor, *, reduction: str = "mean") -> Tenso
     if reduction == "sum":
         return per_row.sum()
     raise ValueError("reduction must be 'mean' or 'sum'")
-
-
-def gaussian_nll(
-    pred_mean: Tensor,
-    pred_logvar: Tensor,
-    target: ArrayOrTensor,
-    *,
-    reduction: str = "mean",
-) -> Tensor:
-    """Negative log-likelihood of ``target`` under a diagonal Gaussian."""
-    t = _as_const(target)
-    inv_var = (-pred_logvar).exp()
-    nll = 0.5 * (pred_logvar + (t - pred_mean) ** 2 * inv_var + np.log(2.0 * np.pi))
-    per_row = nll.sum(axis=-1) if nll.ndim > 1 else nll
-    if reduction == "mean":
-        return per_row.mean()
-    if reduction == "sum":
-        return per_row.sum()
-    raise ValueError("reduction must be 'mean' or 'sum'")

@@ -65,8 +65,8 @@ class PackedForward:
     Supports the layer vocabulary the surrogates' serving networks use:
     ``FusedLinear`` (affine + activation in one layer), plain ``Linear``
     followed by an optional activation module, and ``Dropout`` (an inference
-    no-op, skipped).  Anything else — e.g. ``LayerNorm`` — raises, because a
-    silent fallback would defeat the serving contract.
+    no-op, skipped).  Any other layer raises, because a silent fallback would
+    defeat the serving contract.
 
     Calls return a buffer owned by the cache that is **overwritten by the
     next call of the same batch size** — consume or copy it before calling

@@ -15,11 +15,10 @@ from repro.utils.validation import (
 )
 from repro.utils.logging import get_logger
 from repro.utils.parallel import parallel_map
-from repro.utils.profiling import BenchmarkRegistry, timer
+from repro.utils.profiling import BenchmarkRegistry
 
 __all__ = [
     "BenchmarkRegistry",
-    "timer",
     "as_rng",
     "spawn_rngs",
     "derive_seed",

@@ -1,11 +1,12 @@
-"""Lightweight wall-clock profiling: a ``timer`` context manager and a
-benchmark registry used by the perf-regression harness.
+"""The benchmark registry behind the perf-regression harness.
 
-The registry groups measurements by ``(kernel, variant, size)`` so the
-benchmark scripts can record both a seed (baseline) implementation and an
-optimized implementation of the same kernel and derive speedups.  Results
-round-trip through JSON (``benchmarks/BENCH_hotpaths.json``) so slowdowns can
-be detected across commits by ``benchmarks/check_regression.py``.
+:meth:`BenchmarkRegistry.measure` is the one way a hot-path kernel is
+timed: the variants of one kernel at one problem size (a seed baseline and
+an optimized implementation) run in alternating rounds with equal repeats,
+and each keeps its best wall-clock time.  Records are grouped by
+``(kernel, variant, size)`` so the benchmark scripts can derive speedups.
+Results round-trip through JSON (``benchmarks/BENCH_hotpaths.json``) so
+slowdowns can be detected across commits by ``benchmarks/check_regression.py``.
 """
 
 from __future__ import annotations
@@ -13,39 +14,10 @@ from __future__ import annotations
 import json
 import platform
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.utils.parallel import openblas_threads, visible_cpus
-
-
-@dataclass
-class TimerResult:
-    """Mutable holder filled in when a :func:`timer` block exits."""
-
-    label: str = ""
-    seconds: float = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TimerResult(label={self.label!r}, seconds={self.seconds:.6f})"
-
-
-@contextmanager
-def timer(label: str = "") -> Iterator[TimerResult]:
-    """Time a ``with`` block with ``time.perf_counter``.
-
-    >>> with timer("fit") as t:
-    ...     _ = sum(range(1000))
-    >>> t.seconds > 0
-    True
-    """
-    result = TimerResult(label=label)
-    start = time.perf_counter()
-    try:
-        yield result
-    finally:
-        result.seconds = time.perf_counter() - start
 
 
 @dataclass
@@ -81,9 +53,9 @@ class BenchmarkRecord:
 class BenchmarkRegistry:
     """Collects :class:`BenchmarkRecord` entries and serialises them to JSON.
 
-    ``measure`` runs a callable ``repeats`` times and stores the best
-    wall-clock time (the conventional low-noise estimator for CPU-bound
-    kernels).
+    :meth:`measure` times a kernel's variants against each other and stores
+    each one's best wall-clock time (the conventional low-noise estimator
+    for CPU-bound kernels).
     """
 
     def __init__(self) -> None:
@@ -119,22 +91,30 @@ class BenchmarkRegistry:
     def measure(
         self,
         kernel: str,
-        variant: str,
         size: str,
-        fn: Callable[[], object],
+        runs: Mapping[str, Callable[[], object]],
         *,
         repeats: int = 1,
-        extra: Optional[Dict[str, float]] = None,
-    ) -> BenchmarkRecord:
-        """Run ``fn`` ``repeats`` times and record the best wall-clock time."""
+    ) -> Dict[str, BenchmarkRecord]:
+        """Time the ``{variant: callable}`` in ``runs`` and record each one's best.
+
+        Each of the ``repeats`` rounds times every variant once, in order, so
+        host drift hits all variants alike and every record carries the same
+        ``repeats``.  Returns ``{variant: record}``, so a kernel can attach
+        ``extra`` side metrics to a record.
+        """
         if repeats < 1:
             raise ValueError("repeats must be at least 1")
-        best = float("inf")
+        best = dict.fromkeys(runs, float("inf"))
         for _ in range(repeats):
-            with timer() as t:
-                fn()
-            best = min(best, t.seconds)
-        return self.record(kernel, variant, size, best, repeats=repeats, extra=extra)
+            for variant, run in runs.items():
+                start = time.perf_counter()
+                run()
+                best[variant] = min(best[variant], time.perf_counter() - start)
+        return {
+            variant: self.record(kernel, variant, size, seconds, repeats=repeats)
+            for variant, seconds in best.items()
+        }
 
     # -- queries -----------------------------------------------------------
     def seconds_of(self, kernel: str, variant: str, size: str) -> Optional[float]:

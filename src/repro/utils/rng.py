@@ -40,6 +40,13 @@ def spawn_seed_sequences(seed: SeedLike, n: int) -> List[np.random.SeedSequence]
     generator ``spawn_rngs`` would return at the same index, so work shipped
     to another process (one chunk of a sharded sampling request) draws the
     same stream there as it would in-process.
+
+    Child ``i`` is the one a first ``SeedSequence.spawn`` of the parent
+    returns at index ``i``, but the parent is only read: ``spawn`` would
+    advance its child counter, so a second call with the same
+    ``SeedSequence`` (or a ``Generator``'s ``seed_seq``) would get new
+    streams.  The same ``(seed, n)`` thus gives the same streams for every
+    seed type; only ``None`` draws fresh entropy on each call.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -50,14 +57,17 @@ def spawn_seed_sequences(seed: SeedLike, n: int) -> List[np.random.SeedSequence]
         seq = seed
     else:
         seq = np.random.SeedSequence(seed)
-    return list(seq.spawn(n))
+    return [
+        np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size)
+        for i in range(n)
+    ]
 
 
 def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     """Create ``n`` statistically independent child generators.
 
-    The children are derived through :class:`numpy.random.SeedSequence`
-    spawning, so the same ``(seed, n)`` pair always produces the same streams.
+    The children are those of :func:`spawn_seed_sequences`, so the same
+    ``(seed, n)`` pair produces the same streams for every seed type.
     """
     return [np.random.default_rng(child) for child in spawn_seed_sequences(seed, n)]
 

@@ -204,6 +204,25 @@ class TestWorkflowDocument:
         assert extra["parallel_efficiency"] > 1.0 / extra["workers"]
         assert {"cores", "blas_threads"} <= set(baseline["meta"])
 
+    def test_perf_baseline_times_seed_and_optimized_with_equal_repeats(self):
+        # A speedup counts only when both sides keep their best of the same
+        # number of runs, as BenchmarkRegistry.measure times them.
+        import json
+
+        with open(os.path.join(REPO_ROOT, "benchmarks", "BENCH_hotpaths.json")) as fh:
+            baseline = json.load(fh)
+        repeats = {}
+        for rec in baseline["records"]:
+            repeats.setdefault((rec["kernel"], rec["size"]), {})[rec["variant"]] = rec["repeats"]
+        pairs = {key: by_variant for key, by_variant in repeats.items() if {"seed", "optimized"} <= set(by_variant)}
+        assert pairs
+        unequal = [
+            f"{kernel} @ {size}: seed x{by_variant['seed']}, optimized x{by_variant['optimized']}"
+            for (kernel, size), by_variant in sorted(pairs.items())
+            if by_variant["seed"] != by_variant["optimized"]
+        ]
+        assert not unequal, "unequal repeats:\n" + "\n".join(unequal)
+
     @pytest.mark.parametrize("workers, pooled, expected", [(2.0, 0.9, 0), (2.0, 1.1, 1), (1.0, 1.1, 0)])
     def test_perf_gate_fails_when_the_pool_is_slower(self, workers, pooled, expected):
         import importlib.util

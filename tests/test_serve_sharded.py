@@ -23,7 +23,7 @@ from repro.models.gaussian_copula import GaussianCopulaSurrogate
 from repro.models.smote import SMOTESurrogate
 from repro.models.tabddpm.model import TabDDPMConfig, TabDDPMSurrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
-from repro.serve import ShardedSampler
+from repro.serve import RequestSpec, ShardedSampler, table_fingerprint
 from repro.serve.sharded import _ChunkRun
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
@@ -98,6 +98,29 @@ class TestWorkerCountInvariance:
             assert sampler.sample(N_ROWS, seed=7) == other_chunking
         with ShardedSampler(model, workers=1, chunk_size=CHUNK) as sampler:
             assert sampler.sample(N_ROWS, seed=7) != other_chunking
+
+
+class TestSeedObjectReplay:
+    """A seed object is read, never advanced: the same seed serves the same bytes."""
+
+    def test_same_spec_twice_serves_the_same_bytes(self, models):
+        model = models["tvae"]
+        spec = RequestSpec(300, seed=np.random.SeedSequence(9), sampling_mode="exact")
+        reference = Table.concat(list(model.sample_batches(300, 100, seed=np.random.SeedSequence(9))))
+        with ShardedSampler(model, workers=1, chunk_size=100) as sampler:
+            served = [table_fingerprint(sampler.sample(spec)) for _ in range(2)]
+        assert served == [table_fingerprint(reference)] * 2
+
+    @pytest.mark.parametrize(
+        "seed", [np.random.SeedSequence(9), np.random.default_rng(9)], ids=["seed-sequence", "generator"]
+    )
+    def test_sample_batches_twice_with_one_seed_object(self, models, seed):
+        model = models["copula"]
+        first, second = (
+            table_fingerprint(Table.concat(list(model.sample_batches(300, 100, seed=seed))))
+            for _ in range(2)
+        )
+        assert first == second
 
 
 class TestStreaming:

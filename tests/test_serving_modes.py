@@ -23,8 +23,7 @@ from repro.models.smote import SMOTESurrogate
 from repro.models.tabddpm.denoiser import MLPDenoiser, PackedDenoiser
 from repro.models.tabddpm.model import TabDDPMConfig, TabDDPMSurrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
-from repro.nn import MLP, PackedForward, Tensor, no_grad
-from repro.nn.layers import LayerNorm, Sequential
+from repro.nn import MLP, Linear, Module, PackedForward, Sequential, Tensor, no_grad
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
 
@@ -184,6 +183,13 @@ class TestSampleBatches:
         assert stats.ks_2samp(streamed, monolithic).pvalue > P_FLOOR
 
 
+class _Unpackable(Module):
+    """A layer outside the packed forward's vocabulary."""
+
+    def forward(self, x):
+        return x
+
+
 class TestPackedForward:
     def _mlp(self, seed=0, **kwargs):
         return MLP(12, [24, 16], 8, seed=seed, **kwargs)
@@ -205,13 +211,15 @@ class TestPackedForward:
         assert packed(x) is packed(x)
 
     def test_layer_norm_is_rejected(self):
-        mlp = self._mlp(layer_norm=True, fused=False)
-        with pytest.raises(TypeError, match="cannot pack"):
-            PackedForward(mlp, np.float32)
+        # Any layer the packed forward has no kernel for (a normalisation
+        # layer, say) raises rather than being skipped.
+        net = Sequential(Linear(12, 8, seed=0), _Unpackable(), Linear(8, 4, seed=1))
+        with pytest.raises(TypeError, match="cannot pack layer _Unpackable"):
+            PackedForward(net, np.float32)
 
     def test_non_sequential_rejected(self):
         with pytest.raises(TypeError, match="expected an MLP"):
-            PackedForward(LayerNorm(4), np.float32)
+            PackedForward(_Unpackable(), np.float32)
         with pytest.raises(ValueError, match="nothing to pack"):
             PackedForward(Sequential(), np.float32)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_rng, derive_seed, fused_column_draws, spawn_rngs
+from repro.utils.rng import as_rng, derive_seed, fused_column_draws, spawn_rngs, spawn_seed_sequences
 
 
 class TestAsRng:
@@ -54,6 +54,27 @@ class TestSpawnRngs:
     def test_spawn_from_generator(self):
         gen = np.random.default_rng(5)
         assert len(spawn_rngs(gen, 2)) == 2
+
+    @pytest.mark.parametrize(
+        "make_parent",
+        [
+            lambda: np.random.SeedSequence(9),
+            lambda: np.random.SeedSequence(9).spawn(3)[2],
+            lambda: np.random.default_rng(9),
+            lambda: np.random.SeedSequence(9, pool_size=8),
+        ],
+        ids=["plain", "spawned-child", "generator", "pool-size-8"],
+    )
+    def test_children_are_the_first_spawn_and_the_parent_is_not_advanced(self, make_parent):
+        parent, twin = make_parent(), make_parent()
+        twin_seq = twin.bit_generator.seed_seq if isinstance(twin, np.random.Generator) else twin
+        expected = twin_seq.spawn(4)
+        for _ in range(2):  # a second call sees the same parent
+            children = spawn_seed_sequences(parent, 4)
+            assert [c.spawn_key for c in children] == [e.spawn_key for e in expected]
+            for child, reference in zip(children, expected):
+                assert child.pool_size == reference.pool_size
+                np.testing.assert_array_equal(child.generate_state(8), reference.generate_state(8))
 
 
 class TestDeriveSeed:
