@@ -8,12 +8,15 @@ The production story of the repo in one script:
    registry warm-starts the packed serving caches, so the first request
    after a (re)start costs the same as the thousandth,
 3. serve a burst of concurrent requests through a
-   :class:`~repro.serve.SamplingService`: requests queued together coalesce
-   into one sharded pass over the worker pool (micro-batching), each request
-   keeps its own seed, and throughput/latency come back from ``stats()``,
-4. demonstrate the sharding contract: the bytes of a request depend only on
-   ``(seed, chunk_size)`` — re-serving the same request on a different
-   worker count returns the identical table.
+   :class:`~repro.serve.SamplingService`: each request is a
+   :class:`~repro.serve.RequestSpec` (fast mode unless it asks for
+   ``"exact"``), requests queued together coalesce into one sharded pass
+   over the worker pool (micro-batching), each request keeps its own seed,
+   and throughput/latency come back from ``stats()``,
+4. demonstrate the sharding contract on the engine below the service, which
+   takes the model's own ``(n, seed=..., sampling_mode=...)`` form: the
+   bytes of a request depend only on ``(seed, chunk_size)`` — re-serving
+   the same request on a different worker count returns the identical table.
 
 Run with:  python examples/serving_throughput.py
 (Set REPRO_WORKERS to pin the worker count; it defaults to the CPUs the
@@ -24,7 +27,7 @@ import time
 
 from repro import GeneratorConfig, PandaWorkloadGenerator
 from repro.models.tvae import TVAEConfig, TVAESurrogate
-from repro.serve import ModelRegistry, SamplingService, ShardedSampler
+from repro.serve import ModelRegistry, RequestSpec, SamplingService, ShardedSampler
 from repro.tabular import train_test_split
 
 CHUNK_SIZE = 8_192
@@ -53,7 +56,7 @@ def main() -> None:
     ) as service:
         start = time.perf_counter()
         requests = [
-            service.submit(ROWS_PER_REQUEST, seed=1000 + i, sampling_mode="fast")
+            service.submit(RequestSpec(ROWS_PER_REQUEST, seed=1000 + i))
             for i in range(REQUESTS)
         ]
         tables = [request.result() for request in requests]

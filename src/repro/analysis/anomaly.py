@@ -79,12 +79,7 @@ class DiffusionAnomalyDetector:
         for t in self.timesteps:
             for _ in range(self.n_repeats):
                 t_vector = np.full(n, t, dtype=np.int64)
-                noisy = np.empty_like(encoded)
-                if num_idx.size:
-                    noise = self._rng.standard_normal((n, num_idx.size))
-                    noisy[:, num_idx] = surrogate._gaussian.q_sample(encoded[:, num_idx], t_vector, noise)
-                for block, diffusion in surrogate._multinomials:
-                    noisy[:, block.slice] = diffusion.q_sample(encoded[:, block.slice], t_vector, self._rng)
+                noisy, _noise = surrogate._q_sample(encoded, t_vector, self._rng)
 
                 with no_grad():
                     prediction = surrogate._denoiser(Tensor(noisy), t_vector).numpy()
@@ -93,11 +88,11 @@ class DiffusionAnomalyDetector:
                     eps_pred = prediction[:, num_idx]
                     x0_hat = surrogate._gaussian.predict_x0_from_eps(noisy[:, num_idx], t_vector, eps_pred)
                     scores += np.mean((x0_hat - encoded[:, num_idx]) ** 2, axis=1)
-                for block, _diffusion in surrogate._multinomials:
-                    logits = prediction[:, block.start : block.stop]
+                for start, stop in surrogate._block_diffusion.spans:
+                    logits = prediction[:, start:stop]
                     logits = logits - logits.max(axis=1, keepdims=True)
                     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-                    true_onehot = encoded[:, block.slice]
+                    true_onehot = encoded[:, start:stop]
                     scores += -(true_onehot * log_probs).sum(axis=1)
 
         return scores / (len(self.timesteps) * self.n_repeats)

@@ -103,13 +103,6 @@ class FeatureBinner:
         check_fitted(self, ["bin_edges_"])
         return len(self.bin_edges_[feature]) + 1
 
-    def threshold_value(self, feature: int, bin_index: int) -> float:
-        """Original-space threshold corresponding to "bin <= bin_index"."""
-        check_fitted(self, ["bin_edges_"])
-        edges = self.bin_edges_[feature]
-        idx = min(bin_index, len(edges) - 1)
-        return float(edges[idx]) if len(edges) else float("inf")
-
 
 @dataclass
 class TreeNode:
@@ -348,11 +341,6 @@ class RegressionTree:
             go_left = binned[active, feats] <= self._threshold[current]
             node_of_row[active] = np.where(go_left, self._left[current], self._right[current])
         return out
-
-    @property
-    def n_nodes(self) -> int:
-        check_fitted(self, ["nodes_"])
-        return len(self.nodes_)
 
     @property
     def n_leaves(self) -> int:

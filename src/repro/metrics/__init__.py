@@ -29,7 +29,6 @@ from repro.metrics.distribution import (
     chi_squared_statistic,
     histogram_series,
     jensen_shannon_divergence,
-    ks_statistic,
     mean_jsd,
     mean_wasserstein,
     top_k_frequencies,
@@ -58,7 +57,6 @@ __all__ = [
     "categorical_frequencies",
     "top_k_frequencies",
     "histogram_series",
-    "ks_statistic",
     "chi_squared_statistic",
     "DriftConfig",
     "DriftEvent",

@@ -193,23 +193,6 @@ def top_k_frequencies(
     ]
 
 
-def ks_statistic(real: np.ndarray, synthetic: np.ndarray) -> float:
-    """Two-sample Kolmogorov–Smirnov statistic ``sup_x |F_a(x) - F_b(x)|``.
-
-    Distribution-free, bounded in [0, 1], and exactly zero for identical
-    samples — the numerical-drift statistic of :class:`DriftMonitor`.
-    """
-    a = np.sort(np.asarray(real, dtype=np.float64))
-    b = np.sort(np.asarray(synthetic, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be non-empty")
-    # Evaluate both empirical CDFs at every observed point of either sample.
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
 def chi_squared_statistic(
     real: CategoricalValues,
     synthetic: CategoricalValues,
@@ -333,7 +316,6 @@ class _ColumnDetector:
                 self._reference = np.asarray(reference).astype(str)
         self.streak = 0
         self.fired = False
-        self.last_value = 0.0
 
     def score(self, window: np.ndarray) -> float:
         if self.kind == "numerical":
@@ -348,7 +330,7 @@ class _ColumnDetector:
 
     def update(self, window: np.ndarray, window_index: int) -> Optional[DriftEvent]:
         """Score one window; returns an event when the debounce completes."""
-        self.last_value = value = self.score(window)
+        value = self.score(window)
         if value <= self.threshold:
             self.streak = 0
             return None
@@ -426,10 +408,6 @@ class DriftMonitor:
     def drifted_columns(self) -> List[str]:
         """Columns whose detector has fired since the last (re)baseline."""
         return [name for name in self._columns if self._detectors[name].fired]
-
-    def last_values(self) -> Dict[str, float]:
-        """Most recent per-column statistic values (diagnostics/reporting)."""
-        return {name: self._detectors[name].last_value for name in self._columns}
 
     def observe(self, window: Table) -> List[DriftEvent]:
         """Score one window; returns the drift events that fired on it."""

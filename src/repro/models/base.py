@@ -27,25 +27,66 @@ Serving modes
 it yields the ``n`` requested rows as tables of at most ``chunk_size`` rows,
 so a million-row request generates in cache-sized pieces with bounded peak
 memory.  Each chunk draws from its own :class:`numpy.random.SeedSequence`
-child stream, so the result is deterministic given ``(seed, n, chunk_size)``
-but is not the concatenation of a single ``sample(n)`` stream.
+child stream (:func:`chunk_plan`), so the result is deterministic given
+``(seed, n, chunk_size)`` but is not the concatenation of a single
+``sample(n)`` stream.
 """
 
 from __future__ import annotations
 
+import operator
 import pickle
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Type, TypeVar, Union
+from typing import Iterator, List, Optional, Tuple, Type, TypeVar, Union
+
+import numpy as np
 
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
-from repro.utils.rng import SeedLike, spawn_rngs
+from repro.utils.rng import SeedLike, spawn_seed_sequences
 
 PathLike = Union[str, Path]
 S = TypeVar("S", bound="Surrogate")
 
 #: The serving modes understood by :meth:`Surrogate.sample`.
 SAMPLING_MODES: Tuple[str, ...] = ("exact", "fast")
+
+
+def check_sample_request(n: int, sampling_mode: str) -> int:
+    """Validate a row count and sampling mode; returns the count as an ``int``.
+
+    The one request check of the models, the sharded engine and
+    :class:`~repro.serve.api.RequestSpec`.  Numpy integers are normalised to
+    ``int``; a ``bool``, a float, a string or any other object raises
+    ``TypeError``, a negative count or an unknown mode ``ValueError``.
+    """
+    if isinstance(n, bool):
+        raise TypeError("the row count must be an integer, got bool")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"the row count must be an integer, got {type(n).__name__}") from None
+    if sampling_mode not in SAMPLING_MODES:
+        raise ValueError(f"unknown sampling mode {sampling_mode!r}; use one of {SAMPLING_MODES}")
+    if n < 0:
+        raise ValueError(f"cannot sample a negative number of rows ({n})")
+    return n
+
+
+def chunk_plan(n: int, chunk_size: int, seed: SeedLike) -> Tuple[List[int], List[np.random.SeedSequence]]:
+    """A streamed request's chunk sizes and their seed streams.
+
+    Chunk ``i`` has ``min(chunk_size, n - i * chunk_size)`` rows and draws
+    from the ``i``-th :class:`numpy.random.SeedSequence` child of ``seed``.
+    :meth:`Surrogate.sample_batches`, the sharded engine and the service's
+    micro-batcher all chunk through this one plan, so their outputs are
+    byte-identical by construction.
+    """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    n_chunks = -(-n // chunk_size)
+    sizes = [min(chunk_size, n - i * chunk_size) for i in range(n_chunks)]
+    return sizes, spawn_seed_sequences(seed, n_chunks)
 
 
 class Surrogate:
@@ -79,7 +120,7 @@ class Surrogate:
         model provides one (same distribution, different stream — see the
         module docstring for the contract).
         """
-        self._check_sample_request(n, sampling_mode)
+        n = check_sample_request(n, sampling_mode)
         if sampling_mode == "fast":
             return self._sample_fast(n, seed=seed)
         return self._sample_exact(n, seed=seed)
@@ -98,22 +139,16 @@ class Surrogate:
         consumed, written out or shipped) before the next one exists, so peak
         memory scales with ``chunk_size`` rather than ``n``.  Chunk ``i``
         samples from the ``i``-th :class:`numpy.random.SeedSequence` child of
-        ``seed`` — deterministic for a fixed ``(seed, n, chunk_size)``, but a
-        different stream from one monolithic ``sample(n)`` call.
+        ``seed`` (:func:`chunk_plan`) — deterministic for a fixed ``(seed, n,
+        chunk_size)``, but a different stream from one monolithic
+        ``sample(n)`` call.
         """
-        self._check_sample_request(n, sampling_mode)
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+        sizes, children = chunk_plan(check_sample_request(n, sampling_mode), chunk_size, seed)
         self._require_fitted()
-        n_chunks = -(-n // chunk_size) if n else 0
-        rngs = spawn_rngs(seed, n_chunks)
 
         def _generate() -> Iterator[Table]:
-            remaining = n
-            for rng in rngs:
-                size = min(chunk_size, remaining)
-                yield self.sample(size, seed=rng, sampling_mode=sampling_mode)
-                remaining -= size
+            for size, child in zip(sizes, children):
+                yield self.sample(size, seed=np.random.default_rng(child), sampling_mode=sampling_mode)
 
         return _generate()
 
@@ -190,14 +225,6 @@ class Surrogate:
         return obj
 
     # -- shared helpers ----------------------------------------------------------
-    def _check_sample_request(self, n: int, sampling_mode: str) -> None:
-        if sampling_mode not in SAMPLING_MODES:
-            raise ValueError(
-                f"unknown sampling mode {sampling_mode!r}; use one of {SAMPLING_MODES}"
-            )
-        if n < 0:
-            raise ValueError(f"cannot sample a negative number of rows ({n})")
-
     def _mark_fitted(self, table: Table) -> None:
         if len(table) == 0:
             raise ValueError(f"{type(self).__name__} cannot be fitted on an empty table")

@@ -2,8 +2,11 @@
 
 Numerical columns are quantile-transformed to a standard normal and handled
 by :class:`~repro.models.tabddpm.gaussian.GaussianDiffusion` (epsilon
-prediction); each categorical column becomes a one-hot block handled by its
-own :class:`~repro.models.tabddpm.multinomial.MultinomialDiffusion`.  A single
+prediction); each categorical column becomes a one-hot block, and every
+block diffuses jointly through one
+:class:`~repro.models.tabddpm.multinomial.MultinomialBlockDiffusion` (the
+vectorised, bit-identical form of a per-column
+:class:`~repro.models.tabddpm.multinomial.MultinomialDiffusion`).  A single
 timestep-conditioned MLP predicts everything at once: the noise for the
 numerical block and the x0 logits for every categorical block.  The training
 loss is the sum of the numerical MSE and the per-column categorical
@@ -21,7 +24,7 @@ import numpy as np
 from repro.models.base import Surrogate
 from repro.models.tabddpm.denoiser import MLPDenoiser
 from repro.models.tabddpm.gaussian import GaussianDiffusion
-from repro.models.tabddpm.multinomial import MultinomialBlockDiffusion, MultinomialDiffusion
+from repro.models.tabddpm.multinomial import MultinomialBlockDiffusion
 from repro.models.tabddpm.schedule import DiffusionSchedule
 from repro.nn import (
     Adam,
@@ -32,7 +35,7 @@ from repro.nn import (
     mixed_reconstruction_loss,
     no_grad,
 )
-from repro.tabular.mixed import ColumnBlock, MixedEncoder
+from repro.tabular.mixed import MixedEncoder
 from repro.tabular.table import Table
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, as_rng, derive_seed
@@ -73,7 +76,6 @@ class TabDDPMSurrogate(Surrogate):
         self._encoder: Optional[MixedEncoder] = None
         self._denoiser: Optional[MLPDenoiser] = None
         self._gaussian: Optional[GaussianDiffusion] = None
-        self._multinomials: Optional[List[Tuple[ColumnBlock, MultinomialDiffusion]]] = None
         self._numerical_indices: Optional[np.ndarray] = None
         self.loss_history_: Optional[List[float]] = None
 
@@ -91,22 +93,13 @@ class TabDDPMSurrogate(Surrogate):
         # identically 1.0: there is nothing to diffuse (and the uniform-kernel
         # diffusion requires at least 2 categories), so they are carried
         # through training/sampling as constants instead.
-        self._multinomials = [
-            (block, MultinomialDiffusion(block.width, schedule))
-            for block in self._encoder.blocks_
-            if block.kind.value == "categorical" and block.width >= 2
-        ]
+        categorical = [b for b in self._encoder.blocks_ if b.kind.value == "categorical"]
         self._constant_onehot_indices = np.asarray(
-            [
-                block.start
-                for block in self._encoder.blocks_
-                if block.kind.value == "categorical" and block.width == 1
-            ],
-            dtype=np.intp,
+            [block.start for block in categorical if block.width == 1], dtype=np.intp
         )
-        # Training diffuses every categorical block in one vectorised shot;
-        # the per-block diffusions above drive the (sequential) reverse chain.
-        spans = [(block.start, block.stop) for block, _ in self._multinomials]
+        # Every categorical block of width 2 or more diffuses jointly, in one
+        # vectorised shot per forward or reverse step.
+        spans = [(block.start, block.stop) for block in categorical if block.width >= 2]
         self._categorical_layout = BlockLayout(spans)
         self._block_diffusion = MultinomialBlockDiffusion(spans, schedule)
         self._denoiser = MLPDenoiser(
@@ -117,6 +110,27 @@ class TabDDPMSurrogate(Surrogate):
         )
 
     # -- training -------------------------------------------------------------------
+    def _q_sample(
+        self, x0: np.ndarray, t: np.ndarray, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Forward-noise encoded rows to timesteps ``t``: ``(noisy, noise)``.
+
+        The one noising step of training and of anomaly scoring: one
+        Gaussian draw for the numerical block (``noise``, ``None`` without
+        numerical columns), one vectorised shot for every categorical block,
+        and the width-1 constants carried through, so no column of
+        ``noisy`` is left uninitialised.
+        """
+        num_idx = self._numerical_indices
+        noisy = np.empty_like(x0)
+        noise = rng.standard_normal((x0.shape[0], num_idx.size)) if num_idx.size else None
+        if num_idx.size:
+            noisy[:, num_idx] = self._gaussian.q_sample(x0[:, num_idx], t, noise)
+        self._block_diffusion.q_sample_into(noisy, x0, t, rng)
+        if self._constant_onehot_indices.size:
+            noisy[:, self._constant_onehot_indices] = x0[:, self._constant_onehot_indices]
+        return noisy, noise
+
     def fit(self, table: Table) -> "TabDDPMSurrogate":
         self._mark_fitted(table)
         cfg = self.config
@@ -148,22 +162,7 @@ class TabDDPMSurrogate(Surrogate):
                     continue
                 batch = X[idx]
                 t = rng.integers(0, cfg.n_timesteps, size=idx.size)
-
-                # Diffuse the whole batch in two vectorised shots: the
-                # Gaussian block in one call, every categorical block jointly
-                # through the padded-cube sampler — no per-feature Python loop.
-                noisy = np.empty_like(batch)
-                noise = rng.standard_normal((idx.size, num_idx.size)) if num_idx.size else None
-                if num_idx.size:
-                    noisy[:, num_idx] = self._gaussian.q_sample(batch[:, num_idx], t, noise)
-                self._block_diffusion.q_sample_into(noisy, batch, t, rng)
-                if self._constant_onehot_indices.size:
-                    # Width-1 blocks are not diffused: carry their constant
-                    # 1.0 into the denoiser input instead of leaving the
-                    # `empty_like` garbage in place.
-                    noisy[:, self._constant_onehot_indices] = batch[
-                        :, self._constant_onehot_indices
-                    ]
+                noisy, noise = self._q_sample(batch, t, rng)
 
                 prediction = self._denoiser(Tensor(noisy), t)
                 loss = mixed_reconstruction_loss(

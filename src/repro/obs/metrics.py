@@ -70,13 +70,6 @@ def _escape_label_value(value: str) -> str:
     return value.replace("\\", r"\\").replace("\n", r"\n").replace('"', r"\"")
 
 
-def _format_labels(names: Sequence[str], values: Sequence[str], extra: str = "") -> str:
-    parts = [f'{n}="{_escape_label_value(v)}"' for n, v in zip(names, values)]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
 def _format_value(value: float) -> str:
     if value == math.inf:
         return "+Inf"
@@ -326,11 +319,6 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._metrics)
-
-    def reset(self) -> None:
-        """Drop all metrics (test isolation; never used on a live service)."""
-        with self._lock:
-            self._metrics.clear()
 
     # -- exposition --------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:

@@ -33,7 +33,7 @@ from repro.panda.records import (
     JOB_STATUSES,
 )
 from repro.panda.sites import ComputingSite, SiteCatalog
-from repro.panda.daod import DatasetCatalog, DatasetType, parse_dataset_name
+from repro.panda.daod import DatasetCatalog, parse_dataset_name
 from repro.panda.users import UserPopulation
 from repro.panda.temporal import ArrivalProcess
 from repro.panda.workload import hs23_workload
@@ -49,7 +49,6 @@ __all__ = [
     "ComputingSite",
     "SiteCatalog",
     "DatasetCatalog",
-    "DatasetType",
     "parse_dataset_name",
     "UserPopulation",
     "ArrivalProcess",

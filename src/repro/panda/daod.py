@@ -71,10 +71,6 @@ NON_DAOD_DATATYPES: Sequence[Tuple[str, float]] = (
 )
 
 
-class DatasetType(str):
-    """Marker type for dataset datatype strings (documentation aid)."""
-
-
 def parse_dataset_name(name: str) -> Dict[str, str]:
     """Parse an ATLAS dataset name into its nomenclature fields.
 

@@ -159,6 +159,3 @@ class SiteCatalog:
     def sample_sites(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` site names according to the popularity distribution."""
         return np.array(self.names, dtype=object)[self.sample_indices(n, rng)].astype(str)
-
-    def total_cores(self) -> int:
-        return int(sum(s.n_cores for s in self.sites))

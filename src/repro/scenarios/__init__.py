@@ -70,7 +70,7 @@ identical across reruns, worker counts, and injected worker kills.
 from repro.scenarios.catalog import SCENARIOS, ScenarioSpec, get_scenario, scenario_names
 from repro.scenarios.engine import ScenarioEngine, run_scenario
 from repro.scenarios.report import ScenarioReport, table_fingerprint
-from repro.scenarios.streams import DriftPhase, TrafficModel, TrafficRequest, WindowStream
+from repro.scenarios.streams import DriftPhase, TrafficModel, WindowStream
 
 __all__ = [
     "SCENARIOS",
@@ -79,7 +79,6 @@ __all__ = [
     "ScenarioReport",
     "ScenarioSpec",
     "TrafficModel",
-    "TrafficRequest",
     "WindowStream",
     "get_scenario",
     "run_scenario",

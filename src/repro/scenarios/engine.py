@@ -2,9 +2,10 @@
 
 One :meth:`ScenarioEngine.run` drives, tick by tick:
 
-1. **Traffic** — the tick's :class:`~repro.scenarios.streams.TrafficRequest`
-   batch is submitted as :class:`~repro.serve.api.RequestSpec` objects to a
-   live :class:`~repro.serve.service.SamplingService` (weighted fair
+1. **Traffic** — the tick's :class:`~repro.serve.api.RequestSpec` batch
+   from the :class:`~repro.scenarios.streams.TrafficModel`, in the spec's
+   sampling mode, is submitted to a live
+   :class:`~repro.serve.service.SamplingService` (weighted fair
    queueing, admission control, micro-batching, backpressure, chunk
    resilience and pool supervision all active), every result is collected,
    fingerprinted, and counted — a lost or erroneous request is a reportable
@@ -35,6 +36,7 @@ injected faults.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import tempfile
 import time
@@ -49,7 +51,7 @@ from repro.models import Surrogate, create_surrogate
 from repro.panda.generator import GeneratorConfig
 from repro.scenarios.catalog import ScenarioSpec, get_scenario
 from repro.scenarios.report import ScenarioReport, table_fingerprint
-from repro.scenarios.streams import TrafficModel, TrafficRequest, WindowStream
+from repro.scenarios.streams import TrafficModel, WindowStream
 from repro.serve.admission import AdmissionPolicy, ServiceOverloaded
 from repro.serve.api import RequestSpec
 from repro.serve.faults import FaultPlan
@@ -269,28 +271,23 @@ class ScenarioEngine:
                     )
 
                 # 2. Traffic: submit the whole tick, then collect every result.
-                requests = traffic.requests(tick)
-                handles: List[Tuple[object, TrafficRequest]] = []
+                requests = [
+                    dataclasses.replace(request, sampling_mode=spec.sampling_mode)
+                    for request in traffic.requests(tick)
+                ]
+                handles: List[Tuple[object, RequestSpec]] = []
                 report.requests_submitted += len(requests)
                 for position, request in enumerate(requests):
-                    request_spec = RequestSpec(
-                        n=request.rows,
-                        seed=request.seed,
-                        sampling_mode=spec.sampling_mode,
-                        tenant=request.tenant,
-                        priority=request.priority,
-                        deadline=request.deadline,
-                    )
                     stage = self._request_stage(tick, position)
-                    report.rows_requested += request.rows
+                    report.rows_requested += request.n
                     report.requests_by_tenant[request.tenant] = (
                         report.requests_by_tenant.get(request.tenant, 0) + 1
                     )
                     try:
                         if front_door is not None:
-                            handle = front_door.submit(request_spec, model=stage)
+                            handle = front_door.submit(request, model=stage)
                         else:
-                            handle = services["prod"].submit(request_spec)
+                            handle = services["prod"].submit(request)
                     except ServiceOverloaded as exc:
                         report.requests_rejected += 1
                         report.timeline.append(

@@ -9,8 +9,9 @@ Two seedable generators power every scenario:
   (constant columns, single-category columns, windows too small to score).
   Window ``t`` depends only on ``(config, seed, t)``, never on what was
   generated before it, so streams replay identically from any tick.
-* :class:`TrafficModel` — the "load": per-tick sampling-request descriptors
-  whose *count* follows the diurnal + burst rate profile of
+* :class:`TrafficModel` — the "load": per-tick
+  :class:`~repro.serve.api.RequestSpec` batches whose *count* follows the
+  diurnal + burst rate profile of
   :class:`~repro.panda.temporal.ArrivalProcess` and whose *sizes* follow the
   activity-weighted multi-tenant population of
   :class:`~repro.panda.users.UserPopulation` (heavy users issue heavier
@@ -23,17 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.panda.generator import GeneratorConfig, PandaWorkloadGenerator
 from repro.panda.temporal import ArrivalProcess
 from repro.panda.users import UserPopulation
+from repro.serve.api import RequestSpec
 from repro.tabular.table import Table
 from repro.utils.rng import derive_seed
 
-__all__ = ["DriftPhase", "TrafficModel", "TrafficRequest", "WindowStream"]
+__all__ = ["DriftPhase", "TrafficModel", "WindowStream"]
 
 
 @dataclass(frozen=True)
@@ -205,20 +207,6 @@ class WindowStream:
         return table
 
 
-@dataclass(frozen=True)
-class TrafficRequest:
-    """One sampling request of a replay tick."""
-
-    rows: int
-    tenant: str
-    seed: int
-    #: Service class of the request (a :data:`repro.serve.api.PRIORITY_CLASSES`
-    #: name) — the tenant's configured class, never a random draw.
-    priority: str = "normal"
-    #: Optional SLO the request carries into admission control (seconds).
-    deadline: Optional[float] = None
-
-
 class TrafficModel:
     """Diurnal + burst request arrivals over a multi-tenant population.
 
@@ -277,8 +265,13 @@ class TrafficModel:
         rates = self.arrivals.rate(times)
         self._multipliers = rates / float(np.mean(rates))
 
-    def requests(self, tick: int) -> List[TrafficRequest]:
-        """The deterministic request batch of one tick."""
+    def requests(self, tick: int) -> List[RequestSpec]:
+        """The deterministic request batch of one tick.
+
+        Each request carries its tenant's configured priority class (never
+        a random draw) and the model's deadline; its sampling mode is the
+        spec default, which the scenario engine replaces with its own.
+        """
         if not 0 <= tick < self.ticks:
             raise IndexError(f"tick {tick} outside [0, {self.ticks})")
         rng = np.random.default_rng(derive_seed(self.seed, "traffic", tick))
@@ -295,8 +288,8 @@ class TrafficModel:
             rows = int(np.clip(round(rows), self.min_rows, self.max_rows))
             tenant = self._tenants[user.preferred_project_index % len(self._tenants)]
             requests.append(
-                TrafficRequest(
-                    rows=rows,
+                RequestSpec(
+                    n=rows,
                     tenant=tenant,
                     seed=derive_seed(self.seed, "request", tick, position),
                     priority=self.tenant_priorities.get(tenant, self.default_priority),

@@ -81,30 +81,33 @@ leaves nothing behind to clean up.
 
 Quickstart::
 
-    from repro.serve import ModelRegistry, SamplingService
+    from repro.serve import ModelRegistry, RequestSpec, SamplingService
 
     registry = ModelRegistry("models/")
     registry.register("tvae-prod", fitted_model)
 
     with SamplingService(registry.get("tvae-prod"), workers=4) as service:
-        table = service.sample(1_000_000, seed=7)          # one request
-        stats = service.stats()                            # rows/s, p95, ...
+        table = service.sample(RequestSpec(1_000_000, seed=7))  # one request
+        stats = service.stats()                                 # rows/s, p95, ...
 
 The serving API, request by request
 ----------------------------------
-Every entry point accepts the same frozen
+Each layer takes one request form.  Every request-layer entry point —
+``SamplingService.submit``/``sample``, the front door, HTTP, both CLIs and
+the scenarios — takes the same frozen
 :class:`~repro.serve.api.RequestSpec` — ``(n, seed, sampling_mode, tenant,
-priority, deadline)`` — and serves bytes that depend only on
-``(n, seed, sampling_mode)``; tenancy, priority and deadlines steer *when*
-a request is served, never *what*:
+priority, deadline)``, fast mode by default — and serves bytes that depend
+only on ``(n, seed, sampling_mode)``; tenancy, priority and deadlines steer
+*when* a request is served, never *what*.  The sharded engine below it
+takes the model's own ``(n, *, seed=None, sampling_mode="exact")``:
 
 :class:`~repro.serve.api.RequestSpec`
-    The unified request contract.  ``priority`` is one of the three
+    The request contract.  ``priority`` is one of the three
     :data:`~repro.serve.api.PRIORITY_CLASSES` (``interactive`` weight 4 >
     ``normal`` 2 > ``batch`` 1); the dispatcher runs start-time weighted
     fair queueing over ``(tenant, priority)`` flows, so a bursty tenant
-    cannot starve a steady one.  ``submit(n, seed=..., ...)`` with keyword
-    knobs builds the spec for you.
+    cannot starve a steady one.  A bare row count is not a request:
+    ``submit(1000)`` raises ``TypeError``.
 :class:`~repro.serve.admission.AdmissionPolicy` /
 :class:`~repro.serve.admission.AdmissionRejected`
     SLO-aware admission control: reject (instead of queue) on queue-depth

@@ -1,15 +1,25 @@
-"""The unified serving request contract: one spec for every entry point.
+"""The serving request contract: one frozen spec for the whole request layer.
 
-Every way into the serving stack — :meth:`SamplingService.submit`,
-:meth:`SamplingService.sample`, :meth:`ShardedSampler.sample`, the HTTP
-front door and both CLIs — accepts the same frozen :class:`RequestSpec`.
+Each layer takes exactly one request form, so the form alone decides the
+default sampling mode:
+
+* the request layer — :meth:`~repro.serve.service.SamplingService.submit`
+  and :meth:`~repro.serve.service.SamplingService.sample`, the
+  :class:`~repro.serve.http.FrontDoor` and its HTTP endpoint, both CLIs and
+  the scenario engine — takes a :class:`RequestSpec`, whose
+  ``sampling_mode`` defaults to ``"fast"``;
+* the model layer and the sharded engine below it —
+  :meth:`~repro.models.base.Surrogate.sample` and
+  :meth:`~repro.serve.sharded.ShardedSampler.sample` — take ``(n, *,
+  seed=None, sampling_mode="exact")``.
+
 The spec carries everything a multi-tenant request needs:
 
 ``n`` / ``seed`` / ``sampling_mode``
-    What to generate: the row count, the request's own seed (the sharding
-    contract derives every chunk stream from it, so results are
-    worker-count-invariant), and ``"exact"`` (bit-reproducible) or
-    ``"fast"`` (distribution-identical serving mode).
+    What to generate: the row count (an integer), the request's own seed
+    (the sharding contract derives every chunk stream from it, so results
+    are worker-count-invariant), and ``"fast"`` (distribution-identical
+    serving mode, the default) or ``"exact"`` (bit-reproducible).
 ``tenant``
     The fairness principal.  The dispatcher's weighted fair queue
     schedules across ``(tenant, priority)`` flows, so one tenant's burst
@@ -39,9 +49,9 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.models.base import SAMPLING_MODES
+from repro.models.base import check_sample_request
 from repro.tabular.table import Table
-from repro.utils.rng import SeedLike, spawn_seed_sequences
+from repro.utils.rng import SeedLike, as_rng
 
 __all__ = [
     "PRIORITY_CLASSES",
@@ -86,7 +96,11 @@ def priority_weight(priority: str) -> int:
 
 @dataclass(frozen=True)
 class RequestSpec:
-    """One sampling request, as every serving entry point understands it."""
+    """One sampling request: the request layer's only form.
+
+    Every field is checked at construction, in the caller's frame, so a bad
+    request never reaches the dispatcher; ``n`` must be an integer.
+    """
 
     n: int
     seed: SeedLike = None
@@ -98,13 +112,7 @@ class RequestSpec:
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"cannot sample a negative number of rows ({self.n})")
-        if self.sampling_mode not in SAMPLING_MODES:
-            raise ValueError(
-                f"unknown sampling mode {self.sampling_mode!r}; "
-                f"use one of {SAMPLING_MODES}"
-            )
+        object.__setattr__(self, "n", check_sample_request(self.n, self.sampling_mode))
         if not self.tenant or not isinstance(self.tenant, str):
             raise ValueError(f"tenant must be a non-empty string, got {self.tenant!r}")
         if self.priority not in PRIORITY_CLASSES:
@@ -114,10 +122,9 @@ class RequestSpec:
             )
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be positive or None, got {self.deadline}")
-        # Reject un-spawnable seeds at construction, in the caller's frame —
-        # the dispatcher derives the chunk streams from this seed later, and
-        # a bad one must not surface there.
-        spawn_seed_sequences(self.seed, 0)
+        # A seed the model layer cannot read (a float, a string, a list) is
+        # rejected here, not in the dispatcher.
+        as_rng(self.seed)
 
     @property
     def weight(self) -> int:
@@ -144,7 +151,9 @@ class RequestSpec:
 
         Accepts exactly the dataclass field names (plus ``rows`` as an alias
         for ``n``); unknown keys raise ``ValueError`` so a typo'd knob fails
-        loudly instead of silently serving defaults.
+        loudly instead of silently serving defaults.  ``n`` and ``seed`` pass
+        through unconverted: a fractional count or seed raises ``TypeError``
+        instead of being truncated.
         """
         fields = {"n", "seed", "sampling_mode", "tenant", "priority", "deadline"}
         data = dict(payload)
@@ -157,9 +166,9 @@ class RequestSpec:
             )
         if "n" not in data:
             raise ValueError("request needs 'n' (or 'rows'): the row count")
-        kwargs: Dict[str, object] = {"n": int(data["n"])}  # type: ignore[arg-type]
+        kwargs: Dict[str, object] = {"n": data["n"]}
         if data.get("seed") is not None:
-            kwargs["seed"] = int(data["seed"])  # type: ignore[arg-type]
+            kwargs["seed"] = data["seed"]
         for key in ("sampling_mode", "tenant", "priority"):
             if data.get(key) is not None:
                 kwargs[key] = str(data[key])

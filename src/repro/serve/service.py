@@ -2,8 +2,9 @@
 
 Serving traffic is many concurrent, mostly small requests from many
 tenants, not one giant request.  :class:`SamplingService` accepts
-:class:`~repro.serve.api.RequestSpec` submissions from any thread
-(:meth:`~SamplingService.submit` returns a :class:`SampleRequest` handle),
+:class:`~repro.serve.api.RequestSpec` submissions — the request layer's only
+form — from any thread (:meth:`~SamplingService.submit` returns a
+:class:`SampleRequest` handle),
 and a dispatcher thread drains the queue in *micro-batches*: the requests
 the weighted fair queue yields at the moment the dispatcher wakes are
 coalesced into one sharded pass — all their chunks are submitted to the
@@ -53,7 +54,6 @@ autoscale, fault counters, admission counters and per-tenant latencies.
 from __future__ import annotations
 
 import heapq
-import operator
 import threading
 import time
 from collections import deque
@@ -61,7 +61,7 @@ from concurrent.futures import BrokenExecutor, CancelledError
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.models.base import Surrogate
+from repro.models.base import Surrogate, chunk_plan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     Tracer,
@@ -80,7 +80,6 @@ from repro.serve.faults import FaultPlan
 from repro.serve.sharded import ChunkPolicy, ShardedSampler
 from repro.tabular.table import Table
 from repro.utils.parallel import WorkerPoolBroken, available_workers
-from repro.utils.rng import SeedLike
 
 __all__ = ["SampleRequest", "SamplingService", "ServiceOverloaded", "ServiceStats"]
 
@@ -577,67 +576,21 @@ class SamplingService:
             if ticket.error is not None:
                 raise ticket.error
 
-    @staticmethod
-    def _coerce_spec(
-        request: object,
-        seed: SeedLike,
-        sampling_mode: Optional[str],
-        tenant: Optional[str],
-        priority: Optional[str],
-        deadline: Optional[float],
-    ) -> RequestSpec:
-        """One :class:`RequestSpec` from either calling convention.
+    def submit(self, spec: RequestSpec, *, wait: bool = True) -> SampleRequest:
+        """Queue one request; returns its :class:`SampleRequest` handle.
 
-        Canonical: ``submit(RequestSpec(...))``.  Convenience: ``submit(n,
-        seed=..., sampling_mode=..., tenant=..., ...)`` (keyword-only knobs).
+        ``spec`` is a :class:`~repro.serve.api.RequestSpec`, whose
+        ``sampling_mode`` defaults to the relaxed ``"fast"`` mode (ask for
+        ``"exact"`` for the bit-reproducible path); anything else, a bare
+        row count included, raises ``TypeError``.  Blocks while the
+        in-flight budget is full; with ``wait=False`` raises
+        :class:`ServiceOverloaded` instead.  With an admission policy
+        configured, over-limit or deadline-blown requests raise
+        :class:`~repro.serve.admission.AdmissionRejected` regardless of
+        ``wait``.
         """
-        if isinstance(request, RequestSpec):
-            if any(
-                value is not None
-                for value in (seed, sampling_mode, tenant, priority, deadline)
-            ):
-                raise TypeError(
-                    "pass either a RequestSpec or bare arguments, not both"
-                )
-            return request
-        try:
-            request = operator.index(request)  # int-likes (numpy ints) welcome
-        except TypeError:
-            raise TypeError(
-                f"expected a RequestSpec or a row count, got {type(request).__name__}"
-            ) from None
-        return RequestSpec(
-            n=request,
-            seed=seed,
-            sampling_mode=sampling_mode if sampling_mode is not None else "fast",
-            tenant=tenant if tenant is not None else "default",
-            priority=priority if priority is not None else "normal",
-            deadline=deadline,
-        )
-
-    def submit(
-        self,
-        request: object,
-        *,
-        seed: SeedLike = None,
-        sampling_mode: Optional[str] = None,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
-        deadline: Optional[float] = None,
-        wait: bool = True,
-    ) -> SampleRequest:
-        """Queue a request; returns its :class:`SampleRequest` handle.
-
-        Accepts a :class:`~repro.serve.api.RequestSpec` (the canonical
-        contract) or a row count with keyword knobs; serving defaults to the
-        relaxed ``"fast"`` mode (request ``sampling_mode="exact"`` for the
-        bit-reproducible path).  Blocks while the in-flight budget is full;
-        with ``wait=False`` raises :class:`ServiceOverloaded` instead.  With
-        an admission policy configured, over-limit or deadline-blown
-        requests raise :class:`~repro.serve.admission.AdmissionRejected`
-        regardless of ``wait``.
-        """
-        spec = self._coerce_spec(request, seed, sampling_mode, tenant, priority, deadline)
+        if not isinstance(spec, RequestSpec):
+            raise TypeError(f"expected a RequestSpec, got {type(spec).__name__}")
         handle = SampleRequest(spec)
         handle._service = self
         n = spec.n
@@ -680,18 +633,8 @@ class SamplingService:
                 self._lock.notify_all()
         return handle
 
-    def sample(
-        self,
-        request: object,
-        *,
-        seed: SeedLike = None,
-        sampling_mode: Optional[str] = None,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> Table:
-        """Synchronous convenience: submit and wait for the table."""
-        spec = self._coerce_spec(request, seed, sampling_mode, tenant, priority, deadline)
+    def sample(self, spec: RequestSpec) -> Table:
+        """Synchronous convenience: :meth:`submit` ``spec`` and wait for the table."""
         return self.submit(spec).result()
 
     def stats(self) -> ServiceStats:
@@ -916,7 +859,7 @@ class SamplingService:
             sizes, children = [], []
             error: Optional[BaseException] = None
             try:
-                sizes, children = self._sampler.chunk_plan(spec.n, spec.seed)
+                sizes, children = chunk_plan(spec.n, self._sampler.chunk_size, spec.seed)
             except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
                 error = exc
             if tracer is not None:

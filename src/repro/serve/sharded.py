@@ -10,10 +10,11 @@ on which process generates it, in what order, or how many sibling workers
 exist.  :class:`ShardedSampler` exploits exactly that: it fans the chunks of
 a request out across a persistent pool of worker processes (each holding a
 deserialized snapshot of the fitted model with warmed serving caches) and
-reassembles the chunks in index order.  The output is therefore
+reassembles the chunks in index order.  Both sides take their chunks from
+the one :func:`~repro.models.base.chunk_plan`, so the output is
 
 * byte-identical to ``Table.concat(list(model.sample_batches(n, chunk_size,
-  seed=seed, sampling_mode=mode)))``, and
+  seed=seed, sampling_mode=mode)))`` by construction, and
 * byte-identical across **any** worker count, including the in-process
   ``workers=1`` path — proven for all five surrogates in both sampling
   modes by ``tests/test_serve_sharded.py``.
@@ -91,7 +92,7 @@ from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.models.base import SAMPLING_MODES, Surrogate
+from repro.models.base import Surrogate, check_sample_request, chunk_plan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     TracedChunk,
@@ -101,7 +102,6 @@ from repro.obs.tracing import (
     trace_id_from_child,
 )
 from repro.serve import faults as fault_injection
-from repro.serve.api import RequestSpec
 from repro.serve.faults import FaultPlan
 from repro.tabular.table import Table
 from repro.utils.logging import get_logger
@@ -111,7 +111,7 @@ from repro.utils.parallel import (
     WorkerPoolBroken,
     available_workers,
 )
-from repro.utils.rng import SeedLike, spawn_seed_sequences
+from repro.utils.rng import SeedLike
 
 __all__ = ["ChunkError", "ChunkPolicy", "ShardedSampler"]
 
@@ -788,21 +788,6 @@ class ShardedSampler:
         for key, delta in deltas.items():
             self._fault_counters[key].inc(delta)
 
-    # -- the chunk plan (the single source of the sharding arithmetic) -----------
-    def chunk_plan(self, n: int, seed: SeedLike):
-        """The request's chunk sizes and their ``SeedSequence`` child streams.
-
-        Chunk ``i`` has ``min(chunk_size, n - i * chunk_size)`` rows and
-        draws from the ``i``-th child of ``seed`` — exactly
-        :meth:`Surrogate.sample_batches`'s plan.  Every consumer
-        (:meth:`sample_batches` here, the service's micro-batcher) derives
-        its chunks from this one method, so the byte-equality contract
-        cannot drift between them.
-        """
-        n_chunks = -(-n // self.chunk_size) if n else 0
-        sizes = [min(self.chunk_size, n - i * self.chunk_size) for i in range(n_chunks)]
-        return sizes, spawn_seed_sequences(seed, n_chunks)
-
     def assemble(
         self, chunks, *, seed: SeedLike = None, sampling_mode: str = "exact"
     ) -> Table:
@@ -816,25 +801,17 @@ class ShardedSampler:
 
     # -- sampling ----------------------------------------------------------------
     def sample(
-        self, n, *, seed: SeedLike = None, sampling_mode: Optional[str] = None
+        self, n: int, *, seed: SeedLike = None, sampling_mode: str = "exact"
     ) -> Table:
-        """Draw rows as one table, sharded across the pool.
+        """Draw ``n`` rows as one table, sharded across the pool.
 
-        Accepts either a row count (with keyword ``seed``/``sampling_mode``,
-        defaulting to the bit-reproducible ``"exact"`` mode) or a
-        :class:`~repro.serve.api.RequestSpec`, which carries its own seed
-        and mode (tenant/priority/deadline are serving-layer concerns and
-        are ignored here).  Byte-identical to
+        Takes the model layer's form and its bit-reproducible ``"exact"``
+        default; a :class:`~repro.serve.api.RequestSpec` belongs to the
+        request layer and raises ``TypeError`` here.  Byte-identical to
         ``Table.concat(list(model.sample_batches(n, chunk_size, seed=seed,
         sampling_mode=sampling_mode)))`` for every worker count — and, by
         the fault-tolerance contract above, for every recovered fault.
         """
-        if isinstance(n, RequestSpec):
-            if seed is not None or sampling_mode is not None:
-                raise TypeError("pass either a RequestSpec or bare arguments, not both")
-            n, seed, sampling_mode = n.n, n.seed, n.sampling_mode
-        elif sampling_mode is None:
-            sampling_mode = "exact"
         return self.assemble(
             self.sample_batches(n, seed=seed, sampling_mode=sampling_mode),
             seed=seed,
@@ -854,8 +831,9 @@ class ShardedSampler:
         With ``workers=1`` or a one-chunk request the chunks run in-process;
         pool collapse raises :class:`~repro.utils.parallel.WorkerPoolBroken`.
         """
-        self._check_request(n, sampling_mode)
-        sizes, children = self.chunk_plan(n, seed)
+        sizes, children = chunk_plan(
+            check_sample_request(n, sampling_mode), self.chunk_size, seed
+        )
         run = _ChunkRun(self, in_process=self.workers == 1 or len(sizes) <= 1)
         window = 2 * self.workers
 
@@ -886,15 +864,6 @@ class ShardedSampler:
         :class:`ChunkPolicy` (deadline, retries, hedging) on the pool.
         """
         return _ChunkRun(self, in_process=self.workers == 1 or self.pool_broken)
-
-    # -- helpers -----------------------------------------------------------------
-    def _check_request(self, n: int, sampling_mode: str) -> None:
-        if sampling_mode not in SAMPLING_MODES:
-            raise ValueError(
-                f"unknown sampling mode {sampling_mode!r}; use one of {SAMPLING_MODES}"
-            )
-        if n < 0:
-            raise ValueError(f"cannot sample a negative number of rows ({n})")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self.is_running else "idle"

@@ -129,10 +129,6 @@ class MixedEncoder:
         check_fitted(self, ["blocks_"])
         return self.blocks_[-1].stop if self.blocks_ else 0
 
-    @property
-    def output_dim(self) -> int:
-        return self.n_features
-
     def category_cardinalities(self) -> List[int]:
         """Number of categories per categorical column, in schema order."""
         check_fitted(self, ["blocks_"])

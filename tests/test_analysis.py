@@ -135,6 +135,39 @@ class TestDiffusionAnomalyDetector:
         assert flags.dtype == bool
         assert flags.mean() < 0.2  # most in-distribution records pass
 
+    def test_single_category_column_never_reads_uninitialised_memory(self, monkeypatch):
+        """A single-category column is a width-1 one-hot block that is not
+        diffused: the denoiser must see its constant, whatever memory the
+        noisy buffer was allocated over."""
+        from repro.tabular.schema import TableSchema
+        from repro.tabular.table import Table
+
+        rng = np.random.default_rng(4)
+        n = 400
+        table = Table(
+            {
+                "x": rng.normal(size=n),
+                "cat": rng.choice(["a", "b", "c"], n),
+                "single": np.full(n, "only"),
+            },
+            TableSchema.from_columns(numerical=["x"], categorical=["cat", "single"]),
+        )
+        model = TabDDPMSurrogate(TabDDPMConfig.fast(), seed=0).fit(table)
+        empty_like = np.empty_like
+        scores = []
+        for garbage in (0.0, 1e3):
+
+            def dirty_empty_like(prototype, *args, garbage=garbage, **kwargs):
+                out = empty_like(prototype, *args, **kwargs)
+                out[...] = garbage
+                return out
+
+            monkeypatch.setattr(np, "empty_like", dirty_empty_like)
+            scores.append(DiffusionAnomalyDetector(model, seed=3).score(table))
+        monkeypatch.undo()
+        assert np.isfinite(scores[0]).all()
+        np.testing.assert_array_equal(scores[0], scores[1])
+
     def test_invalid_parameters(self, fitted_surrogate):
         with pytest.raises(ValueError):
             DiffusionAnomalyDetector(fitted_surrogate, timesteps=[10_000])

@@ -142,6 +142,20 @@ class TestWorkflowDocument:
         assert smoke_steps, "no named step runs the HTTP front-door smoke"
         assert "--check-metrics" in smoke_steps[0]["run"]
 
+    def test_test_job_runs_serving_examples_with_forced_workers(self, workflow):
+        # The narrated serving examples run end to end as their own named
+        # step, so an API change that breaks them fails CI.  REPRO_WORKERS=2
+        # forces the real pool underneath.
+        steps = workflow["jobs"]["tests"]["steps"]
+        example_steps = [step for step in steps if "examples/serving_throughput.py" in step.get("run", "")]
+        assert example_steps, "no named step runs the serving examples"
+        step = example_steps[0]
+        assert step.get("name"), "the serving-examples step must be named"
+        assert "examples/tracing_demo.py" in step["run"]
+        env = step.get("env") or {}
+        assert str(env.get("REPRO_WORKERS")) == "2"
+        assert env.get("PYTHONPATH") == "src"
+
     def test_perf_gate_required_kernels_cover_the_serving_stack(self):
         # The committed baseline must keep measuring the serving kernels: a
         # refactor that silently drops them should fail the perf gate, not

@@ -170,7 +170,7 @@ class TestTabDDPMSingleCategory:
     def test_width_one_blocks_are_carried_as_constants(self, fitted):
         model = fitted["tabddpm"]
         # The single-category block is excluded from the diffusion…
-        assert all(block.width >= 2 for block, _ in model._multinomials)
+        assert all(width >= 2 for width in model._block_diffusion.widths)
         assert model._constant_onehot_indices.size == 1
         # …and decoded back to its category in both modes.
         for mode in ("exact", "fast"):

@@ -196,7 +196,7 @@ class TestTrafficModel:
             batch = a.requests(tick)
             assert batch == b.requests(tick)
             for request in batch:
-                assert 64 <= request.rows <= 512
+                assert 64 <= request.n <= 512
                 assert request.tenant in tenants
         assert a.total_requests() == sum(len(a.requests(t)) for t in range(12))
 

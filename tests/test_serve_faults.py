@@ -33,6 +33,7 @@ from repro.serve import (
     Fault,
     FaultPlan,
     InjectedFault,
+    RequestSpec,
     SamplingService,
     ServiceOverloaded,
     ShardedSampler,
@@ -290,7 +291,7 @@ class TestHedging:
             chunk_policy=policy,
             fault_plan=plan("delay@2:1.0"),
         ) as service:
-            served = service.sample(N_ROWS, seed=SEED, sampling_mode=mode)
+            served = service.sample(RequestSpec(N_ROWS, seed=SEED, sampling_mode=mode))
             stats = service.stats()
         assert served == _reference(model, mode)
         assert stats.hedges >= 1
@@ -304,7 +305,7 @@ class TestServiceFaultTolerance:
         with SamplingService(
             model, workers=2, chunk_size=CHUNK, fault_plan=plan("kill@1")
         ) as service:
-            served = service.sample(N_ROWS, seed=SEED, sampling_mode=mode)
+            served = service.sample(RequestSpec(N_ROWS, seed=SEED, sampling_mode=mode))
             stats = service.stats()
         assert served == _reference(model, mode)
         assert stats.pool_restarts >= 1
@@ -323,7 +324,7 @@ class TestServiceFaultTolerance:
             max_pool_restarts=1,
         ) as service:
             requests = [
-                service.submit(N_ROWS, seed=seed, sampling_mode="fast") for seed in seeds
+                service.submit(RequestSpec(N_ROWS, seed=seed, sampling_mode="fast")) for seed in seeds
             ]
             tables = [request.result(timeout=120) for request in requests]
             stats = service.stats()
@@ -343,7 +344,7 @@ class TestServiceFaultTolerance:
             fault_plan=plan("kill@0*3"),
             max_pool_restarts=0,
         ) as service:
-            served = service.sample(N_ROWS, seed=SEED, sampling_mode="exact")
+            served = service.sample(RequestSpec(N_ROWS, seed=SEED, sampling_mode="exact"))
             stats = service.stats()
             assert service.degraded
         assert served == _reference(model, "exact")
@@ -362,10 +363,10 @@ class TestServiceFaultTolerance:
             fault_plan=plan("kill@0*3"),
             max_pool_restarts=0,
         ) as service:
-            tables = [service.sample(N_ROWS, seed=seed, sampling_mode="fast") for seed in seeds]
+            tables = [service.sample(RequestSpec(N_ROWS, seed=seed, sampling_mode="fast")) for seed in seeds]
             degraded = service.stats().degraded_passes
         with SamplingService(model, workers=1, chunk_size=CHUNK) as single:
-            assert single.sample(N_ROWS, seed=seeds[0], sampling_mode="fast") == tables[0]
+            assert single.sample(RequestSpec(N_ROWS, seed=seeds[0], sampling_mode="fast")) == tables[0]
             assert single.stats().degraded_passes == 0
         for seed, table in zip(seeds, tables):
             assert table == _reference(model, "fast", seed=seed)
@@ -383,8 +384,8 @@ class TestServiceFaultTolerance:
             chunk_policy=policy,
             fault_plan=plan("fail@3*8"),
         ) as service:
-            doomed = service.submit(N_ROWS, seed=SEED, sampling_mode="fast")
-            small = service.submit(CHUNK, seed=99, sampling_mode="fast")
+            doomed = service.submit(RequestSpec(N_ROWS, seed=SEED, sampling_mode="fast"))
+            small = service.submit(RequestSpec(CHUNK, seed=99, sampling_mode="fast"))
             with pytest.raises(ChunkError, match="chunk 3"):
                 doomed.result(timeout=120)
             assert small.result(timeout=120) == _reference(
@@ -440,14 +441,14 @@ class TestCancellation:
         with SamplingService(
             model, workers=1, chunk_size=1000, max_inflight_rows=100
         ) as service:
-            first = service.submit(80, seed=1)  # occupies the dispatcher
-            waiting = service.submit(15, seed=2)  # queued: 95/100 admitted
+            first = service.submit(RequestSpec(80, seed=1))  # occupies the dispatcher
+            waiting = service.submit(RequestSpec(15, seed=2))  # queued: 95/100 admitted
             with pytest.raises(ServiceOverloaded):
-                service.submit(20, seed=3, wait=False)
+                service.submit(RequestSpec(20, seed=3), wait=False)
             assert waiting.cancel() is True
             assert waiting.cancelled
             # The cancelled request's 15 rows are back: 80 + 20 now fits.
-            third = service.submit(20, seed=4, wait=False)
+            third = service.submit(RequestSpec(20, seed=4), wait=False)
             with pytest.raises(CancelledError):
                 waiting.result(timeout=5)
             assert len(first.result(timeout=30)) == 80
@@ -459,7 +460,7 @@ class TestCancellation:
     def test_cancel_after_completion_is_a_noop(self):
         model = _stall_model()
         with SamplingService(model, workers=1, chunk_size=1000) as service:
-            request = service.submit(10, seed=1)
+            request = service.submit(RequestSpec(10, seed=1))
             assert len(request.result(timeout=30)) == 10
             assert request.cancel() is False
             assert not request.cancelled
@@ -468,7 +469,7 @@ class TestCancellation:
     def test_result_timeout_message_mentions_cancel(self):
         model = _stall_model(delay=0.4)
         with SamplingService(model, workers=1, chunk_size=1000) as service:
-            request = service.submit(10, seed=1)
+            request = service.submit(RequestSpec(10, seed=1))
             with pytest.raises(TimeoutError, match="cancel"):
                 request.result(timeout=0.01)
             assert len(request.result(timeout=30)) == 10

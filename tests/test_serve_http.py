@@ -2,8 +2,10 @@
 
 Three layers, bottom up:
 
-* :class:`RequestSpec` — the unified request contract every entry point
-  accepts (validation, JSON payload parsing, the ``rows`` alias);
+* :class:`RequestSpec` — the request layer's only form (validation,
+  integer row counts, JSON payload parsing, the ``rows`` alias), and the
+  rule that the sharded engine takes only the model's ``(n, seed,
+  sampling_mode)``, so the form alone decides the default mode;
 * the backend router — most-free-slots placement across named backends,
   pinning, slot release, load counted past the slot cap;
 * :class:`FrontDoor` — multi-backend routing plus the stdlib HTTP
@@ -12,6 +14,7 @@ Three layers, bottom up:
   ``Retry-After`` header, malformed requests as ``400``.
 """
 
+import inspect
 import json
 import urllib.error
 import urllib.request
@@ -26,6 +29,7 @@ from repro.serve import (
     FrontDoor,
     RequestSpec,
     SamplingService,
+    ShardedSampler,
     priority_weight,
     table_fingerprint,
 )
@@ -110,6 +114,18 @@ class TestRequestSpec:
         with pytest.raises(ValueError, match="'n'"):
             RequestSpec.from_payload({"seed": 1})
 
+    def test_row_count_must_be_an_integer(self):
+        spec = RequestSpec(np.int64(12), seed=np.int64(3))
+        assert type(spec.n) is int and spec == RequestSpec(12, seed=3)
+        for bad in (10.5, 10.0, True, "10", None):
+            with pytest.raises(TypeError, match="integer"):
+                RequestSpec(bad)
+
+    def test_from_payload_passes_count_and_seed_through_unconverted(self):
+        for payload in ({"n": 10.7}, {"n": True}, {"n": 10, "seed": 2.5}, {"n": 10, "seed": [1, 2]}):
+            with pytest.raises(TypeError):
+                RequestSpec.from_payload(payload)
+
     def test_to_dict_round_trips_through_from_payload(self):
         spec = RequestSpec(128, seed=11, sampling_mode="exact", tenant="t0", priority="interactive")
         assert RequestSpec.from_payload(spec.to_dict()) == spec
@@ -164,8 +180,6 @@ class TestFrontDoor:
             assert door.sample(spec, model="prod") == direct
             assert door.sample(spec, model="canary") == direct
             assert door.sample(spec) == direct  # router-placed, same bytes
-            # The keyword form builds the same spec.
-            assert service.sample(110, seed=23) == direct
             door.close()
 
     def test_stats_tree_and_unknown_model(self, service):
@@ -251,6 +265,12 @@ class TestHttpEndpoint:
             _get(door.address, "/sample")
         assert wrong_method.value.code == 405
 
+    def test_fractional_count_or_seed_is_a_400(self, door):
+        for body in ({"n": 10.7}, {"rows": 10.2}, {"n": 10, "seed": 2.5}):
+            with pytest.raises(urllib.error.HTTPError) as bad:
+                _post(door.address, "/sample", body)
+            assert bad.value.code == 400, body
+
     def test_admission_rejection_maps_to_429_with_retry_after(self, tvae):
         # max_queue_depth=0 rejects every request up front: the clean way to
         # exercise the 429 path without racing a real backlog.
@@ -284,3 +304,44 @@ class TestHttpEndpoint:
         status, health = _get(door.address, "/healthz")
         assert status == 200 and health["models"] == ["prod"]
         door.stop_http()
+
+
+def _shape(function):
+    """``(name, kind, default)`` of every parameter but ``self``."""
+    return [
+        (parameter.name, parameter.kind.name, parameter.default)
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.name != "self"
+    ]
+
+
+class TestOneFormPerLayer:
+    """The request layer takes only a RequestSpec; the sharded engine only the
+    model's ``(n, seed, sampling_mode)``.  The form alone decides the mode."""
+
+    def test_signatures(self):
+        spec = ("spec", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty)
+        assert _shape(SamplingService.submit) == [spec, ("wait", "KEYWORD_ONLY", True)]
+        assert _shape(SamplingService.sample) == [spec]
+        for method in (FrontDoor.submit, FrontDoor.sample):
+            assert _shape(method) == [spec, ("model", "KEYWORD_ONLY", None)]
+        for method in (ShardedSampler.sample, ShardedSampler.sample_batches):
+            assert _shape(method) == [
+                ("n", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+                ("seed", "KEYWORD_ONLY", None),
+                ("sampling_mode", "KEYWORD_ONLY", "exact"),
+            ]
+
+    def test_wrong_form_raises_type_error(self, tvae, service):
+        for call in (service.submit, service.sample):
+            for count in (100, np.int64(100)):
+                with pytest.raises(TypeError, match="RequestSpec"):
+                    call(count)
+        door = FrontDoor(service)
+        with pytest.raises(TypeError, match="RequestSpec"):
+            door.sample(100)
+        assert door.stats()["router"]["in_flight"] == {"default": 0}
+        with ShardedSampler(tvae, workers=1, chunk_size=CHUNK) as sampler:
+            for call in (sampler.sample, sampler.sample_batches):
+                with pytest.raises(TypeError, match="integer"):
+                    call(RequestSpec(100))

@@ -24,6 +24,7 @@ from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.serve import (
     AutoscalePolicy,
     ModelRegistry,
+    RequestSpec,
     SamplingService,
     ServiceOverloaded,
     ShardedSampler,
@@ -156,7 +157,7 @@ class TestSamplingService:
         seeds = [101, 202, 303, 404]
         with SamplingService(tvae, workers=workers, chunk_size=CHUNK) as service:
             requests = [
-                service.submit(120, seed=seed, sampling_mode="fast") for seed in seeds
+                service.submit(RequestSpec(120, seed=seed, sampling_mode="fast")) for seed in seeds
             ]
             coalesced = [request.result(timeout=120) for request in requests]
         with ShardedSampler(tvae, workers=1, chunk_size=CHUNK) as solo:
@@ -165,19 +166,19 @@ class TestSamplingService:
 
     def test_exact_mode_requests_match_the_streaming_api(self, tvae):
         with SamplingService(tvae, workers=1, chunk_size=CHUNK) as service:
-            served = service.sample(110, seed=13, sampling_mode="exact")
+            served = service.sample(RequestSpec(110, seed=13, sampling_mode="exact"))
         assert served == Table.concat(list(tvae.sample_batches(110, CHUNK, seed=13)))
 
     def test_zero_row_request(self, tvae):
         with SamplingService(tvae, workers=1, chunk_size=CHUNK) as service:
-            empty = service.sample(0, seed=1)
+            empty = service.sample(RequestSpec(0, seed=1))
         assert len(empty) == 0
         assert empty.schema == tvae.schema_
 
     def test_stats_account_requests_and_rows(self, tvae):
         with SamplingService(tvae, workers=1, chunk_size=CHUNK) as service:
             for seed in range(3):
-                service.sample(60, seed=seed)
+                service.sample(RequestSpec(60, seed=seed))
             stats = service.stats()
         assert stats.total_requests == 3
         assert stats.total_rows == 180
@@ -192,7 +193,7 @@ class TestSamplingService:
         monkeypatch.setenv("REPRO_WORKERS", "2")
         policy = AutoscalePolicy(max_workers=4, rows_per_worker=CHUNK)
         with SamplingService(tvae, autoscale=policy, chunk_size=CHUNK) as service:
-            served = service.sample(8 * CHUNK, seed=3, sampling_mode="fast")
+            served = service.sample(RequestSpec(8 * CHUNK, seed=3, sampling_mode="fast"))
             assert service.workers == 2
         with ShardedSampler(tvae, workers=1, chunk_size=CHUNK) as solo:
             assert served == solo.sample(8 * CHUNK, seed=3, sampling_mode="fast")
@@ -202,11 +203,11 @@ class TestSamplingService:
         with SamplingService(
             model, workers=1, chunk_size=1000, max_inflight_rows=100
         ) as service:
-            first = service.submit(80, seed=1)  # occupies the budget while slow
+            first = service.submit(RequestSpec(80, seed=1))  # occupies the budget while slow
             with pytest.raises(ServiceOverloaded):
-                service.submit(50, seed=2, wait=False)
+                service.submit(RequestSpec(50, seed=2), wait=False)
             # Blocking submission waits for the budget instead of failing.
-            second = service.submit(50, seed=3)
+            second = service.submit(RequestSpec(50, seed=3))
             assert len(first.result(timeout=30)) == 80
             assert len(second.result(timeout=30)) == 50
 
@@ -215,18 +216,18 @@ class TestSamplingService:
         with SamplingService(
             model, workers=1, chunk_size=1000, max_inflight_rows=10
         ) as service:
-            assert len(service.sample(500, seed=1)) == 500
+            assert len(service.sample(RequestSpec(500, seed=1))) == 500
 
     def test_blocked_submitters_wake_in_parallel(self):
         model = _slow_model(delay=0.2)
         with SamplingService(
             model, workers=1, chunk_size=1000, max_inflight_rows=100
         ) as service:
-            service.submit(90, seed=1)
+            service.submit(RequestSpec(90, seed=1))
             results = []
 
             def late_submit():
-                results.append(service.sample(90, seed=2))
+                results.append(service.sample(RequestSpec(90, seed=2)))
 
             thread = threading.Thread(target=late_submit)
             thread.start()
@@ -239,8 +240,8 @@ class TestSamplingService:
         # (which would wedge every other request).
         with SamplingService(tvae, workers=1, chunk_size=CHUNK) as service:
             with pytest.raises(TypeError):
-                service.submit(10, seed="not-a-seed")
-            assert len(service.sample(20, seed=1)) == 20  # still healthy
+                service.submit(RequestSpec(10, seed="not-a-seed"))
+            assert len(service.sample(RequestSpec(20, seed=1))) == 20  # still healthy
 
     def test_admission_is_fifo(self):
         # An oversized request blocked on the budget must not be starved by
@@ -249,15 +250,15 @@ class TestSamplingService:
         with SamplingService(
             model, workers=1, chunk_size=1000, max_inflight_rows=100
         ) as service:
-            service.submit(90, seed=1)  # occupies the budget
+            service.submit(RequestSpec(90, seed=1))  # occupies the budget
             order = []
 
             def submit_big():
-                service.submit(95, seed=2)  # needs the budget to fully drain
+                service.submit(RequestSpec(95, seed=2))  # needs the budget to fully drain
                 order.append("big")
 
             def submit_small():
-                service.submit(10, seed=3)
+                service.submit(RequestSpec(10, seed=3))
                 order.append("small")
 
             big = threading.Thread(target=submit_big)
@@ -272,8 +273,8 @@ class TestSamplingService:
     def test_sampling_failures_propagate_to_the_request(self):
         model = _slow_model(fail_on=13)
         with SamplingService(model, workers=1, chunk_size=1000) as service:
-            good = service.submit(7, seed=1)
-            bad = service.submit(13, seed=2)
+            good = service.submit(RequestSpec(7, seed=1))
+            bad = service.submit(RequestSpec(13, seed=2))
             assert len(good.result(timeout=30)) == 7
             with pytest.raises(RuntimeError, match="injected sampling failure"):
                 bad.result(timeout=30)
@@ -281,13 +282,13 @@ class TestSamplingService:
     def test_validation_and_close_semantics(self, tvae):
         service = SamplingService(tvae, workers=1, chunk_size=CHUNK)
         with pytest.raises(ValueError, match="unknown sampling mode"):
-            service.submit(5, sampling_mode="turbo")
+            service.submit(RequestSpec(5, sampling_mode="turbo"))
         with pytest.raises(ValueError, match="negative"):
-            service.submit(-2)
+            service.submit(RequestSpec(-2))
         service.close()
         service.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            service.submit(5, seed=1)
+            service.submit(RequestSpec(5, seed=1))
         with pytest.raises(ValueError, match="positive"):
             SamplingService(tvae, workers=1, max_inflight_rows=0)
 
@@ -362,9 +363,9 @@ class TestHotSwap:
     def test_swap_serves_the_new_model_with_no_lost_requests(self, tvae, table):
         replacement = SMOTESurrogate().fit(table)
         with SamplingService(tvae, workers=1, chunk_size=CHUNK) as service:
-            before = service.sample(70, seed=21, sampling_mode="fast")
+            before = service.sample(RequestSpec(70, seed=21, sampling_mode="fast"))
             service.swap_model(replacement)
-            after = service.sample(70, seed=21, sampling_mode="fast")
+            after = service.sample(RequestSpec(70, seed=21, sampling_mode="fast"))
             assert service.model_swaps == 1
         with ShardedSampler(tvae, workers=1, chunk_size=CHUNK) as solo:
             assert before == solo.sample(70, seed=21, sampling_mode="fast")

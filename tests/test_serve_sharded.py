@@ -23,7 +23,7 @@ from repro.models.gaussian_copula import GaussianCopulaSurrogate
 from repro.models.smote import SMOTESurrogate
 from repro.models.tabddpm.model import TabDDPMConfig, TabDDPMSurrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
-from repro.serve import RequestSpec, ShardedSampler, table_fingerprint
+from repro.serve import RequestSpec, SamplingService, ShardedSampler, table_fingerprint
 from repro.serve.sharded import _ChunkRun
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
@@ -107,8 +107,8 @@ class TestSeedObjectReplay:
         model = models["tvae"]
         spec = RequestSpec(300, seed=np.random.SeedSequence(9), sampling_mode="exact")
         reference = Table.concat(list(model.sample_batches(300, 100, seed=np.random.SeedSequence(9))))
-        with ShardedSampler(model, workers=1, chunk_size=100) as sampler:
-            served = [table_fingerprint(sampler.sample(spec)) for _ in range(2)]
+        with SamplingService(model, workers=1, chunk_size=100) as service:
+            served = [table_fingerprint(service.sample(spec)) for _ in range(2)]
         assert served == [table_fingerprint(reference)] * 2
 
     @pytest.mark.parametrize(
