@@ -745,12 +745,13 @@ def bench_front_door(registry: BenchmarkRegistry, sizes, repeats: int) -> None:
     ``"optimized"`` variant is the serving stack's front-door path end to
     end: every request becomes a :class:`RequestSpec` submitted through
     :class:`FrontDoor` (broker slot accounting included), the service's
-    dispatcher coalesces the queued stream into weighted-fair micro-batches,
-    and the warm 4-worker pool serves the chunks.  Both sides run the
-    relaxed ``"fast"`` mode, so — like the ``serve_sharded_*`` kernels — the
-    recorded speedup is what micro-batched, pool-backed dispatch buys net of
-    the front door's own plumbing, charged honestly (routing, fair queueing
-    and ticket resolution are all inside the timed region).  Requests are
+    dispatcher pipeline refills the warm 4-worker pool from the weighted
+    fair queue at every delivery, and the pool serves the chunks.  Both
+    sides run the relaxed ``"fast"`` mode, so — like the ``serve_sharded_*``
+    kernels — the recorded speedup is what pipelined, pool-backed dispatch
+    buys net of the front door's own plumbing, charged honestly (routing,
+    fair queueing and ticket resolution are all inside the timed region).
+    Requests are
     one chunk each on purpose: a stream of small requests is the shape the
     front door exists for, and it maximises the per-request overhead this
     kernel guards.  Bytes are equivalent either way (each request keeps its

@@ -70,8 +70,8 @@ REQUIRED_KERNELS = frozenset(
         # worker kill per measured run (see bench_hotpaths.bench_serve_faulty)
         # — guards the overhead of pool supervision itself.
         "serve_sharded_tvae_faulty",
-        # Front-door kernel: the coalescing dispatch path (FrontDoor routing
-        # + micro-batched fair queueing) against a one-request-at-a-time
+        # Front-door kernel: the pipelined dispatch path (FrontDoor routing
+        # + the fair-queue dispatcher) against a one-request-at-a-time
         # client loop, both in fast mode (see bench_hotpaths.bench_front_door)
         # — guards the per-request plumbing the multi-tenant front door adds.
         "serve_front_door",

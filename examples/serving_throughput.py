@@ -10,9 +10,11 @@ The production story of the repo in one script:
 3. serve a burst of concurrent requests through a
    :class:`~repro.serve.SamplingService`: each request is a
    :class:`~repro.serve.RequestSpec` (fast mode unless it asks for
-   ``"exact"``), requests queued together coalesce into one sharded pass
-   over the worker pool (micro-batching), each request keeps its own seed,
-   and throughput/latency come back from ``stats()``,
+   ``"exact"``), the dispatcher pipelines them over the worker pool (it
+   refills the pool from the fair queue each time it delivers a request,
+   so the chunks of every request in flight share the workers), each
+   request keeps its own seed, and throughput/latency come back from
+   ``stats()``,
 4. demonstrate the sharding contract on the engine below the service, which
    takes the model's own ``(n, seed=..., sampling_mode=...)`` form: the
    bytes of a request depend only on ``(seed, chunk_size)`` — re-serving

@@ -112,11 +112,12 @@ The serving layer stacks three pieces on the streaming API:
   (:meth:`~repro.models.base.Surrogate.warm_serving_caches`), so a restarted
   server answers its first request at steady-state latency.
 * :class:`~repro.serve.SamplingService` is the front end: a thread-safe
-  request queue whose dispatcher coalesces concurrently queued requests into
-  one sharded pool pass (micro-batching — invisible in the bytes because
-  every request keeps its own seed's chunk streams, it only removes
-  queueing latency), backpressure via a bounded in-flight row budget, and a
-  ``stats()`` endpoint (rows/s, queue depth, p50/p95 latency).
+  request queue whose dispatcher pipelines requests over the pool (it
+  refills the pool from the fair queue each time it delivers a request —
+  invisible in the bytes because every request keeps its own seed's chunk
+  streams, it only removes queueing latency), backpressure via a bounded
+  in-flight row budget, and a ``stats()`` endpoint (rows/s, queue depth,
+  p50/p95 latency).
 
 ``repro-experiments serve`` drives the stack end to end;
 ``examples/serving_throughput.py`` is the narrated tour.  Throughput is

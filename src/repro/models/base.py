@@ -79,7 +79,7 @@ def chunk_plan(n: int, chunk_size: int, seed: SeedLike) -> Tuple[List[int], List
     Chunk ``i`` has ``min(chunk_size, n - i * chunk_size)`` rows and draws
     from the ``i``-th :class:`numpy.random.SeedSequence` child of ``seed``.
     :meth:`Surrogate.sample_batches`, the sharded engine and the service's
-    micro-batcher all chunk through this one plan, so their outputs are
+    dispatcher all chunk through this one plan, so their outputs are
     byte-identical by construction.
     """
     if chunk_size < 1:

@@ -52,8 +52,9 @@ The drift → retrain → canary → promote contract
    *held-out* window drawn from an independent seed stream of the same
    drifted distribution.  Lower total wins.
 5. Promote: registry ``prod`` pointer flips to the canary version, the
-   service hot-swaps the model at the safe point between micro-batches
-   (zero lost requests), and the monitor rebaselines on the retrain corpus.
+   service hot-swaps the model at its safe point, once the requests in
+   flight are delivered (zero lost requests), and the monitor rebaselines
+   on the retrain corpus.
    Rollback: the ``canary`` stage is cleared, prod keeps serving, and the
    latched monitor stays quiet until the next rebaseline.
 

@@ -62,8 +62,9 @@ class ScenarioSpec:
     #: Multi-tenant front-door knobs.  ``tenant_priorities`` maps tenants to
     #: service classes (unlisted tenants get ``default_priority``);
     #: ``request_deadline`` is the SLO every request carries into admission
-    #: control; ``microbatch_rows`` bounds the dispatcher's coalescing so the
-    #: weighted fair ordering matters across ticks.
+    #: control; ``microbatch_rows`` bounds the rows in flight in the
+    #: dispatcher's pipeline, so under a backlog the weighted fair order
+    #: decides which request enters the pool next.
     tenant_priorities: Mapping[str, str] = field(default_factory=dict)
     default_priority: str = "normal"
     request_deadline: Optional[float] = None

@@ -6,7 +6,7 @@ One :meth:`ScenarioEngine.run` drives, tick by tick:
    from the :class:`~repro.scenarios.streams.TrafficModel`, in the spec's
    sampling mode, is submitted to a live
    :class:`~repro.serve.service.SamplingService` (weighted fair
-   queueing, admission control, micro-batching, backpressure, chunk
+   queueing, admission control, pipelined dispatch, backpressure, chunk
    resilience and pool supervision all active), every result is collected,
    fingerprinted, and counted — a lost or erroneous request is a reportable
    defect, never a silent skip.  Front-door specs route the same traffic
@@ -464,7 +464,8 @@ class ScenarioEngine:
 
         if canary_score <= prod_score:
             registry.promote(model_name, version)
-            # Zero-downtime: applied between micro-batches.  The canary
+            # Zero-downtime: applied once the in-flight requests are
+            # delivered.  The canary
             # backend (if any) already serves the candidate.
             services["prod"].swap_model(candidate)
             monitor.rebaseline(corpus)

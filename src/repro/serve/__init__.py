@@ -27,11 +27,14 @@ package is the machinery that cashes the invariant in:
     latency.
 
 :class:`~repro.serve.service.SamplingService`
-    The front end: a thread-safe request queue with micro-batching (all
-    requests queued at a dispatch tick coalesce into one sharded pool pass),
-    per-request seeds (coalescing is invisible in the bytes), backpressure
-    via a bounded in-flight row budget, and a stats endpoint (rows/s, queue
-    depth, p50/p95 latency, fault counters).
+    The front end: a thread-safe request queue with a pipelined
+    dispatcher (it refills the pool from the fair queue each time it
+    delivers a request, so the chunks of every request in flight share the
+    workers and the pool never drains at a request boundary; with
+    ``microbatch_rows`` set, that many rows at most are in flight),
+    per-request seeds (sharing the pool is invisible in the bytes),
+    backpressure via a bounded in-flight row budget, and a stats endpoint
+    (rows/s, queue depth, p50/p95 latency, fault counters).
 
 The fault-tolerance contract
 ----------------------------
@@ -146,7 +149,7 @@ percentiles included.  The serving metric names:
 
 * requests/rows — ``repro_serve_requests_total{tenant}``,
   ``repro_serve_request_errors_total``, ``repro_serve_rows_total{tenant}``,
-  ``repro_serve_batches_total``;
+  ``repro_serve_batches_total`` (the dispatcher's refills);
 * flow latency — ``repro_serve_request_latency_seconds{tenant,priority}``
   and ``repro_serve_queue_wait_seconds{tenant,priority}`` (histograms over
   the log-spaced :data:`~repro.obs.metrics.DEFAULT_LATENCY_BUCKETS`);

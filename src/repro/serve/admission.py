@@ -12,9 +12,9 @@ independent signals, each optional:
   admitted-but-undelivered row count past ``max_backlog_rows``;
 * **deadline (SLO)** — reject a request carrying a
   :attr:`~repro.serve.api.RequestSpec.deadline` whose *estimated* queue
-  wait (backlog rows / observed service rate, an EMA the dispatcher feeds)
-  already exceeds that deadline.  No rate observed yet → no deadline
-  rejections (the estimator never guesses).
+  wait (backlog rows / observed service rate, from EMAs the dispatcher
+  feeds at every delivery) already exceeds that deadline.  No rate
+  observed yet → no deadline rejections (the estimator never guesses).
 
 The determinism contract: admission decides *whether* a request enters the
 queue, never *what* it returns — an admitted request is always served with
@@ -22,23 +22,24 @@ its own seed's bytes.  Scenario replays therefore stay fingerprint-identical
 as long as their admission bounds are generous enough to admit everything,
 which the catalog specs guarantee by construction.
 
-:class:`AutoscalePolicy` is the sibling knob set for queue-depth-driven
-worker scaling: the dispatcher resizes the pool toward
+:class:`AutoscalePolicy` is the sibling knob set for demand-driven
+worker scaling: at every refill of its pipeline, the dispatcher computes
 ``ceil(demand_rows / rows_per_worker)`` within ``[min_workers,
 max_workers]``, capped at the core budget
-(:func:`~repro.utils.parallel.available_workers`), at its safe points
-(between micro-batches).  Scaling up is
-immediate; scaling down waits for ``shrink_patience`` consecutive
-under-demand ticks so a lull between bursts does not thrash the pool.
-Resizing never changes output bytes — the sharding contract makes chunk
-streams worker-count-invariant.
+(:func:`~repro.utils.parallel.available_workers`), where the demand is the
+rows queued plus the rows in flight.  A resize stops the refills: it
+applies at the safe point, once every in-flight request is delivered.
+Scaling up is immediate; scaling down waits for ``shrink_patience``
+consecutive under-demand refills so a lull between bursts does not thrash
+the pool.  Resizing never changes output bytes — the sharding contract
+makes chunk streams worker-count-invariant.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.api import RequestSpec
@@ -87,7 +88,8 @@ class AdmissionPolicy:
     #: Floor (rows/s) the wait estimator never drops under, so one slow
     #: batch cannot make the estimator reject everything forever.
     min_rate_floor: float = 1.0
-    #: Smoothing factor of the service-rate EMA fed by the dispatcher.
+    #: Smoothing factor of the dispatcher-fed EMAs behind the service-rate
+    #: estimate (rows and seconds per delivery).
     rate_smoothing: float = 0.3
 
     def __post_init__(self) -> None:
@@ -111,14 +113,15 @@ class AdmissionController:
     """Apply an :class:`AdmissionPolicy`; keep the admission counters.
 
     The service consults :meth:`check` (under its own queue lock) before
-    admitting, and feeds :meth:`observe_batch` after every served
-    micro-batch so the deadline estimator tracks the real service rate.
+    admitting, and feeds :meth:`observe_batch` once per delivered request
+    so the deadline estimator tracks the real service rate.
     """
 
     def __init__(self, policy: AdmissionPolicy, metrics: Optional[MetricsRegistry] = None) -> None:
         self.policy = policy
         self._lock = threading.Lock()
-        self._rate: Optional[float] = None  # EMA rows/s; None until observed
+        #: EMAs of (rows, seconds) per delivery; None until observed.
+        self._ema: Optional[Tuple[float, float]] = None
         registry = metrics if metrics is not None else MetricsRegistry()
         self._m_admitted = registry.counter(
             "repro_serve_admission_admitted_total", "Requests admitted to the queue."
@@ -176,21 +179,30 @@ class AdmissionController:
 
     # -- the rate estimator ------------------------------------------------------
     def observe_batch(self, rows: int, seconds: float) -> None:
-        """Fold one served micro-batch into the service-rate EMA."""
+        """Fold one delivery into the service-rate estimate.
+
+        The dispatcher passes a delivered request's rows and the time since
+        the later of its dispatch and the previous delivery.  Those
+        intervals tile the pipeline's busy time without overlap.  Rows and
+        seconds are smoothed separately and the rate is their ratio: requests
+        whose chunks finish together are delivered microseconds apart, and
+        an average of per-delivery rates would read that as a near-infinite
+        rate.
+        """
         if rows <= 0 or seconds <= 0:
             return
-        rate = rows / seconds
         with self._lock:
             alpha = self.policy.rate_smoothing
-            self._rate = rate if self._rate is None else alpha * rate + (1 - alpha) * self._rate
+            ema_rows, ema_seconds = self._ema or (rows, seconds)  # the first delivery seeds both
+            self._ema = (alpha * rows + (1 - alpha) * ema_rows, alpha * seconds + (1 - alpha) * ema_seconds)
 
     def estimated_wait(self, backlog_rows: int) -> Optional[float]:
         """Estimated seconds to drain ``backlog_rows``; None before any data."""
         with self._lock:
-            rate = self._rate
-        if rate is None:
+            ema = self._ema
+        if ema is None:
             return None
-        return backlog_rows / max(rate, self.policy.min_rate_floor)
+        return backlog_rows / max(ema[0] / ema[1], self.policy.min_rate_floor)
 
     def _drain_estimate(self, backlog_rows: int) -> float:
         wait = self.estimated_wait(backlog_rows)
@@ -222,7 +234,7 @@ class AutoscalePolicy:
     #: Demand grain: the target worker count is
     #: ``ceil(demand_rows / rows_per_worker)`` clamped to the bounds above.
     rows_per_worker: int = 50_000
-    #: Consecutive under-demand dispatch ticks required before shrinking.
+    #: Consecutive under-demand refills required before shrinking.
     shrink_patience: int = 3
 
     def __post_init__(self) -> None:

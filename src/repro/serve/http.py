@@ -25,8 +25,11 @@ connection, JSON in, JSON out.  Routes:
     "model", "columns"?}``; ``400`` on a malformed spec; ``429`` with a
     ``Retry-After`` header when admission control rejects
     (:class:`~repro.serve.admission.AdmissionRejected`) or the in-flight
-    budget is full.  Blocking waits happen on executor threads, so slow
-    requests never stall the accept loop.
+    budget is full; ``500`` with ``{"error": "<type>: <message>"}`` when
+    generation fails (a :class:`~repro.serve.sharded.ChunkError` or any
+    other sampling exception), its traceback logged.  Blocking waits
+    happen on executor threads, so slow requests never stall the accept
+    loop.
 ``GET /stats``
     The unified stats tree per backend (see
     :meth:`~repro.serve.service.ServiceStats.to_dict`) plus the router's
@@ -57,8 +60,11 @@ from repro.serve.admission import AdmissionRejected, ServiceOverloaded
 from repro.serve.api import RequestSpec, table_fingerprint
 from repro.serve.service import SampleRequest, SamplingService
 from repro.tabular.table import Table
+from repro.utils.logging import get_logger
 
 __all__ = ["FrontDoor", "FrontDoorTicket"]
+
+_LOG = get_logger(__name__)
 
 _REASONS = {
     200: "OK",
@@ -337,7 +343,9 @@ class FrontDoor:
             body = await reader.readexactly(length) if length > 0 else b""
             status, payload, extra = await self._route(method, path, body)
         except Exception:
-            pass  # fall through to the 500 defaults
+            # The server must keep running: record the failure, answer with
+            # the 500 defaults.
+            _LOG.error("HTTP exchange failed", exc_info=True)
         finally:
             with contextlib.suppress(Exception):
                 # str payloads ship raw (the Prometheus text page); anything
@@ -427,7 +435,6 @@ class FrontDoor:
             return 400, {"error": str(exc)}, {}
         try:
             ticket = self.submit(spec, model=str(model) if model is not None else None)
-            table = ticket.result()
         except AdmissionRejected as exc:
             return (
                 429,
@@ -438,6 +445,11 @@ class FrontDoor:
             return 429, {"error": str(exc), "reason": "overloaded"}, {"Retry-After": "1"}
         except KeyError as exc:
             return 400, {"error": str(exc)}, {}
+        try:
+            table = ticket.result()
+        except Exception as exc:
+            _LOG.error("POST /sample: generating %r failed", spec, exc_info=True)
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
         payload: Dict[str, object] = {
             "fingerprint": table_fingerprint(table),
             "rows": table.n_rows,

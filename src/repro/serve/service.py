@@ -1,15 +1,17 @@
-"""The sampling service: a fair, admission-controlled micro-batching queue.
+"""The sampling service: a fair, admission-controlled, pipelined dispatcher.
 
 Serving traffic is many concurrent, mostly small requests from many
 tenants, not one giant request.  :class:`SamplingService` accepts
 :class:`~repro.serve.api.RequestSpec` submissions — the request layer's only
 form — from any thread (:meth:`~SamplingService.submit` returns a
-:class:`SampleRequest` handle),
-and a dispatcher thread drains the queue in *micro-batches*: the requests
-the weighted fair queue yields at the moment the dispatcher wakes are
-coalesced into one sharded pass — all their chunks are submitted to the
-worker pool interleaved, so the pool pipelines across request boundaries
-instead of draining and refilling per request.
+:class:`SampleRequest` handle), and a dispatcher thread runs a *pipeline*.
+It keeps a FIFO of the requests whose chunks are in the worker pool.  Each
+turn it *refills*: it pops what the weighted fair queue yields and submits
+those chunks (interleaved across the popped requests).  Then it blocks on
+the oldest in-flight request and delivers it.  While it waits, the pool
+keeps working on every other in-flight request's chunks, so the pool
+pipelines across request boundaries instead of draining at each one, and
+an arrival waits for the next delivery rather than for a whole batch.
 
 Fairness: queued requests are ordered by **start-time weighted fair
 queueing** over ``(tenant, priority)`` flows.  Each flow accumulates
@@ -17,10 +19,11 @@ virtual finish times at a rate of ``rows / priority weight`` (see
 :data:`~repro.serve.api.PRIORITY_CLASSES`), so a tenant flooding the queue
 with bulk work advances its own virtual clock and later requests from other
 tenants overtake it — no flow starves, and an ``interactive`` flow gets 4×
-the share of a ``batch`` flow when both are backlogged.  Bound the
-micro-batch with ``microbatch_rows`` to make the fair ordering matter
-between dispatch ticks (unbounded batches drain everything at once, the
-legacy behaviour).  Scheduling never changes *bytes*: each request's chunks
+the share of a ``batch`` flow when both are backlogged.  ``microbatch_rows``
+bounds the rows in flight (dispatched but not yet delivered): under a
+sustained backlog the surplus waits in the fair queue, so the fair order
+decides who enters the pool next (``None`` puts everything queued in
+flight at once).  Scheduling never changes *bytes*: each request's chunks
 draw from the request's **own** seed streams (the sharding contract of
 :mod:`repro.serve.sharded`), so any serving order returns exactly what each
 request would have returned alone.
@@ -37,11 +40,13 @@ request is admitted it is always served.  A caller that stops waiting
 should :meth:`SampleRequest.cancel` to release its budget.
 
 Autoscaling: with an :class:`~repro.serve.admission.AutoscalePolicy` the
-dispatcher resizes the worker pool toward the queue-depth demand
-(``ceil(demand rows / rows_per_worker)`` within ``[min_workers,
-max_workers]``, and never past the core budget) at its safe points —
-immediately up, patiently down.
-Byte-safe by the worker-count-invariance of the sharding contract.
+dispatcher resizes the worker pool toward the demand (rows queued plus
+rows in flight: ``ceil(demand rows / rows_per_worker)`` within
+``[min_workers, max_workers]``, and never past the core budget) —
+immediately up, patiently down.  A resize, like a model swap, stops the
+refills: the dispatcher delivers what is in flight and applies it at that
+safe point.  Byte-safe by the worker-count-invariance of the sharding
+contract.
 
 Fault tolerance is unchanged from PR 6: chunk failures / timeouts /
 stragglers are absorbed by :class:`~repro.serve.sharded.ChunkPolicy`,
@@ -79,9 +84,12 @@ from repro.serve.api import RequestSpec, priority_weight
 from repro.serve.faults import FaultPlan
 from repro.serve.sharded import ChunkPolicy, ShardedSampler
 from repro.tabular.table import Table
+from repro.utils.logging import get_logger
 from repro.utils.parallel import WorkerPoolBroken, available_workers
 
 __all__ = ["SampleRequest", "SamplingService", "ServiceOverloaded", "ServiceStats"]
+
+_LOG = get_logger(__name__)
 
 
 class _SwapTicket:
@@ -174,13 +182,14 @@ class _FairQueue:
         start  = max(virtual_time, flow's previous finish)
         finish = start + rows / priority_weight
 
-    and requests pop in finish order (ties: arrival order).  The virtual
-    clock advances to the start tag of whatever is being served, so a flow
-    that went idle re-enters at the current clock instead of catching up on
-    credit it never queued for.  Cancellation is lazy: a discarded request
-    stays in the heap and is skipped when it surfaces.  When the queue
-    fully drains, the clock and flow tags reset — a fresh backlog starts a
-    fresh round.  Not thread-safe; the service's lock guards every call.
+    and requests pop in finish order (ties: arrival order), one refill of
+    the dispatcher's pipeline at a time.  The virtual clock advances to the
+    start tag of whatever is being served, so a flow that went idle
+    re-enters at the current clock instead of catching up on credit it
+    never queued for.  Cancellation is lazy: a discarded request stays in
+    the heap and is skipped when it surfaces.  When the queue fully drains,
+    the clock and flow tags reset — a fresh backlog starts a fresh round.
+    Not thread-safe; the service's lock guards every call.
     """
 
     def __init__(self) -> None:
@@ -221,20 +230,23 @@ class _FairQueue:
         self._live_rows -= request.spec.n
         return True
 
-    def pop_batch(self, max_rows: Optional[int]) -> List[SampleRequest]:
-        """The next micro-batch in fair order, bounded by ``max_rows``.
+    def pop_batch(self, max_rows: Optional[int], in_flight_rows: int) -> List[SampleRequest]:
+        """The next requests in fair order, keeping the rows in flight
+        (``in_flight_rows`` already dispatched, plus those popped here)
+        within ``max_rows``.
 
-        Always yields at least one request when any is queued (a request
-        larger than the bound must not starve); ``None`` drains everything.
+        With no rows in flight it yields at least one request when any is
+        queued: a request larger than the bound must not starve, so it runs
+        alone.  ``None`` pops everything.
         """
         batch: List[SampleRequest] = []
-        rows = 0
+        rows = in_flight_rows
         while self._heap:
             finish, seq, request = self._heap[0]
             if not request._queued:
                 heapq.heappop(self._heap)
                 continue
-            if batch and max_rows is not None and rows + request.spec.n > max_rows:
+            if (batch or rows) and max_rows is not None and rows + request.spec.n > max_rows:
                 break
             heapq.heappop(self._heap)
             request._queued = False
@@ -256,7 +268,7 @@ class ServiceStats:
 
     #: Rows delivered per second of service uptime.
     rows_per_second: float
-    #: Requests waiting for the dispatcher (not yet in a sharded pass).
+    #: Requests waiting in the fair queue (not yet dispatched to the pool).
     queue_depth: int
     #: Rows admitted but not yet delivered (the backpressure quantity).
     in_flight_rows: int
@@ -360,11 +372,14 @@ class SamplingService:
         per-request deadline estimate.  ``None`` admits everything.
     autoscale:
         Optional :class:`~repro.serve.admission.AutoscalePolicy`: the
-        dispatcher resizes the pool with queue demand between its bounds.
+        dispatcher resizes the pool with demand between its bounds.
     microbatch_rows:
-        Upper bound on rows coalesced per dispatch tick.  ``None`` (default)
-        drains the whole queue each tick; a bound makes the weighted fair
-        ordering effective across ticks under sustained backlog.
+        Upper bound on the rows in flight: dispatched to the pool but not
+        yet delivered.  A single request larger than the bound is dispatched
+        alone when nothing else is in flight.  ``None`` (default) dispatches
+        everything queued at each refill; a bound keeps a sustained backlog
+        in the fair queue, so the weighted fair order decides who enters
+        the pool next.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` shared by every layer
         of this service's stack (sampler fault counters, pool gauges,
@@ -379,7 +394,8 @@ class SamplingService:
         strict no-op — served bytes are identical either way.
 
     The service starts its pool and dispatcher on construction and is a
-    context manager; :meth:`close` drains the queue and shuts down.
+    context manager; :meth:`close` drains the queue and the pipeline, then
+    shuts down.
     """
 
     def __init__(
@@ -456,7 +472,7 @@ class SamplingService:
             "repro_serve_rows_total", "Rows delivered, by tenant.", labels=("tenant",)
         )
         self._m_batches = registry.counter(
-            "repro_serve_batches_total", "Micro-batches dispatched."
+            "repro_serve_batches_total", "Pipeline refills that dispatched requests."
         )
         self._m_degraded_passes = registry.counter(
             "repro_serve_degraded_passes_total",
@@ -551,13 +567,14 @@ class SamplingService:
     ) -> None:
         """Hot-swap the served model with **zero lost requests**.
 
-        The swap is queued to the dispatcher, which applies it at the safe
-        point between micro-batches: requests already submitted keep their
-        admission slots and are served (by whichever model the dispatcher
-        holds when their batch runs — submit-then-swap ordering is only
-        deterministic across a drained queue, which is how the scenario
-        engine drives it), and the worker pool is rebuilt from the new
-        model's snapshot.  With ``wait=True`` (default) blocks until the
+        The swap is queued to the dispatcher.  A pending swap stops the
+        refills; the dispatcher delivers every in-flight request and applies
+        the swap at that safe point.  Requests already submitted keep their
+        admission slots and are served (those already in flight by the old
+        model, those still queued by the new one — submit-then-swap ordering
+        is only deterministic across a drained queue, which is how the
+        scenario engine drives it), and the worker pool is rebuilt from the
+        new model's snapshot.  With ``wait=True`` (default) blocks until the
         swap has been applied; raises the swap's error if the rebuild fails.
         """
         if not model.is_fitted:
@@ -695,7 +712,8 @@ class SamplingService:
         )
 
     def close(self) -> None:
-        """Drain queued requests, stop the dispatcher, shut the pool down."""
+        """Serve every queued and in-flight request, stop the dispatcher,
+        shut the pool down."""
         with self._lock:
             if self._closing:
                 return
@@ -715,7 +733,7 @@ class SamplingService:
         with self._lock:
             if request.done():
                 return False
-            self._queue.discard(request)  # no-op if a dispatch tick took it
+            self._queue.discard(request)  # no-op once a refill dispatched it
             request.cancelled = True
             resolved = request._resolve(None, CancelledError("request cancelled"))
             if resolved:
@@ -745,70 +763,96 @@ class SamplingService:
         return self._in_flight_rows + n <= self.max_inflight_rows
 
     def _dispatch_loop(self) -> None:
+        """The pipeline: refill from the fair queue, deliver the oldest, repeat.
+
+        ``pipeline`` holds the in-flight requests, oldest first, as
+        ``[request, sizes, children, handles, error, run, dispatched_at]``.
+        They share one chunk run, so hedging sees every chunk completed
+        before; a fresh run starts when the pipeline empties or the pool
+        collapses.  A pending swap or resize stops the refills until the
+        pipeline has drained: the safe point where it applies.
+        """
+        pipeline: Deque[list] = deque()
+        pipeline_rows, run, delivered_at = 0, None, 0.0
+        resize_to: Optional[int] = None
         while True:
             with self._lock:
-                while not self._queue and not self._pending_swaps and not self._closing:
+                while not (pipeline or self._queue or self._pending_swaps or self._closing):
                     self._lock.wait()
-                # Swaps apply at this safe point — no micro-batch in flight.
-                swaps = list(self._pending_swaps)
-                self._pending_swaps.clear()
-                if not self._queue and not swaps and self._closing:
-                    return
-                # The micro-batch: the fair queue's next slice (everything
-                # queued, unless microbatch_rows bounds the tick).
-                batch = self._queue.pop_batch(self._microbatch_rows)
-                backlog_rows = self._queue.rows
+                swaps: List[_SwapTicket] = []
+                if not pipeline:
+                    swaps = list(self._pending_swaps)
+                    self._pending_swaps.clear()
+                batch: List[SampleRequest] = []
+                if not self._pending_swaps and (resize_to is None or not pipeline):
+                    batch = self._queue.pop_batch(self._microbatch_rows, pipeline_rows)
+                queued_rows = self._queue.rows
                 self._set_queue_gauges_locked()
+                if self._closing and not (pipeline or batch or swaps):
+                    return
             if swaps:
                 self._apply_swaps(swaps)
-            batch_rows = sum(request.spec.n for request in batch)
-            self._autoscale_tick(batch_rows + backlog_rows)
             if batch:
-                batch_started = time.perf_counter()
-                self._serve_batch(batch)
-                if self._admission is not None:
-                    self._admission.observe_batch(
-                        batch_rows, time.perf_counter() - batch_started
-                    )
-            with self._lock:
-                self._lock.notify_all()  # budget freed: wake blocked submitters
+                self._m_batches.inc()
+                pipeline_rows += sum(request.spec.n for request in batch)
+                resize_to = self._autoscale_target(queued_rows + pipeline_rows) or resize_to
+            if resize_to is not None and not pipeline:
+                self._resize(resize_to)
+                resize_to = None
+            if batch:
+                if not pipeline or (not run.in_process and self._sampler.pool_broken):
+                    run = self._sampler.chunk_run()
+                pipeline.extend(self._dispatch(run, batch))
+            if not pipeline:
+                continue
+            request, sizes, children, handles, error, entry_run, dispatched_at = pipeline.popleft()
+            pipeline_rows -= request.spec.n
+            table: Optional[Table] = None
+            if error is None:
+                try:
+                    table = self._serve_request(entry_run, request, sizes, children, handles)
+                except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
+                    error = exc
+            self._finish(request, table, error)
+            now = time.perf_counter()
+            if self._admission is not None:
+                self._admission.observe_batch(request.spec.n, now - max(dispatched_at, delivered_at))
+            delivered_at = now
 
-    def _autoscale_tick(self, demand_rows: int) -> None:
-        """Resize the pool toward the demand, at the dispatcher's safe point.
+    def _autoscale_target(self, demand_rows: int) -> Optional[int]:
+        """The worker count the demand calls for, or ``None`` to keep the pool.
 
-        Scale-up is immediate; scale-down waits for ``shrink_patience``
-        consecutive under-demand ticks.  The target never exceeds the core
-        budget (:func:`~repro.utils.parallel.available_workers`): workers
-        past it only contend for the same CPUs.  A broken pool is never
-        resized — degraded mode is the supervisor's verdict, not a capacity
-        problem.  Bytes are invariant either way (the sharding contract).
+        Evaluated once per refill.  Scale-up is immediate; scale-down waits
+        for ``shrink_patience`` consecutive under-demand refills.  The target
+        never exceeds the core budget
+        (:func:`~repro.utils.parallel.available_workers`): workers past it
+        only contend for the same CPUs.  A broken pool is never resized —
+        degraded mode is the supervisor's verdict, not a capacity problem.
         """
         policy = self._autoscale
         if policy is None or self._sampler.pool_broken:
-            return
+            return None
         target = min(policy.target_workers(demand_rows), available_workers(None))
-        current = self._sampler.workers
-        if target > current:
-            self._shrink_streak = 0
-            if self._try_resize(target):
-                self._m_scale_ups.inc()
-        elif target < current:
+        if target < self._sampler.workers:
             self._shrink_streak += 1
-            if self._shrink_streak >= policy.shrink_patience:
-                self._shrink_streak = 0
-                if self._try_resize(target):
-                    self._m_scale_downs.inc()
-        else:
-            self._shrink_streak = 0
+            if self._shrink_streak < policy.shrink_patience:
+                return None
+        self._shrink_streak = 0
+        return target if target != self._sampler.workers else None
 
-    def _try_resize(self, workers: int) -> bool:
-        """Resize the sampler; a failed resize must not kill the dispatcher."""
+    def _resize(self, workers: int) -> None:
+        """Resize the pool at a safe point (nothing in flight); byte-safe by
+        the sharding contract.  A failure keeps the current size."""
+        current = self._sampler.workers
+        if workers == current or self._sampler.pool_broken:
+            return
         try:
             self._sampler.resize(workers)
-            self._g_workers.set(self._sampler.workers)
-            return True
         except Exception:
-            return False  # keep serving at the current size
+            _LOG.warning("resizing the pool to %d workers failed", workers, exc_info=True)
+            return
+        self._g_workers.set(self._sampler.workers)
+        (self._m_scale_ups if workers > current else self._m_scale_downs).inc()
 
     def _apply_swaps(self, swaps: List[_SwapTicket]) -> None:
         """Install the most recent pending model (earlier ones are superseded).
@@ -827,22 +871,18 @@ class SamplingService:
         for ticket in swaps:
             ticket.resolve(error)
 
-    def _serve_batch(self, batch: List[SampleRequest]) -> None:
-        """One pass over the chunks of every request in the batch.
+    def _dispatch(self, run, batch: List[SampleRequest]) -> List[list]:
+        """Submit the chunks of one refill's requests; their pipeline entries.
 
         Every chunk goes through one :meth:`ShardedSampler.chunk_run` —
         pooled, or in-process with ``workers=1`` or after pool collapse.
-        All requests' chunks are submitted up front and *interleaved
-        round-robin* across requests (that *is* the micro-batch: no
-        request's chunks all queue behind another's), then each request
-        resolves independently — a chunk failure affects only the request
-        whose chunk exhausted its budget.
+        The chunks are *interleaved round-robin* across the refill's
+        requests, so no request's chunks all queue behind another's.  A
+        request whose chunk plan or submission fails carries its error to
+        its delivery; the others are unaffected.
         """
-        run = self._sampler.chunk_run()
         tracer = self._tracer
         popped_at = time.perf_counter()
-        self._m_batches.inc()
-        # One plan per request: [request, sizes, children, handles, error].
         plans: List[list] = []
         for request in batch:
             spec = request.spec
@@ -879,13 +919,13 @@ class SamplingService:
                     attrs={"tenant": spec.tenant, "priority": spec.priority},
                 )
                 tracer.add("queue_wait", trace_id, parent=root, start=admitted_at, end=popped_at)
-            plans.append([request, sizes, children, [], error])
+            plans.append([request, sizes, children, [], error, run, popped_at])
 
         dispatch_started = time.perf_counter()
         pool_died = False
         for index in range(max((len(plan[1]) for plan in plans), default=0)):
             for plan in plans:
-                request, sizes, children, handles, error = plan
+                request, sizes, children, handles, error = plan[:5]
                 if pool_died or error is not None or index >= len(sizes):
                     continue
                 try:
@@ -895,16 +935,15 @@ class SamplingService:
                         )
                     )
                 except (WorkerPoolBroken, BrokenExecutor):
-                    pool_died = True  # requests left short of handles rerun below
+                    pool_died = True  # requests left short of handles rerun at delivery
                 except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
                     plan[4] = exc
                     for handle in handles:
                         handle.cancel()
 
         if tracer is not None:
-            # One dispatch span per micro-batch, attributed to the first
-            # traced request (the batch is the unit of dispatch, not the
-            # request).
+            # One dispatch span per refill, attributed to the first traced
+            # request (the refill is the unit of dispatch, not the request).
             first_trace = next(
                 (plan[0]._obs_trace_id for plan in plans if plan[0]._obs_trace_id),
                 None,
@@ -917,15 +956,7 @@ class SamplingService:
                     start=dispatch_started,
                     attrs={"batch_requests": len(plans), "pooled": not run.in_process},
                 )
-
-        for request, sizes, children, handles, error in plans:
-            table: Optional[Table] = None
-            if error is None:
-                try:
-                    table = self._serve_request(run, request, sizes, children, handles)
-                except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
-                    error = exc
-            self._finish(request, table, error)
+        return plans
 
     def _serve_request(self, run, request: SampleRequest, sizes, children, handles) -> Table:
         """Resolve one request's chunk handles and assemble its table.
@@ -988,6 +1019,7 @@ class SamplingService:
                     request.latency, tenant=spec.tenant, priority=spec.priority
                 )
             self._set_queue_gauges_locked()
+            self._lock.notify_all()  # budget freed: wake blocked submitters
         tracer = self._tracer
         if tracer is not None and delivered and request._obs_trace_id is not None:
             trace_id = request._obs_trace_id

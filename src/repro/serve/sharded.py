@@ -257,15 +257,20 @@ class ChunkPolicy:
 
 
 class _ChunkRun:
-    """One multi-chunk pass (request or micro-batch): the only way chunks run.
+    """The only way chunks run: one request's pass, or the service
+    dispatcher's pipeline for as long as requests are in flight.
 
     :meth:`submit` returns a supervised :class:`_ChunkHandle` on the worker
     pool, or a lazy :class:`_LocalChunk` when the run is ``in_process``.
-    Tracks completed-chunk latencies so hedging can compare each in-flight
-    chunk against the run's median.  A run is consumed by a single thread
-    (the request iterator or the service dispatcher); the sampler-level
-    counters it updates are lock-protected.
+    Tracks the latencies of the last :attr:`LATENCY_WINDOW` completed chunks
+    so hedging can compare each in-flight chunk against the run's median; a
+    run that lives through a long busy period keeps a bounded sample.  A
+    run is consumed by a single thread (the request iterator or the service
+    dispatcher); the sampler-level counters it updates are lock-protected.
     """
+
+    #: Completed-chunk latencies kept for the hedging median.
+    LATENCY_WINDOW = 256
 
     def __init__(self, sampler: "ShardedSampler", *, in_process: bool) -> None:
         self.sampler = sampler
@@ -273,7 +278,9 @@ class _ChunkRun:
         self.policy = sampler.chunk_policy
         #: The pool every attempt of this run goes to (started here).
         self.pool: Optional[WorkerPool] = None if in_process else sampler.start()._pool
-        #: Completed-chunk latencies, kept sorted so the median is one lookup.
+        #: The sample in completion order, and kept sorted so the median is
+        #: one lookup.
+        self._recent: deque = deque()
         self._latencies: List[float] = []
 
     def submit(
@@ -283,6 +290,9 @@ class _ChunkRun:
         return handle(self, index, size, child, sampling_mode)
 
     def record_latency(self, seconds: float) -> None:
+        if len(self._recent) == self.LATENCY_WINDOW:
+            del self._latencies[bisect.bisect_left(self._latencies, self._recent.popleft())]
+        self._recent.append(seconds)
         bisect.insort(self._latencies, seconds)
 
     def median_latency(self) -> Optional[float]:
@@ -722,8 +732,9 @@ class ShardedSampler:
     def resize(self, workers: int) -> "ShardedSampler":
         """Change the worker count at a safe point (no chunks in flight).
 
-        The autoscaling hook: the service dispatcher calls this between
-        micro-batches.  Byte-safe by the sharding contract — chunk streams
+        The autoscaling hook: the service dispatcher stops refilling its
+        pipeline and calls this once every in-flight request has been
+        delivered.  Byte-safe by the sharding contract — chunk streams
         are worker-count-invariant, so a resized pool serves identical
         bytes.  The current pool (if any) is torn down and a fresh one is
         started at the new count (``1`` runs pool-free); the sampler is
@@ -741,10 +752,10 @@ class ShardedSampler:
 
         Tears the pool down, installs ``model``, and — when a pool was
         running — starts a new one from the new model's snapshot.  Callers
-        must not have chunks in flight (the service dispatcher swaps between
-        micro-batches, which guarantees exactly that).  A broken pool is
-        also cleared here: a swap is a rebuild, so the degraded-mode flag
-        resets with it.
+        must not have chunks in flight (the service dispatcher swaps only
+        once its pipeline has drained, which guarantees exactly that).  A
+        broken pool is also cleared here: a swap is a rebuild, so the
+        degraded-mode flag resets with it.
         """
         if not model.is_fitted:
             raise RuntimeError(
@@ -854,12 +865,13 @@ class ShardedSampler:
         return _generate()
 
     def chunk_run(self) -> _ChunkRun:
-        """A chunk-submission context for the service's micro-batcher.
+        """A chunk-submission context for the service's dispatcher pipeline.
 
         ``run.submit(index, size, child, mode)`` returns a handle whose
-        ``result()`` yields the chunk table, so the chunks of several
-        coalesced requests can interleave in one pass.  The run is
-        in-process with ``workers=1`` or once the pool collapsed
+        ``result()`` yields the chunk table, so the chunks of every request
+        in flight go through one run: they interleave in the pool, and
+        hedging measures each chunk against the ones completed before it.
+        The run is in-process with ``workers=1`` or once the pool collapsed
         (:attr:`pool_broken`); otherwise its handles apply the sampler's
         :class:`ChunkPolicy` (deadline, retries, hedging) on the pool.
         """

@@ -5,7 +5,7 @@ rest of the library never reaches for global random state or ad-hoc argument
 checking.
 """
 
-from repro.utils.rng import as_rng, spawn_rngs, derive_seed
+from repro.utils.rng import as_rng, derive_seed
 from repro.utils.validation import (
     check_array,
     check_fitted,
@@ -20,7 +20,6 @@ from repro.utils.profiling import BenchmarkRegistry
 __all__ = [
     "BenchmarkRegistry",
     "as_rng",
-    "spawn_rngs",
     "derive_seed",
     "check_array",
     "check_fitted",

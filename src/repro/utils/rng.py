@@ -3,8 +3,8 @@
 Every stochastic component in the library accepts either an integer seed, an
 existing :class:`numpy.random.Generator`, or ``None`` and converts it with
 :func:`as_rng`.  Components that need several independent streams (e.g. one
-per worker process, or one per diffusion chain) use :func:`spawn_rngs`, which
-is deterministic given the parent.
+per chunk of a sharded sampling request) use :func:`spawn_seed_sequences`,
+which is deterministic given the parent.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
 
 
 def spawn_seed_sequences(seed: SeedLike, n: int) -> List[np.random.SeedSequence]:
-    """The ``n`` :class:`~numpy.random.SeedSequence` children of ``seed``.
+    """The ``n`` independent :class:`~numpy.random.SeedSequence` children of
+    ``seed``.
 
-    The picklable form of :func:`spawn_rngs`: each child seeds exactly the
-    generator ``spawn_rngs`` would return at the same index, so work shipped
-    to another process (one chunk of a sharded sampling request) draws the
-    same stream there as it would in-process.
+    Children are picklable, so work shipped to another process (one chunk
+    of a sharded sampling request) draws the same stream there as it would
+    in-process: ``numpy.random.default_rng(child)``.
 
     Child ``i`` is the one a first ``SeedSequence.spawn`` of the parent
     returns at index ``i``, but the parent is only read: ``spawn`` would
@@ -61,15 +61,6 @@ def spawn_seed_sequences(seed: SeedLike, n: int) -> List[np.random.SeedSequence]
         np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size)
         for i in range(n)
     ]
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
-    """Create ``n`` statistically independent child generators.
-
-    The children are those of :func:`spawn_seed_sequences`, so the same
-    ``(seed, n)`` pair produces the same streams for every seed type.
-    """
-    return [np.random.default_rng(child) for child in spawn_seed_sequences(seed, n)]
 
 
 #: ``numpy`` converts a raw 64-bit draw to a double as ``(u >> 11) * 2**-53``.

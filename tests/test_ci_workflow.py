@@ -156,6 +156,33 @@ class TestWorkflowDocument:
         assert str(env.get("REPRO_WORKERS")) == "2"
         assert env.get("PYTHONPATH") == "src"
 
+    def test_test_job_runs_serving_suites_under_dev_mode(self, workflow):
+        # The serving suites run once more under ``python -X dev`` with
+        # ResourceWarning and unraisable-exception warnings as errors, so a
+        # leaked socket or an exception lost in a destructor fails CI.
+        steps = workflow["jobs"]["tests"]["steps"]
+        dev_steps = [step for step in steps if "python -X dev -m pytest" in step.get("run", "")]
+        assert dev_steps, "no named step runs the serving suites under -X dev"
+        step = dev_steps[0]
+        assert step.get("name"), "the -X dev step must be named"
+        for flag in ("-W error::ResourceWarning", "-W error::pytest.PytestUnraisableExceptionWarning"):
+            assert flag in step["run"]
+        suites = (
+            "tests/test_serve_service.py",
+            "tests/test_serve_http.py",
+            "tests/test_serve_sharded.py",
+            "tests/test_serve_faults.py",
+            "tests/test_obs_serving.py",
+            "tests/test_utils_parallel.py",
+            "tests/test_scenarios.py",
+        )
+        for suite in suites:
+            assert suite in step["run"]
+            assert os.path.exists(os.path.join(REPO_ROOT, suite))
+        env = step.get("env") or {}
+        assert str(env.get("REPRO_WORKERS")) == "2"
+        assert env.get("PYTHONPATH") == "src"
+
     def test_perf_gate_required_kernels_cover_the_serving_stack(self):
         # The committed baseline must keep measuring the serving kernels: a
         # refactor that silently drops them should fail the perf gate, not

@@ -373,8 +373,8 @@ class TestServiceFaultTolerance:
         assert degraded == len(seeds)
 
     def test_chunk_error_reaches_only_its_request(self, models, plan):
-        # One request's chunk exhausts its budget; a sibling request in the
-        # same micro-batch must still be served.
+        # One request's chunk exhausts its budget; a sibling request in
+        # flight with it must still be served.
         model = models["smote"]
         policy = ChunkPolicy(max_retries=0, backoff=0.0)
         with SamplingService(

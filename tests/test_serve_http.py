@@ -15,13 +15,16 @@ Three layers, bottom up:
 """
 
 import inspect
+import io
 import json
+import logging
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.models.base import Surrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.serve import (
     PRIORITY_CLASSES,
@@ -63,6 +66,19 @@ def service(tvae):
         yield svc
 
 
+def _open(request, timeout):
+    """``urlopen`` whose error statuses raise an ``HTTPError`` that holds its
+    body in memory: the error's own response, socket included, is closed."""
+    try:
+        return urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        with exc:
+            body = exc.read()
+        raise urllib.error.HTTPError(
+            exc.url, exc.code, exc.reason, exc.headers, io.BytesIO(body)
+        ) from None
+
+
 def _post(address, path, payload, timeout=30.0):
     host, port = address
     request = urllib.request.Request(
@@ -71,13 +87,13 @@ def _post(address, path, payload, timeout=30.0):
         headers={"Content-Type": "application/json"},
         method="POST",
     )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
+    with _open(request, timeout) as response:
         return response.status, json.loads(response.read().decode("utf-8")), response.headers
 
 
 def _get(address, path, timeout=30.0):
     host, port = address
-    with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=timeout) as response:
+    with _open(f"http://{host}:{port}{path}", timeout) as response:
         return response.status, json.loads(response.read().decode("utf-8"))
 
 
@@ -294,6 +310,29 @@ class TestHttpEndpoint:
             finally:
                 door.stop_http()
 
+    def test_failed_generation_is_a_500_naming_its_cause(self):
+        # A failed generation reaches the client as its cause, and the log
+        # as its traceback.
+        records = []
+        handler = logging.Handler(logging.ERROR)
+        handler.emit = records.append
+        logger = logging.getLogger("repro.serve.http")
+        logger.addHandler(handler)
+        with SamplingService(_BrokenSurrogate().fit(_table(8)), workers=1) as svc:
+            door = FrontDoor({"prod": svc})
+            door.start_http()
+            try:
+                with pytest.raises(urllib.error.HTTPError) as failed:
+                    _post(door.address, "/sample", {"n": 10, "seed": 1})
+                body = json.loads(failed.value.read().decode("utf-8"))
+            finally:
+                door.stop_http()
+                logger.removeHandler(handler)
+        assert failed.value.code == 500
+        assert body["error"].startswith("ChunkError: chunk 0 (10 rows) failed")
+        assert "synthetic generation failure" in body["error"]
+        assert [record.exc_info[0].__name__ for record in records] == ["ChunkError"]
+
     def test_stop_http_is_idempotent_and_restartable(self, service):
         door = FrontDoor({"prod": service})
         first = door.start_http()
@@ -304,6 +343,19 @@ class TestHttpEndpoint:
         status, health = _get(door.address, "/healthz")
         assert status == 200 and health["models"] == ["prod"]
         door.stop_http()
+
+
+class _BrokenSurrogate(Surrogate):
+    """Test double whose every sampling call fails."""
+
+    name = "broken"
+
+    def fit(self, table):
+        self._mark_fitted(table)
+        return self
+
+    def _sample_exact(self, n, *, seed=None):
+        raise RuntimeError("synthetic generation failure")
 
 
 def _shape(function):

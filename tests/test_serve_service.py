@@ -5,13 +5,17 @@ The load-bearing guarantees:
 
 * registry round-trip — register, restart (a fresh registry over the same
   directory), load: the served bytes are identical;
-* micro-batching is invisible in the bytes — requests coalesced into one
-  sharded pass return exactly what each would return served alone, because
-  every request keeps its own seed's chunk streams;
+* coalescing is invisible in the bytes — requests whose chunks share the
+  pool return exactly what each would return served alone, because every
+  request keeps its own seed's chunk streams;
 * backpressure — the bounded in-flight budget blocks (or refuses) new
-  admissions instead of queueing unbounded work.
+  admissions instead of queueing unbounded work;
+* pipelined dispatch — the pool is refilled from the fair queue each time
+  a request is delivered, so an arrival overlaps the requests still in
+  flight, and ``microbatch_rows`` bounds the rows in flight.
 """
 
+import sys
 import threading
 import time
 
@@ -22,6 +26,7 @@ from repro.models.base import Surrogate
 from repro.models.smote import SMOTESurrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.serve import (
+    AdmissionPolicy,
     AutoscalePolicy,
     ModelRegistry,
     RequestSpec,
@@ -29,6 +34,7 @@ from repro.serve import (
     ServiceOverloaded,
     ShardedSampler,
 )
+from repro.serve.service import SampleRequest, _FairQueue
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
 
@@ -291,6 +297,160 @@ class TestSamplingService:
             service.submit(RequestSpec(5, seed=1))
         with pytest.raises(ValueError, match="positive"):
             SamplingService(tvae, workers=1, max_inflight_rows=0)
+
+
+class _StampSurrogate(Surrogate):
+    """Sleeps ``DELAYS[n]`` seconds; every row holds the call's
+    ``time.monotonic()`` start (one clock across processes)."""
+
+    name = "stamp"
+    DELAYS = {100: 0.1, 300: 0.3, 1500: 1.5}
+
+    def fit(self, table):
+        self._mark_fitted(table)
+        return self
+
+    def _sample_exact(self, n, *, seed=None):
+        started = time.monotonic()
+        time.sleep(self.DELAYS.get(n, 0.0))
+        return Table({"x": np.full(n, started)}, self.schema_)
+
+
+def _stamp_model():
+    table = Table({"x": np.arange(8.0)}, TableSchema.from_columns(numerical=["x"]))
+    return _StampSurrogate().fit(table)
+
+
+class TestPipelinedDispatch:
+    def test_an_arrival_runs_while_a_long_request_is_still_in_flight(self):
+        # A (0.3 s) and B (1.5 s) are in flight together when C arrives,
+        # 0.1 s after X is delivered.  C must start once A is delivered
+        # rather than wait for B: the pool is refilled at every delivery.
+        with SamplingService(_stamp_model(), workers=2, chunk_size=2000) as service:
+            x = service.submit(RequestSpec(100, seed=1))
+            a = service.submit(RequestSpec(300, seed=2))
+            b = service.submit(RequestSpec(1500, seed=3))
+            x.result(timeout=30)
+            time.sleep(0.1)
+            c = service.submit(RequestSpec(7, seed=4))
+            c_started = c.result(timeout=30)["x"][0]
+            b_started = b.result(timeout=30)["x"][0]
+            a.result(timeout=30)
+        b_ended = b_started + _StampSurrogate.DELAYS[1500]
+        assert c_started <= b_ended - 0.5, (c_started - b_started, b_ended - b_started)
+
+    def test_fair_queue_keeps_the_rows_in_flight_within_the_bound(self):
+        queue = _FairQueue()
+        for n in (100, 100, 500, 100):
+            queue.push(SampleRequest(RequestSpec(n)))
+
+        def pop(max_rows, in_flight_rows):
+            return [request.spec.n for request in queue.pop_batch(max_rows, in_flight_rows)]
+
+        assert pop(300, 100) == [100, 100]
+        assert pop(300, 100) == []  # 500 does not fit beside what is in flight
+        assert pop(300, 0) == [500]  # oversized: dispatched alone
+        assert pop(300, 300) == []
+        assert pop(None, 10_000) == [100]
+
+    def test_rows_in_flight_never_exceed_microbatch_rows(self):
+        # One-chunk requests: every pool task is one dispatched, undelivered
+        # request of 100 rows, so 300 rows allow at most 3 tasks.  The pool
+        # is kept full: the bound is reached, not just respected.
+        model = _slow_model(delay=0.05)
+        with SamplingService(
+            model, workers=2, chunk_size=100, microbatch_rows=300
+        ) as service:
+            seen, done = [], threading.Event()
+
+            def watch():
+                while not done.is_set():
+                    seen.append(service._sampler.pool_pending_tasks)
+                    time.sleep(0.001)
+
+            watcher = threading.Thread(target=watch)
+            watcher.start()
+            try:
+                requests = [service.submit(RequestSpec(100, seed=i)) for i in range(24)]
+                for request in requests:
+                    assert len(request.result(timeout=60)) == 100
+            finally:
+                done.set()
+                watcher.join(timeout=30)
+            assert not watcher.is_alive()
+        assert max(seen) == 3
+
+    def test_admission_rate_tracks_the_delivered_throughput(self):
+        # The deadline estimator is fed once per delivery.  Two workers end
+        # chunks in pairs, delivered microseconds apart; the estimate must
+        # still be the rows delivered per second, not one short gap's rate.
+        with SamplingService(
+            _slow_model(delay=0.05), workers=2, chunk_size=1000, admission=AdmissionPolicy()
+        ) as service:
+            started = time.perf_counter()
+            requests = [service.submit(RequestSpec(100, seed=i)) for i in range(24)]
+            for request in requests:
+                request.result(timeout=60)
+            delivered = 24 * 100 / (time.perf_counter() - started)
+            estimated = 1000 / service._admission.estimated_wait(1000)
+        assert 0.5 < estimated / delivered < 2, (estimated, delivered)
+
+    def test_stress_submitters_swap_and_cancel(self, tvae):
+        submitters, per_thread = 16, 6
+        delivered, cancelled, errors = [], [], []
+        record = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SamplingService(
+                tvae, workers=2, chunk_size=CHUNK, microbatch_rows=4 * CHUNK
+            ) as service:
+                started = threading.Barrier(submitters + 1)
+
+                def submit(k):
+                    try:
+                        started.wait(timeout=30)
+                        for j in range(per_thread):
+                            spec = RequestSpec(
+                                10 + 37 * ((k + j) % 5),
+                                seed=1000 * k + j,
+                                tenant=f"t{k % 3}",
+                                priority=("interactive", "normal", "batch")[j % 3],
+                            )
+                            handle = service.submit(spec)
+                            if (k + j) % 7 == 3 and handle.cancel():
+                                with record:
+                                    cancelled.append(spec)
+                                continue
+                            table = handle.result(timeout=60)
+                            with record:
+                                delivered.append((spec, table))
+                    except BaseException as exc:  # noqa: BLE001 - asserted below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=submit, args=(k,)) for k in range(submitters)]
+                for thread in threads:
+                    thread.start()
+                started.wait(timeout=30)
+                service.swap_model(tvae, timeout=60)  # mid-stream: the same model
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = service.stats()
+                swaps = service.model_swaps
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(delivered) + len(cancelled) == submitters * per_thread
+        assert cancelled, "no cancel landed before its request was delivered"
+        assert (stats.queue_depth, stats.in_flight_rows) == (0, 0)
+        assert stats.total_requests == len(delivered)
+        assert stats.cancelled_requests == len(cancelled)
+        assert stats.total_rows == sum(spec.n for spec, _ in delivered)
+        assert swaps == 1
+        with ShardedSampler(tvae, workers=1, chunk_size=CHUNK) as solo:
+            for spec, table in delivered:
+                assert table == solo.sample(spec.n, seed=spec.seed, sampling_mode="fast")
 
 
 class TestRegistryStagesAndIntegrity:

@@ -238,13 +238,18 @@ class TestCoreBudget:
 
 class TestChunkRun:
     def test_median_latency_matches_the_sorted_form(self, models):
+        # The sample is the last LATENCY_WINDOW completions: a run that
+        # lives through a long busy period keeps a bounded one.
         run = _ChunkRun(ShardedSampler(models["smote"], workers=1), in_process=True)
+        window = _ChunkRun.LATENCY_WINDOW
         assert run.median_latency() is None
         seen = []
-        for value in np.random.default_rng(5).exponential(size=300).tolist():
+        for value in np.random.default_rng(5).exponential(size=window + 300).tolist():
             run.record_latency(value)
             seen.append(value)
-            assert run.median_latency() == sorted(seen)[len(seen) // 2]
+            recent = seen[-window:]
+            assert run.median_latency() == sorted(recent)[len(recent) // 2]
+        assert len(run._latencies) == window
 
 
 class TestChunkReturnPath:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_rng, derive_seed, fused_column_draws, spawn_rngs, spawn_seed_sequences
+from repro.utils.rng import as_rng, derive_seed, fused_column_draws, spawn_seed_sequences
 
 
 class TestAsRng:
@@ -31,29 +31,35 @@ class TestAsRng:
             as_rng("not-a-seed")
 
 
-class TestSpawnRngs:
+class TestSpawnSeedSequences:
+    @staticmethod
+    def _draws(children):
+        return [np.random.default_rng(child).random(4).tolist() for child in children]
+
     def test_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
+        children = spawn_seed_sequences(0, 4)
+        assert len(children) == 4
+        assert all(isinstance(child, np.random.SeedSequence) for child in children)
 
     def test_deterministic(self):
-        a = [g.random() for g in spawn_rngs(3, 3)]
-        b = [g.random() for g in spawn_rngs(3, 3)]
-        assert a == b
+        assert self._draws(spawn_seed_sequences(3, 3)) == self._draws(spawn_seed_sequences(3, 3))
 
     def test_children_are_independent(self):
-        children = spawn_rngs(0, 2)
-        assert children[0].random(4).tolist() != children[1].random(4).tolist()
+        first, second = self._draws(spawn_seed_sequences(0, 2))
+        assert first != second
 
     def test_zero_children(self):
-        assert spawn_rngs(1, 0) == []
+        assert spawn_seed_sequences(1, 0) == []
 
     def test_negative_raises(self):
         with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
+            spawn_seed_sequences(1, -1)
 
     def test_spawn_from_generator(self):
         gen = np.random.default_rng(5)
-        assert len(spawn_rngs(gen, 2)) == 2
+        children = spawn_seed_sequences(gen, 2)
+        assert len(children) == 2
+        assert self._draws(children) == self._draws(spawn_seed_sequences(np.random.default_rng(5), 2))
 
     @pytest.mark.parametrize(
         "make_parent",
