@@ -652,14 +652,13 @@ def bench_serve_faulty(registry: BenchmarkRegistry, sizes, repeats: int) -> None
     4-worker sharded fast path as ``"optimized"`` — except a ``kill@1``
     fault plan is re-armed before every optimized run, so each measurement
     pays exactly one worker crash: pool teardown, executor rebuild, the
-    snapshot/warm-cache initializer, and resubmission of the chunks queued
-    behind the crash.  The recorded speedup is therefore the
-    *recovery-inclusive* sharding gain, and the perf gate guards the
-    overhead of supervision itself: a regression that makes recovery slow
-    (or worse, makes the supervised happy path slow) shows up here even if
-    the fault-free kernels hold.  The output is still byte-checked against
-    the fault-free plan by ``tests/test_serve_faults.py``; this kernel only
-    times it.
+    snapshot/warm-cache initializer, and the chunk run's resubmission of
+    every chunk the crash took down.  The recorded speedup is therefore the
+    *recovery-inclusive* sharding gain, and the perf gate guards the cost
+    of crash recovery itself: a regression that makes the rebuild or the
+    resubmission slow shows up here even if the fault-free kernels hold.
+    The output is still byte-checked against the fault-free plan by
+    ``tests/test_serve_faults.py``; this kernel only times it.
     """
     repeats = max(repeats, 2)
     table = serving_mixed_table(2000)

@@ -68,7 +68,8 @@ REQUIRED_KERNELS = frozenset(
         "serve_sharded_tabddpm",
         # Fault-recovery kernel: the same sharded contract with one injected
         # worker kill per measured run (see bench_hotpaths.bench_serve_faulty)
-        # — guards the overhead of pool supervision itself.
+        # — guards the cost of crash recovery itself (the pool rebuild and
+        # the chunk run's resubmission).
         "serve_sharded_tvae_faulty",
         # Front-door kernel: the pipelined dispatch path (FrontDoor routing
         # + the fair-queue dispatcher) against a one-request-at-a-time

@@ -142,8 +142,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="deterministic chaos: comma-separated kind@chunk[:value][*times] "
         "faults injected into the workers, e.g. 'kill@1,delay@3:0.25,fail@0*2' "
         "(kinds: kill = crash the worker, delay = sleep value seconds, "
-        "fail = raise once per budgeted time).  The run must still produce "
-        "byte-identical output; fault counters land in the stats output",
+        "fail = raise once per budgeted time).  Every served table is "
+        "checked against the fault-free in-process reference (fault_check "
+        "in --json; exits non-zero on a mismatch); fault counters land in "
+        "the stats output",
     )
     serve_group.add_argument(
         "--chunk-timeout", type=float, default=None,
@@ -299,6 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.serve import ChunkPolicy, FaultPlan, ModelRegistry, SamplingService
         from repro.serve.api import RequestSpec, table_fingerprint
         from repro.serve.http import FrontDoor
+        from repro.tabular.table import Table
         from repro.utils.rng import derive_seed
 
         if args.check_metrics and not args.http:
@@ -347,7 +350,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ) as service:
                 specs = [request_spec(i, per_request) for i in range(n_requests)]
                 requests = [service.submit(spec) for spec in specs]
-                served = sum(len(r.result()) for r in requests)
+                tables = [r.result() for r in requests]
+                served = sum(len(table) for table in tables)
+                fault_check = None
+                if fault_plan is not None:
+                    # The byte promise under chaos: each served table must
+                    # equal the fault-free in-process reference.
+                    def reference(spec: RequestSpec) -> str:
+                        batches = service.model.sample_batches(
+                            spec.n,
+                            args.chunk_size,
+                            seed=spec.seed,
+                            sampling_mode=spec.sampling_mode,
+                        )
+                        return table_fingerprint(Table.concat(list(batches)))
+
+                    mismatches = sum(
+                        table_fingerprint(table) != reference(spec)
+                        for spec, table in zip(specs, tables)
+                    )
+                    fault_check = {"verified": mismatches == 0, "mismatches": mismatches}
                 if args.http:
                     # Front-door smoke: the same specs replayed over live
                     # HTTP must fingerprint identically to the in-process
@@ -427,6 +449,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     # the scenario reports' timing.service block).
                     "stats": stats.to_dict(),
                 }
+                if fault_check is not None:
+                    payload["fault_check"] = fault_check
                 if http_report is not None:
                     payload["http"] = http_report
             if fault_plan is not None:
@@ -456,6 +480,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"hedge_wins={payload['hedge_wins']}/{payload['hedges']} "
                     f"degraded_passes={payload['degraded_passes']}"
                 )
+                print(
+                    f"  fault check: {n_requests} tables vs the fault-free reference, "
+                    f"{'verified' if fault_check['verified'] else 'MISMATCH'}"
+                )
             if http_report is not None:
                 print(
                     f"  http front door: {http_report['requests']} requests, "
@@ -473,6 +501,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(
                     f"  trace: {payload['trace']['spans']} spans -> {args.trace_out}"
                 )
+        if fault_check is not None and not fault_check["verified"]:
+            print(
+                f"error: {fault_check['mismatches']} table(s) served under the fault "
+                "plan diverged from the fault-free reference",
+                file=sys.stderr,
+            )
+            return 1
         if http_report is not None and not http_report["verified"]:
             print(
                 f"error: {http_report['mismatches']} HTTP fingerprint(s) diverged "

@@ -4,7 +4,7 @@ This package composes the panda workload generators
 (:mod:`repro.panda.workload`, :mod:`repro.panda.temporal`,
 :mod:`repro.panda.users`) into deterministic replay streams and drives them
 through the full serving stack (:class:`~repro.serve.service.SamplingService`
-with chunk resilience, pool supervision and fault injection), closing the
+with chunk resilience, crash recovery and fault injection), closing the
 loop with drift detection, auto-retrain, canary comparison and promotion.
 
 Scenario catalog

@@ -7,7 +7,7 @@ One :meth:`ScenarioEngine.run` drives, tick by tick:
    sampling mode, is submitted to a live
    :class:`~repro.serve.service.SamplingService` (weighted fair
    queueing, admission control, pipelined dispatch, backpressure, chunk
-   resilience and pool supervision all active), every result is collected,
+   resilience and crash recovery all active), every result is collected,
    fingerprinted, and counted — a lost or erroneous request is a reportable
    defect, never a silent skip.  Front-door specs route the same traffic
    through a :class:`~repro.serve.http.FrontDoor` across ``prod`` *and*

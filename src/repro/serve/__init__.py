@@ -15,8 +15,9 @@ package is the machinery that cashes the invariant in:
     identical for any worker count including 1, and equal to
     ``Table.concat(model.sample_batches(...))`` — sharding changes wall
     clock, never data.  Every chunk takes one path: a chunk run hands out a
-    handle per chunk, either a supervised pool attempt or a lazy in-process
-    one making the workers' exact call — the in-process handle serves
+    handle per chunk, either a pooled one (the only code that resubmits a
+    chunk) or a lazy in-process one making the workers' exact call — the
+    in-process handle serves
     ``workers=1``, one-chunk ``sample_batches`` requests and serving after
     pool collapse, with the same spans and the same :class:`ChunkError`.
 
@@ -43,10 +44,13 @@ chunk regenerates **identical bytes** — so every recovery mechanism below is
 proven by equality against the fault-free run (``tests/test_serve_faults.py``),
 not by statistics:
 
-* **Supervised worker pool** — a worker death (``BrokenProcessPool``)
-  rebuilds the executor, re-runs the snapshot/warm-cache initializer, and
-  resubmits every chunk queued behind the crash; ``max_pool_restarts``
-  bounds the budget and restart counts are reported in the stats.
+* **Crash recovery** — a worker death (``BrokenProcessPool``) costs one
+  executor rebuild: the :class:`~repro.utils.parallel.WorkerPool` re-runs
+  the snapshot/warm-cache initializer once per crashed generation, and
+  the chunk run, the one layer that resubmits, resubmits every chunk
+  attempt the crash took down at once.  A crash is not charged to a
+  chunk's retry budget; ``max_pool_restarts`` bounds the rebuilds and
+  restart counts are reported in the stats.
 * **Per-chunk retry / timeout / hedging**
   (:class:`~repro.serve.sharded.ChunkPolicy`) — failed chunks are
   resubmitted with exponential backoff up to ``max_retries``; a chunk past
@@ -56,7 +60,7 @@ not by statistics:
   wins (both finishing is asserted byte-equal).  Exhausted budgets raise
   :class:`~repro.serve.sharded.ChunkError` carrying the chunk index/size,
   after in-flight siblings are cancelled.
-* **Degraded mode** — if pool supervision itself gives up
+* **Degraded mode** — if the pool itself gives up
   (:class:`~repro.utils.parallel.WorkerPoolBroken`), the service's
   dispatcher cancels the affected requests' chunk handles and resubmits
   their chunks in-process, as it does for every later request: slower,
@@ -71,7 +75,8 @@ not by statistics:
   worker kills, chunk delays and one-shot failures at named chunk indices
   through the worker initializer, with cross-process exactly-once token
   latches; ``repro-experiments serve --fault-plan "kill@1,delay@3:0.2"``
-  replays a chaos run end to end.
+  replays a chaos run end to end and checks every served table against
+  the fault-free in-process reference.
 
 The chunk return path (the serving data plane)
 ----------------------------------------------

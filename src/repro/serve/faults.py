@@ -12,9 +12,9 @@ Three fault kinds cover the serving layer's failure surface:
 
 ``kill``
     The worker calls ``os._exit`` mid-chunk — the hard crash.  The whole
-    pool is poisoned (``BrokenProcessPool``), which exercises supervision:
-    executor rebuild, initializer re-run, resubmission of every queued
-    chunk.
+    pool is poisoned (``BrokenProcessPool``), which exercises crash
+    recovery: the pool rebuilds its executor (the initializer re-runs) and
+    the chunk run resubmits every chunk attempt the crash took down.
 ``delay``
     The worker sleeps ``value`` seconds before sampling — the straggler.
     Exercises per-chunk deadlines (timeout → resubmit) and hedging (a

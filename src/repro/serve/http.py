@@ -14,7 +14,10 @@ it.
 The HTTP endpoint is stdlib-only: an :mod:`asyncio` protocol server
 (started with :meth:`FrontDoor.start_http`) running on a background thread,
 speaking just enough HTTP/1.1 for clients like ``urllib`` — one request per
-connection, JSON in, JSON out.  Routes:
+connection, JSON in, JSON out.  On every route a ``Content-Length`` that is
+not a non-negative integer, or a body that ends short of it, gets ``400``,
+and one above :data:`MAX_BODY_BYTES` gets ``413`` without the body being
+read.  Routes:
 
 ``POST /sample``
     Body: a JSON object with the :class:`~repro.serve.api.RequestSpec`
@@ -22,7 +25,8 @@ connection, JSON in, JSON out.  Routes:
     ``priority``, ``deadline``) plus two routing extras — ``model`` (pin a
     backend) and ``fingerprint_only`` (return the table's SHA-256 instead
     of its columns).  Responses: ``200`` with ``{"fingerprint", "rows",
-    "model", "columns"?}``; ``400`` on a malformed spec; ``429`` with a
+    "model", "columns"?}``; ``400`` on a malformed spec; ``413`` on a body
+    declared larger than :data:`MAX_BODY_BYTES`; ``429`` with a
     ``Retry-After`` header when admission control rejects
     (:class:`~repro.serve.admission.AdmissionRejected`) or the in-flight
     budget is full; ``500`` with ``{"error": "<type>: <message>"}`` when
@@ -71,9 +75,13 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+#: Largest request body read, in bytes; a ``RequestSpec`` body is under 1 KiB.
+MAX_BODY_BYTES = 1 << 20
 
 
 class _Router:
@@ -120,18 +128,17 @@ class _Router:
 class FrontDoorTicket:
     """Handle for a routed request: the service handle plus its slot.
 
-    Wraps the backend's :class:`~repro.serve.service.SampleRequest` and
-    releases the request's router slot once the request resolves, so the
-    most-free-slots pick sees completions as well as arrivals.
+    Wraps the backend's :class:`~repro.serve.service.SampleRequest`, whose
+    resolution — delivered, failed or cancelled — releases the request's
+    router slot, so the most-free-slots pick sees completions as well as
+    arrivals, whether or not anyone is still waiting on the ticket.
     """
 
     def __init__(self, inner: SampleRequest, router: _Router, backend: str) -> None:
         self._inner = inner
-        self._router = router
         #: The backend (model/stage name) this request was routed to.
         self.backend = backend
-        self._released = False
-        self._release_lock = threading.Lock()
+        inner.add_done_callback(lambda _request: router.release(backend))
 
     @property
     def spec(self) -> RequestSpec:
@@ -146,24 +153,10 @@ class FrontDoorTicket:
 
     def result(self, timeout: Optional[float] = None) -> Table:
         """Block for the table (see :meth:`SampleRequest.result`)."""
-        try:
-            return self._inner.result(timeout)
-        finally:
-            self._release_if_done()
+        return self._inner.result(timeout)
 
     def cancel(self) -> bool:
-        cancelled = self._inner.cancel()
-        self._release_if_done()
-        return cancelled
-
-    def _release_if_done(self) -> None:
-        if not self._inner.done():
-            return  # timed out: the slot is still genuinely occupied
-        with self._release_lock:
-            if self._released:
-                return
-            self._released = True
-        self._router.release(self.backend)
+        return self._inner.cancel()
 
 
 class FrontDoor:
@@ -339,9 +332,25 @@ class FrontDoor:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
-            body = await reader.readexactly(length) if length > 0 else b""
-            status, payload, extra = await self._route(method, path, body)
+            declared = headers.get("content-length", "").lstrip("0") or "0"
+            if not declared.isdecimal():
+                status, payload = 400, {"error": f"invalid Content-Length {declared!r}"}
+            elif len(declared) > len(str(MAX_BODY_BYTES)) or int(declared) > MAX_BODY_BYTES:
+                # The length test first: int() refuses thousands of digits.
+                status, payload = 413, {
+                    "error": f"Content-Length {declared} exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                }
+            else:
+                try:
+                    body = await reader.readexactly(int(declared))
+                except asyncio.IncompleteReadError as exc:
+                    status, payload = 400, {
+                        "error": f"body ended after {len(exc.partial)} of "
+                        f"{declared} Content-Length bytes"
+                    }
+                else:
+                    status, payload, extra = await self._route(method, path, body)
         except Exception:
             # The server must keep running: record the failure, answer with
             # the 500 defaults.

@@ -48,12 +48,13 @@ refills: the dispatcher delivers what is in flight and applies it at that
 safe point.  Byte-safe by the worker-count-invariance of the sharding
 contract.
 
-Fault tolerance is unchanged from PR 6: chunk failures / timeouts /
-stragglers are absorbed by :class:`~repro.serve.sharded.ChunkPolicy`,
-worker death by pool supervision, and pool collapse degrades to byte-
-identical in-process serving.  :meth:`stats` reports one unified tree
-(:meth:`ServiceStats.to_dict`): throughput, queue, latency, workers /
-autoscale, fault counters, admission counters and per-tenant latencies.
+Fault tolerance: chunk failures / timeouts / stragglers are absorbed by
+:class:`~repro.serve.sharded.ChunkPolicy`, a worker death by a pool rebuild
+after which the chunk run resubmits every chunk the crash took down, and
+pool collapse degrades to byte-identical in-process serving.
+:meth:`stats` reports one unified tree (:meth:`ServiceStats.to_dict`):
+throughput, queue, latency, workers / autoscale, fault counters, admission
+counters and per-tenant latencies.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ import heapq
 import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, CancelledError
+from concurrent.futures import CancelledError
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.models.base import Surrogate, chunk_plan
 from repro.obs.metrics import MetricsRegistry
@@ -112,6 +113,8 @@ class SampleRequest:
         self.spec = spec
         self.submitted_at = time.perf_counter()
         self._done = threading.Event()
+        self._resolved = False
+        self._callbacks: List[Callable[["SampleRequest"], object]] = []
         self._result: Optional[Table] = None
         self._error: Optional[BaseException] = None
         self.latency: Optional[float] = None
@@ -161,17 +164,40 @@ class SampleRequest:
             return False
         return service._cancel_request(self)
 
+    def add_done_callback(self, fn: Callable[["SampleRequest"], object]) -> None:
+        """Call ``fn(request)`` once the request resolves — delivered, failed
+        or cancelled — and before :meth:`done` turns true; at once if it
+        already resolved.  Callbacks run outside the service lock."""
+        with self._service._lock:
+            if not self._resolved:
+                self._callbacks.append(fn)
+                return
+        fn(self)
+
     def _resolve(
         self, result: Optional[Table], error: Optional[BaseException]
     ) -> bool:
-        """Deliver an outcome once; late outcomes are discarded (→ False)."""
-        if self._done.is_set():
+        """Record an outcome once; late outcomes are discarded (→ False).
+
+        The caller holds the service lock and, once it has released it,
+        delivers a recorded outcome with :meth:`_complete`.
+        """
+        if self._resolved:
             return False
+        self._resolved = True
         self.latency = time.perf_counter() - self.submitted_at
         self._result = result
         self._error = error
-        self._done.set()
         return True
+
+    def _complete(self) -> None:
+        """Run the done callbacks, then wake the waiters."""
+        for callback in self._callbacks:
+            try:
+                callback(self)
+            except Exception:
+                _LOG.exception("a done callback of a %d-row request failed", self.spec.n)
+        self._done.set()
 
 
 class _FairQueue:
@@ -365,7 +391,7 @@ class SamplingService:
     chunk_policy / fault_plan / max_pool_restarts:
         Forwarded to the sharded engine: the per-chunk resilience policy,
         an optional deterministic fault-injection plan (chaos runs), and the
-        pool supervision restart budget.
+        pool's restart budget for crash recovery.
     admission:
         Optional :class:`~repro.serve.admission.AdmissionPolicy`: reject
         (instead of queue) on queue-depth / backlog-row caps or a blown
@@ -731,17 +757,17 @@ class SamplingService:
     # -- cancellation ------------------------------------------------------------
     def _cancel_request(self, request: SampleRequest) -> bool:
         with self._lock:
-            if request.done():
+            if request._resolved:
                 return False
             self._queue.discard(request)  # no-op once a refill dispatched it
             request.cancelled = True
-            resolved = request._resolve(None, CancelledError("request cancelled"))
-            if resolved:
-                self._release_budget_locked(request)
-                self._m_cancelled.inc()
+            request._resolve(None, CancelledError("request cancelled"))
+            self._release_budget_locked(request)
+            self._m_cancelled.inc()
             self._set_queue_gauges_locked()
             self._lock.notify_all()  # budget freed: wake blocked submitters
-            return resolved
+        request._complete()
+        return True
 
     def _set_queue_gauges_locked(self) -> None:
         """Refresh the queue-level gauges (caller holds the service lock)."""
@@ -827,7 +853,7 @@ class SamplingService:
         never exceeds the core budget
         (:func:`~repro.utils.parallel.available_workers`): workers past it
         only contend for the same CPUs.  A broken pool is never resized —
-        degraded mode is the supervisor's verdict, not a capacity problem.
+        degraded mode is the pool's verdict, not a capacity problem.
         """
         policy = self._autoscale
         if policy is None or self._sampler.pool_broken:
@@ -934,7 +960,7 @@ class SamplingService:
                             index, sizes[index], children[index], request.spec.sampling_mode
                         )
                     )
-                except (WorkerPoolBroken, BrokenExecutor):
+                except WorkerPoolBroken:
                     pool_died = True  # requests left short of handles rerun at delivery
                 except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
                     plan[4] = exc
@@ -961,10 +987,12 @@ class SamplingService:
     def _serve_request(self, run, request: SampleRequest, sizes, children, handles) -> Table:
         """Resolve one request's chunk handles and assemble its table.
 
-        If the pool collapsed under the request (supervision out of
-        restarts) — while it was submitting or while its chunks ran — its
-        handles are cancelled and its chunks resubmitted to a fresh run,
-        in-process from then on: degraded, never dropped.  Every request
+        A worker crash never reaches here: the chunk run resubmits what
+        it took down.  If the pool collapsed under the request (out of
+        restarts: :class:`~repro.utils.parallel.WorkerPoolBroken`) — while
+        it was submitting or while its chunks ran — its handles are
+        cancelled and its chunks resubmitted to a fresh run, in-process
+        from then on: degraded, never dropped.  Every request
         served in-process because the pool is broken counts as a degraded
         pass.
         """
@@ -972,7 +1000,7 @@ class SamplingService:
         try:
             try:
                 chunks = [handle.result() for handle in handles]
-            except (WorkerPoolBroken, BrokenExecutor):
+            except WorkerPoolBroken:
                 chunks = []
             if len(chunks) < len(sizes):
                 for handle in handles:
@@ -1020,6 +1048,8 @@ class SamplingService:
                 )
             self._set_queue_gauges_locked()
             self._lock.notify_all()  # budget freed: wake blocked submitters
+        if delivered:
+            request._complete()
         tracer = self._tracer
         if tracer is not None and delivered and request._obs_trace_id is not None:
             trace_id = request._obs_trace_id

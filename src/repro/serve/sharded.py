@@ -29,15 +29,15 @@ One chunk path
 --------------
 Every chunk runs through one interface: a chunk run's ``submit(index,
 size, child, mode)`` returns a handle with ``result()`` and ``cancel()``.
-The handle is either a supervised pool attempt (deadline, retries, hedging
-per :class:`ChunkPolicy`) or a lazy in-process one that makes the workers'
-exact ``model.sample`` call when its result is asked for.  In-process
-handles never inject faults, wrap a failure in :class:`ChunkError` and
-record the same ``chunk[i]``/``worker_compute`` spans a pooled chunk
-records.  :meth:`ShardedSampler.sample_batches` runs in-process with
-``workers=1`` or a one-chunk request; :meth:`ShardedSampler.chunk_run`
-(the service's entry) runs in-process with ``workers=1`` or once the pool
-collapsed.
+The handle is either a pooled one (deadline, retries, hedging per
+:class:`ChunkPolicy`, resubmission after a worker crash) or a lazy
+in-process one that makes the workers' exact ``model.sample`` call when its
+result is asked for.  In-process handles never inject faults, wrap a
+failure in :class:`ChunkError` and record the same ``chunk[i]``/
+``worker_compute`` spans a pooled chunk records.
+:meth:`ShardedSampler.sample_batches` runs in-process with ``workers=1`` or
+a one-chunk request; :meth:`ShardedSampler.chunk_run` (the service's entry)
+runs in-process with ``workers=1`` or once the pool collapsed.
 
 The fault-tolerance contract
 ----------------------------
@@ -47,23 +47,29 @@ duplicate — regenerates **identical bytes**.  Recovery is therefore provable
 equality, not a statistical claim, and the engine leans on it at three
 levels:
 
-* **Worker death** is handled below this module: the
-  :class:`~repro.utils.parallel.WorkerPool` supervises its executor, rebuilds
-  it after a crash (re-running the snapshot/warm-cache initializer), and
-  resubmits every chunk that was queued behind the crash — nothing is lost,
-  and the resubmitted chunks are byte-identical by the seed contract.
+* **Worker death** costs a pool rebuild and a resubmission, and nothing
+  else.  The :class:`~repro.utils.parallel.WorkerPool` only rebuilds: once
+  per crashed generation, re-running the snapshot/warm-cache initializer.
+  The chunk run is the one layer that resubmits: on the first attempt it
+  finds lost to a crash it has the pool rebuilt, then resubmits every lost
+  attempt of every chunk it has in flight at once, so the rebuilt pool
+  gets the whole backlog.  A crash is not charged to a chunk's retry
+  budget, and the resubmitted chunks are byte-identical by the seed
+  contract.
 * **Per-chunk resilience** is governed by a :class:`ChunkPolicy`: each chunk
   attempt carries an optional deadline (``timeout``); a timed-out or failed
   attempt is resubmitted with exponential backoff up to ``max_retries``
   times; and with ``hedge_multiplier`` set, a chunk whose in-flight time
   exceeds that multiple of the run's median completed-chunk latency is
   *hedged* — a duplicate is submitted and the first successful result wins
-  (when both finish, their tables are asserted equal).
+  (when both finish, their tables are asserted equal).  A handle waits for
+  all of this in one event-driven loop: it blocks until an attempt
+  finishes, the deadline passes or the hedge trigger fires.
 * **Failure context**: a chunk that exhausts its budget raises
   :class:`ChunkError` naming the chunk index and size (chaining the last
   underlying error), after the remaining in-flight chunks of the request
   are cancelled — no abandoned siblings.  Pool-level collapse (the
-  supervision budget itself exhausted) surfaces as
+  restart budget itself exhausted) surfaces as
   :class:`~repro.utils.parallel.WorkerPoolBroken`, the signal the service
   layer uses to degrade to in-process generation.
 
@@ -84,11 +90,12 @@ nothing behind to clean up.
 from __future__ import annotations
 
 import bisect
+import threading
 import time
 from collections import deque
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -105,12 +112,7 @@ from repro.serve import faults as fault_injection
 from repro.serve.faults import FaultPlan
 from repro.tabular.table import Table
 from repro.utils.logging import get_logger
-from repro.utils.parallel import (
-    SupervisedFuture,
-    WorkerPool,
-    WorkerPoolBroken,
-    available_workers,
-)
+from repro.utils.parallel import WorkerPool, available_workers
 from repro.utils.rng import SeedLike
 
 __all__ = ["ChunkError", "ChunkPolicy", "ShardedSampler"]
@@ -133,8 +135,9 @@ def _init_worker(
 ) -> None:
     """One-time worker setup: deserialize the model, warm its serving caches.
 
-    Re-run by pool supervision after every executor rebuild, so recovered
-    workers are exactly as warm as freshly started ones.  When a fault plan
+    Re-run by :meth:`~repro.utils.parallel.WorkerPool.recover` after every
+    rebuild, so the workers that take over a crashed generation's chunks
+    are exactly as warm as freshly started ones.  When a fault plan
     is provided (chaos tests, ``--fault-plan`` runs) it is installed here —
     the plan's exactly-once token latch lives on disk, so a rebuilt worker
     does not re-inject already-claimed faults.  With ``tracing`` enabled the
@@ -211,13 +214,16 @@ class ChunkPolicy:
     """Per-chunk resilience knobs for the sharded engine.
 
     timeout:
-        Per-attempt deadline in seconds.  An attempt that exceeds it is
-        abandoned (the worker keeps running; its late result is discarded)
-        and the chunk is resubmitted.  ``None`` disables deadlines.
+        Per-attempt deadline in seconds: every attempt starts its own clock,
+        including one resubmitted after a worker crash.  An attempt that
+        exceeds it is abandoned (the worker keeps running; its late result
+        is discarded) and the chunk is resubmitted.  ``None`` disables
+        deadlines.
     max_retries:
         Resubmissions allowed per chunk for task failures and timeouts
-        combined.  Worker-crash resubmissions do not count — those are the
-        pool supervisor's budget (``max_pool_restarts``), not the chunk's.
+        combined.  A worker crash is not charged: the chunk run resubmits
+        what a crash took down, bounded by the pool's restart budget
+        (``max_pool_restarts``), not the chunk's.
     backoff:
         Base of the exponential backoff slept before retry ``k``:
         ``backoff * 2**(k-1)`` seconds.
@@ -229,9 +235,6 @@ class ChunkPolicy:
     min_hedge_latency:
         Floor (seconds) under which hedging never triggers, so micro-chunks
         do not hedge on scheduling noise.
-    poll:
-        Progress-check quantum (seconds) while waiting with deadlines or
-        hedging enabled; with neither, waits block directly on the future.
     """
 
     timeout: Optional[float] = None
@@ -239,7 +242,6 @@ class ChunkPolicy:
     backoff: float = 0.05
     hedge_multiplier: Optional[float] = None
     min_hedge_latency: float = 0.05
-    poll: float = 0.01
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -252,21 +254,35 @@ class ChunkPolicy:
             raise ValueError(
                 f"hedge_multiplier must be positive or None, got {self.hedge_multiplier}"
             )
-        if self.poll <= 0:
-            raise ValueError(f"poll must be positive, got {self.poll}")
+
+
+class _Attempt(NamedTuple):
+    """One pooled execution of a chunk: the executor's future, the pool
+    generation it went to, and its start (the attempt's deadline clock)."""
+
+    future: Future
+    generation: int
+    started: float
+
+
+#: :meth:`_ChunkRun.status` of an attempt.
+_PENDING, _OK, _FAILED, _LOST = "pending", "ok", "failed", "lost"
 
 
 class _ChunkRun:
     """The only way chunks run: one request's pass, or the service
     dispatcher's pipeline for as long as requests are in flight.
 
-    :meth:`submit` returns a supervised :class:`_ChunkHandle` on the worker
-    pool, or a lazy :class:`_LocalChunk` when the run is ``in_process``.
-    Tracks the latencies of the last :attr:`LATENCY_WINDOW` completed chunks
-    so hedging can compare each in-flight chunk against the run's median; a
-    run that lives through a long busy period keeps a bounded sample.  A
-    run is consumed by a single thread (the request iterator or the service
-    dispatcher); the sampler-level counters it updates are lock-protected.
+    :meth:`submit` returns a pooled :class:`_ChunkHandle`, or a lazy
+    :class:`_LocalChunk` when the run is ``in_process``.  The run is the one
+    layer that resubmits after a worker crash: it keeps its live pooled
+    handles, and :meth:`recover` resubmits every attempt the crash took
+    down, of all of them at once.  Tracks the latencies of the last
+    :attr:`LATENCY_WINDOW` completed chunks so hedging can compare each
+    in-flight chunk against the run's median; a run that lives through a
+    long busy period keeps a bounded sample.  A run is consumed by a single
+    thread (the request iterator or the service dispatcher); the
+    sampler-level counters it updates are lock-protected.
     """
 
     #: Completed-chunk latencies kept for the hedging median.
@@ -278,6 +294,8 @@ class _ChunkRun:
         self.policy = sampler.chunk_policy
         #: The pool every attempt of this run goes to (started here).
         self.pool: Optional[WorkerPool] = None if in_process else sampler.start()._pool
+        #: Pooled handles neither resolved nor cancelled, in submission order.
+        self.live: Dict["_ChunkHandle", None] = {}
         #: The sample in completion order, and kept sorted so the median is
         #: one lookup.
         self._recent: deque = deque()
@@ -288,6 +306,28 @@ class _ChunkRun:
     ) -> Union["_ChunkHandle", "_LocalChunk"]:
         handle = _LocalChunk if self.in_process else _ChunkHandle
         return handle(self, index, size, child, sampling_mode)
+
+    def status(self, attempt: _Attempt) -> str:
+        """``_PENDING``, ``_OK``, ``_FAILED`` (the task's own exception) or
+        ``_LOST``: failed with :class:`BrokenExecutor`, cancelled by an
+        executor shutdown, or unfinished on a generation that is dead."""
+        future = attempt.future
+        if not future.done():
+            return _LOST if attempt.generation != self.pool.generation else _PENDING
+        if future.cancelled() or isinstance(future.exception(), BrokenExecutor):
+            return _LOST
+        return _FAILED if future.exception() is not None else _OK
+
+    def recover(self, generation: int) -> None:
+        """Have the pool rebuilt after a crash on ``generation``, then
+        resubmit every lost attempt of every live handle.
+
+        Raises :class:`~repro.utils.parallel.WorkerPoolBroken` once the
+        pool's restart budget is exhausted.
+        """
+        self.pool.recover(generation)
+        for handle in list(self.live):
+            handle.resubmit_lost()
 
     def record_latency(self, seconds: float) -> None:
         if len(self._recent) == self.LATENCY_WINDOW:
@@ -302,7 +342,11 @@ class _ChunkRun:
 
 
 class _ChunkHandle:
-    """One chunk's fault-tolerant execution: deadline, retries, hedging."""
+    """One pooled chunk: deadline, retries, hedging and crash resubmission.
+
+    ``_attempts[0]`` is the primary attempt and ``_attempts[1]``, when
+    present, its hedged duplicate.
+    """
 
     def __init__(
         self,
@@ -317,142 +361,143 @@ class _ChunkHandle:
         self.size = size
         self._child = child
         self._mode = sampling_mode
-        self._attempts = 0  # failures + timeouts charged against max_retries
+        self._failures = 0  # failures + timeouts charged against max_retries
         self._tracer = run.sampler.tracer
         if self._tracer is not None:
             self._trace_id = trace_id_from_child(child)
             self._chunk_span = chunk_span_id(self._trace_id, index)
         self._created = time.perf_counter()
-        self._primary: SupervisedFuture = self._submit()
-        self._primary_started = time.perf_counter()
-        self._hedge: Optional[SupervisedFuture] = None
-        self._hedge_started = 0.0
+        self._attempts: List[_Attempt] = [self._launch()]
         self._consumed = False
+        run.live[self] = None
 
-    def _submit(self) -> SupervisedFuture:
-        return self._run.pool.submit(_sample_chunk, self.size, self._child, self._mode)
+    def _launch(self) -> _Attempt:
+        future, generation = self._run.pool.submit(
+            _sample_chunk, self.size, self._child, self._mode
+        )
+        self._run.sampler._track_pending(1)
+        return _Attempt(future, generation, time.perf_counter())
 
-    def _decode(self, result) -> Table:
-        return self._run.sampler.decode_chunk(result)
+    def _drop(self, attempt: _Attempt) -> None:
+        """Consume or abandon ``attempt`` (a running one finishes unread)."""
+        attempt.future.cancel()
+        self._run.sampler._track_pending(-1)
+
+    def _decode(self, attempt: _Attempt) -> Table:
+        return self._run.sampler.decode_chunk(attempt.future.result())
 
     def cancel(self) -> None:
         """Abandon the chunk's attempts (a no-op once it resolved)."""
         if self._consumed:
             return
         self._consumed = True
-        self._primary.cancel()
-        if self._hedge is not None:
-            self._hedge.cancel()
+        del self._run.live[self]
+        for attempt in self._attempts:
+            self._drop(attempt)
+        self._attempts = []
+
+    def resubmit_lost(self) -> None:
+        """Replace every attempt a crash took down with a fresh one, which
+        starts its own deadline clock.  Not charged to ``max_retries``."""
+        for position, attempt in enumerate(self._attempts):
+            if self._run.status(attempt) is _LOST:
+                self._attempts[position] = self._launch()
+                self._drop(attempt)
 
     # -- the resolution loop -----------------------------------------------------
     def result(self) -> Table:
         """Block until the chunk resolves; retries/hedges per the policy.
 
-        Raises :class:`ChunkError` (with the last underlying error chained)
-        when the retry budget is exhausted, or lets
-        :class:`~repro.utils.parallel.WorkerPoolBroken` pass through
-        unwrapped — that is a pool-level verdict, not a chunk-level one.
+        One event-driven loop: settle the attempts that finished, enforce
+        the deadline and the hedge trigger, then wait until an attempt
+        finishes, the deadline passes or the hedge trigger fires (with
+        neither set, the wait has no timeout).  Raises :class:`ChunkError`
+        (with the last underlying error chained) when the retry budget is
+        exhausted, or lets :class:`~repro.utils.parallel.WorkerPoolBroken`
+        pass through unwrapped — that is a pool-level verdict, not a
+        chunk-level one.  Either way the chunk's attempts are abandoned.
         """
-        policy = self._run.policy
-        simple = policy.timeout is None and policy.hedge_multiplier is None
-        while True:
-            if simple:
-                # No deadline, no hedging: block straight on the attempt.
-                try:
-                    table = self._decode(self._primary.result())
-                except Exception as exc:
-                    self._handle_failure(exc)
-                    continue
-                return self._finish(table, self._primary_started, hedged_win=False)
-
-            outcome = self._poll_once()
-            if outcome is not None:
-                return outcome
-
-    @staticmethod
-    def _outcome(future: Optional[SupervisedFuture]):
-        """``(done, error)`` without blocking; pending (or rebound) → not done."""
-        if future is None or not future.done():
-            return False, None
         try:
-            return True, future.exception(0)
-        except FuturesTimeoutError:  # rebound by a concurrent pool recovery
-            return False, None
+            while True:
+                table = self._settle()
+                if table is not None:
+                    return table
+                timeout = self._enforce_clock()
+                wait([a.future for a in self._attempts], timeout, FIRST_COMPLETED)
+        except BaseException:
+            self.cancel()
+            raise
 
-    def _poll_once(self) -> Optional[Table]:
-        """One supervision tick: winners, failures, deadline, hedge trigger."""
-        policy = self._run.policy
-        now = time.perf_counter()
+    def _settle(self) -> Optional[Table]:
+        """Consume the attempts that finished; the table once one succeeded.
 
-        primary_done, primary_error = self._outcome(self._primary)
-        hedge_done, hedge_error = self._outcome(self._hedge)
-
-        # First-success-wins (and byte-equality assertion when both landed).
-        if primary_done and primary_error is None:
-            table = self._decode(self._primary.result(0))
-            if hedge_done and hedge_error is None and self._hedge is not None:
-                assert self._decode(self._hedge.result(0)) == table, (
+        The first success wins (a hedge that also succeeded must match it).
+        An attempt lost to a crash has the run recover, which resubmits it.
+        A failed hedge is dropped; a failed primary hands over to its hedge,
+        or is charged against the retry budget and resubmitted.
+        """
+        attempts = self._attempts
+        states = [self._run.status(attempt) for attempt in attempts]
+        if _OK in states:
+            winner = attempts[states.index(_OK)]
+            table = self._decode(winner)
+            if states.count(_OK) == 2:
+                assert self._decode(attempts[1]) == table, (
                     f"hedged chunk {self.index} diverged from its primary — "
                     "the seed contract was violated"
                 )
-            if self._hedge is not None:
-                self._hedge.cancel()
-            return self._finish(table, self._primary_started, hedged_win=False)
-        if hedge_done and hedge_error is None and self._hedge is not None:
-            table = self._decode(self._hedge.result(0))
-            self._primary.cancel()
-            return self._finish(table, self._hedge_started, hedged_win=True)
-
-        # A failed hedge is simply dropped; a failed primary is promoted or
-        # retried.
-        if hedge_done and self._hedge is not None:
-            self._hedge = None
-        if primary_done:
-            exc = primary_error
-            assert exc is not None
-            if self._hedge is not None:
-                # The duplicate is already racing: make it the attempt.
-                self._primary, self._hedge = self._hedge, None
-                self._primary_started = self._hedge_started
-            else:
-                self._handle_failure(exc)
-            return None
-
-        # Deadline enforcement (per attempt).
-        if policy.timeout is not None and now - self._primary_started > policy.timeout:
-            if self._hedge is not None:
-                # The younger duplicate inherits the attempt.
-                self._primary.cancel()
-                self._primary, self._hedge = self._hedge, None
-                self._primary_started = self._hedge_started
-                return None
-            self._run.sampler._count(timeouts=1)
-            _LOG.warning(
-                "chunk %d (%d rows) attempt %d timed out after %.3fs deadline; abandoning",
-                self.index, self.size, self._attempts + 1, policy.timeout,
-            )
-            self._primary.cancel()
-            self._handle_failure(
-                TimeoutError(f"attempt exceeded the {policy.timeout}s chunk deadline")
-            )
-            return None
-
-        # Straggler hedging.
-        if self._hedge is None and policy.hedge_multiplier is not None:
-            median = self._run.median_latency()
-            if median is not None:
-                trigger = max(policy.min_hedge_latency, policy.hedge_multiplier * median)
-                if now - self._primary_started > trigger:
-                    self._hedge = self._submit()
-                    self._hedge_started = time.perf_counter()
-                    self._run.sampler._count(hedges=1)
-                    _LOG.info(
-                        "chunk %d (%d rows) straggling %.3fs > %.3fs trigger; hedging",
-                        self.index, self.size, now - self._primary_started, trigger,
-                    )
-
-        time.sleep(policy.poll)
+            return self._finish(table, winner.started, hedged_win=winner is not attempts[0])
+        if _LOST in states:
+            self._run.recover(attempts[states.index(_LOST)].generation)
+        elif _FAILED in states:
+            self._attempts = [a for a, state in zip(attempts, states) if state is not _FAILED]
+            for attempt, state in zip(attempts, states):
+                if state is _FAILED:
+                    self._drop(attempt)
+            if not self._attempts:
+                self._charge(attempts[0].future.exception(), attempts[0].started)
         return None
+
+    def _enforce_clock(self) -> Optional[float]:
+        """Apply the primary's deadline and the hedge trigger; returns the
+        seconds until the next of them, or ``None`` when neither is set."""
+        policy = self._run.policy
+        primary = self._attempts[0]
+        now = time.perf_counter()
+        if policy.timeout is not None and now - primary.started >= policy.timeout:
+            self._drop(primary)
+            del self._attempts[0]  # a hedge, if racing, inherits the attempt
+            if not self._attempts:
+                self._run.sampler._count(timeouts=1)
+                _LOG.warning(
+                    "chunk %d (%d rows) attempt %d timed out after %.3fs deadline; abandoning",
+                    self.index, self.size, self._failures + 1, policy.timeout,
+                )
+                self._charge(
+                    TimeoutError(f"attempt exceeded the {policy.timeout}s chunk deadline"),
+                    primary.started,
+                )
+            primary = self._attempts[0]
+        trigger = self._hedge_trigger() if len(self._attempts) == 1 else None
+        if trigger is not None and now - primary.started >= trigger:
+            self._attempts.append(self._launch())
+            self._run.sampler._count(hedges=1)
+            _LOG.info(
+                "chunk %d (%d rows) straggling %.3fs > %.3fs trigger; hedging",
+                self.index, self.size, now - primary.started, trigger,
+            )
+            trigger = None
+        marks = [primary.started + span for span in (policy.timeout, trigger) if span is not None]
+        return max(0.0, min(marks) - time.perf_counter()) if marks else None
+
+    def _hedge_trigger(self) -> Optional[float]:
+        """In-flight seconds after which the primary is hedged (``None``:
+        hedging is off, or no chunk of the run has completed yet)."""
+        policy = self._run.policy
+        median = self._run.median_latency()
+        if policy.hedge_multiplier is None or median is None:
+            return None
+        return max(policy.min_hedge_latency, policy.hedge_multiplier * median)
 
     def _record_attempt_span(
         self, attempt: int, started: float, *, error: Optional[str] = None
@@ -472,17 +517,15 @@ class _ChunkHandle:
             attrs=attrs,
         )
 
-    def _handle_failure(self, exc: BaseException) -> None:
+    def _charge(self, exc: BaseException, started: float) -> None:
         """Charge a failure against the retry budget and resubmit (or raise)."""
-        if isinstance(exc, WorkerPoolBroken):
-            raise exc  # pool-level: not retryable at chunk granularity
         policy = self._run.policy
-        self._attempts += 1
-        self._record_attempt_span(self._attempts, self._primary_started, error=str(exc))
-        if self._attempts > policy.max_retries:
+        self._failures += 1
+        self._record_attempt_span(self._failures, started, error=str(exc))
+        if self._failures > policy.max_retries:
             _LOG.error(
                 "chunk %d (%d rows) exhausted its retry budget after attempt %d: %s",
-                self.index, self.size, self._attempts, exc,
+                self.index, self.size, self._failures, exc,
             )
             raise ChunkError(
                 self.index, self.size,
@@ -492,21 +535,20 @@ class _ChunkHandle:
         self._run.sampler._count(retries=1)
         _LOG.warning(
             "chunk %d (%d rows) attempt %d failed: %s; retrying (%d/%d)",
-            self.index, self.size, self._attempts, exc,
-            self._attempts, policy.max_retries,
+            self.index, self.size, self._failures, exc,
+            self._failures, policy.max_retries,
         )
         if policy.backoff > 0:
-            time.sleep(policy.backoff * (2 ** (self._attempts - 1)))
-        self._primary = self._submit()
-        self._primary_started = time.perf_counter()
+            time.sleep(policy.backoff * (2 ** (self._failures - 1)))
+        self._attempts = [self._launch()]
 
     def _finish(self, table: Table, started_at: float, *, hedged_win: bool) -> Table:
-        self._consumed = True
+        self.cancel()  # consumes the winner, abandons a losing duplicate
         self._run.record_latency(time.perf_counter() - started_at)
         if hedged_win:
             self._run.sampler._count(hedge_wins=1)
         if self._tracer is not None:
-            self._record_attempt_span(self._attempts + 1, started_at)
+            self._record_attempt_span(self._failures + 1, started_at)
             self._tracer.add(
                 f"chunk[{self.index}]",
                 self._trace_id,
@@ -516,7 +558,7 @@ class _ChunkHandle:
                 attrs={
                     "chunk": self.index,
                     "rows": self.size,
-                    "retries": self._attempts,
+                    "retries": self._failures,
                     "hedged_win": hedged_win,
                 },
             )
@@ -597,8 +639,8 @@ class ShardedSampler:
         A :class:`~repro.serve.faults.FaultPlan` installed in every worker —
         deterministic chaos for tests, benchmarks and ``--fault-plan`` runs.
     max_pool_restarts:
-        Supervised executor rebuilds tolerated before the pool declares
-        itself broken (:class:`~repro.utils.parallel.WorkerPoolBroken`).
+        Pool rebuilds after worker crashes tolerated before the pool
+        declares itself broken (:class:`~repro.utils.parallel.WorkerPoolBroken`).
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` the sampler's fault
         counters and pool gauges are registered in.  The owning service
@@ -646,6 +688,8 @@ class ShardedSampler:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self._pool: Optional[WorkerPool] = None
+        self._pending_tasks = 0
+        self._pending_lock = threading.Lock()
         counter = self.metrics.counter
         self._fault_counters = {
             "retries": counter(
@@ -684,13 +728,15 @@ class ShardedSampler:
 
     @property
     def pool_broken(self) -> bool:
-        """True when pool supervision gave up (the degraded-mode signal)."""
+        """True when the pool gave up on crash recovery (the degraded-mode
+        signal)."""
         return self._pool is not None and self._pool.is_broken
 
     @property
     def pool_pending_tasks(self) -> int:
-        """Tasks submitted to the pool and not yet resolved (0 pool-free)."""
-        return self._pool.pending_tasks if self._pool is not None else 0
+        """Pooled chunk attempts submitted and not yet consumed or abandoned
+        (0 pool-free); safe to read from any thread."""
+        return self._pending_tasks
 
     @property
     def pool_restarts(self) -> int:
@@ -798,6 +844,10 @@ class ShardedSampler:
     def _count(self, **deltas: int) -> None:
         for key, delta in deltas.items():
             self._fault_counters[key].inc(delta)
+
+    def _track_pending(self, delta: int) -> None:
+        with self._pending_lock:
+            self._pending_tasks += delta
 
     def assemble(
         self, chunks, *, seed: SeedLike = None, sampling_mode: str = "exact"

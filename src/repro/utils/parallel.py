@@ -1,5 +1,5 @@
 """Process-parallel plumbing: worker-count resolution, a one-shot parallel
-map, and a supervised persistent worker pool for serving.
+map, and a persistent worker pool that recovers from crashes, for serving.
 
 Heavy experiment sweeps (training several surrogate models, benchmarking many
 scheduler policies) are embarrassingly parallel at the task level.  This
@@ -45,30 +45,32 @@ Supervision
 -----------
 A plain :class:`~concurrent.futures.ProcessPoolExecutor` is brittle: one
 worker dying (OOM kill, segfault, ``os._exit``) marks the whole executor
-broken, fails **every** queued future with
+broken, fails **every** pending future with
 :class:`~concurrent.futures.process.BrokenProcessPool`, and leaves the
-executor unusable.  :class:`WorkerPool` supervises instead of propagating:
+executor unusable.  :class:`WorkerPool` recovers the pool; its caller
+resubmits the work:
 
-* :meth:`WorkerPool.submit` returns a :class:`SupervisedFuture` that
-  remembers its task descriptor ``(fn, args, kwargs)``;
-* the first waiter to observe a :class:`BrokenExecutor` triggers
-  :meth:`recovery <WorkerPool._recover>`: the dead executor is discarded, a
-  fresh one is spawned, the per-worker initializer re-runs (warm-up included,
-  exactly like :meth:`WorkerPool.start`), and **every unresolved supervised
-  future is resubmitted** — tasks queued behind the crash are re-executed,
-  not lost;
-* each successful recovery increments :attr:`WorkerPool.restarts`; once
-  :attr:`WorkerPool.max_restarts` is exceeded the pool declares itself
-  permanently broken (:attr:`WorkerPool.is_broken`) and every pending or
-  future operation raises :class:`WorkerPoolBroken`, which callers (the
-  sampling service) use to fall back to in-process execution.
+* :meth:`WorkerPool.submit` returns the executor's own future and the pool
+  *generation* it was submitted to; a crash fails that generation's
+  futures with :class:`BrokenExecutor`;
+* :meth:`WorkerPool.recover` rebuilds the executor once per generation,
+  however many callers report the same crash: the dead executor is
+  discarded, a fresh one is spawned, and the per-worker initializer
+  re-runs, warm-up included, exactly like :meth:`WorkerPool.start`;
+* each rebuild increments :attr:`WorkerPool.restarts`; a crash past
+  :attr:`WorkerPool.max_restarts` leaves the pool permanently broken
+  (:attr:`WorkerPool.is_broken`), and ``recover``, ``submit`` and
+  ``start`` raise :class:`WorkerPoolBroken`, which callers (the sampling
+  service) use to fall back to in-process execution.
 
-Resubmission is only byte-safe when tasks are deterministic pure functions
-of their arguments — which the serving layer's chunk tasks are by the
-sharding seed contract (chunk ``i`` draws from the ``i``-th ``SeedSequence``
-child, so a re-executed chunk regenerates identical bytes).  A task that
-deterministically kills its worker on *every* execution is bounded by the
-restart budget rather than looping forever.
+Only the caller knows which of its tasks are still wanted, so only the
+caller resubmits: in the serving layer that is the chunk run of
+:mod:`repro.serve.sharded`, which resubmits every chunk attempt a crash
+took down.  Resubmission is byte-safe there because chunk tasks are
+deterministic pure functions of their arguments (chunk ``i`` draws from the
+``i``-th ``SeedSequence`` child, so a re-executed chunk regenerates
+identical bytes).  A task that kills its worker on *every* execution is
+bounded by the restart budget rather than looping forever.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ import os
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.utils.logging import get_logger
@@ -259,135 +260,14 @@ def _worker_warmup(hold_seconds: float) -> int:
 class WorkerPoolBroken(RuntimeError):
     """The pool exhausted its restart budget (or could not rebuild).
 
-    Raised by every pending :class:`SupervisedFuture` and by any further
-    :meth:`WorkerPool.submit` once supervision gives up.  Catching it is the
+    Raised by :meth:`WorkerPool.recover`, :meth:`WorkerPool.submit` and
+    :meth:`WorkerPool.start` once the pool gave up.  Catching it is the
     signal to degrade to in-process execution (the sampling service does).
     """
 
 
-class SupervisedFuture:
-    """A future whose task survives worker-pool breakage.
-
-    Wraps the executor future of one submitted task together with the task
-    descriptor itself, so the owning :class:`WorkerPool` can resubmit the
-    task onto a rebuilt executor after a worker crash.  The inner future is
-    rebound during recovery; waiters blocked in :meth:`result` observe the
-    old future fail with :class:`BrokenExecutor` (the executor fails all its
-    futures when it breaks), drive the pool's recovery, and transparently
-    continue waiting on the resubmitted attempt.
-
-    Only the subset of the :class:`concurrent.futures.Future` interface the
-    serving layer needs is provided: :meth:`result`, :meth:`exception`,
-    :meth:`done`, :meth:`cancel`, :meth:`cancelled`.
-    """
-
-    __slots__ = ("_pool", "_task", "_lock", "_inner", "_generation",
-                 "_cancelled", "resubmissions")
-
-    def __init__(self, pool: "WorkerPool", fn: Callable[..., R], args, kwargs) -> None:
-        self._pool = pool
-        self._task = (fn, args, kwargs)
-        self._lock = threading.Lock()
-        self._inner: Optional[Future] = None
-        self._generation = -1
-        self._cancelled = False
-        #: Times this task was resubmitted after a pool breakage.
-        self.resubmissions = 0
-
-    # -- pool-side plumbing ------------------------------------------------------
-    def _bind(self, inner: Future, generation: int) -> None:
-        with self._lock:
-            self._inner = inner
-            self._generation = generation
-
-    def _snapshot(self) -> Tuple[Future, int]:
-        with self._lock:
-            assert self._inner is not None
-            return self._inner, self._generation
-
-    def _is_resolved(self) -> bool:
-        """True when the inner future carries a real outcome (not breakage)."""
-        inner, _ = self._snapshot()
-        if self._cancelled or inner.cancelled():
-            return True
-        if not inner.done():
-            return False
-        return not isinstance(inner.exception(), BrokenExecutor)
-
-    # -- Future-like API ---------------------------------------------------------
-    def cancel(self) -> bool:
-        """Give the task up: it will not be resubmitted by recovery.
-
-        Returns whether the *current* attempt could still be cancelled; a
-        running attempt keeps running but its result is abandoned either way.
-        """
-        with self._lock:
-            self._cancelled = True
-            inner = self._inner
-        self._pool._deregister(self)
-        return inner.cancel() if inner is not None else True
-
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def done(self) -> bool:
-        """True once the task has a real outcome (result or task exception).
-
-        Observing a broken attempt triggers pool recovery as a side effect —
-        after a successful rebuild the task is pending again and ``done()``
-        is ``False``; after a terminal failure it is ``True`` and
-        :meth:`result` raises :class:`WorkerPoolBroken`.
-        """
-        inner, generation = self._snapshot()
-        if not inner.done():
-            return False
-        if inner.cancelled():
-            return True
-        if isinstance(inner.exception(), BrokenExecutor) and not self._cancelled:
-            try:
-                self._pool._recover(generation)
-            except Exception:
-                return True  # terminal: result()/exception() surface the error
-            inner2, _ = self._snapshot()
-            return inner2.done()
-        return True
-
-    def result(self, timeout: Optional[float] = None) -> R:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            inner, generation = self._snapshot()
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0 and not inner.done():
-                raise FuturesTimeoutError(f"task not done within {timeout}s")
-            try:
-                value = inner.result(remaining)
-            except FuturesTimeoutError:
-                raise
-            except BrokenExecutor:
-                if self._cancelled:
-                    raise
-                # Drive recovery; raises WorkerPoolBroken when supervision
-                # gives up, otherwise this future was rebound — keep waiting.
-                self._pool._recover(generation)
-                continue
-            except BaseException:
-                self._pool._deregister(self)
-                raise
-            self._pool._deregister(self)
-            return value
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        try:
-            self.result(timeout)
-        except FuturesTimeoutError:
-            raise
-        except BaseException as exc:  # noqa: BLE001 - mirror Future.exception
-            return exc
-        return None
-
-
 class WorkerPool:
-    """A supervised persistent process pool with one-time per-worker init.
+    """A persistent process pool with one-time per-worker init and crash recovery.
 
     Unlike :func:`parallel_map` (which builds and tears down an executor per
     call), a :class:`WorkerPool` lives for the duration of a serving session:
@@ -402,10 +282,11 @@ class WorkerPool:
     request does not pay process startup or model deserialization.  The pool
     is a context manager; :meth:`close` shuts the workers down.
 
-    Worker death is supervised (see the module docstring): the executor is
-    rebuilt, the initializer re-runs, unresolved tasks are resubmitted, and
-    :attr:`restarts` counts the rebuilds.  ``max_restarts`` bounds the
-    budget; beyond it the pool raises :class:`WorkerPoolBroken` everywhere.
+    Worker death is recovered, not hidden (module docstring, *Supervision*):
+    a caller whose future failed with :class:`BrokenExecutor` calls
+    :meth:`recover` with the future's generation and resubmits what it
+    still needs.  :attr:`restarts` counts the rebuilds and ``max_restarts``
+    bounds them; beyond it the pool raises :class:`WorkerPoolBroken`.
     """
 
     def __init__(
@@ -429,7 +310,6 @@ class WorkerPool:
         self._generation = 0
         self._restarts = 0
         self._broken: Optional[BaseException] = None
-        self._registry: set = set()
 
     @property
     def is_running(self) -> bool:
@@ -437,22 +317,21 @@ class WorkerPool:
 
     @property
     def restarts(self) -> int:
-        """Completed supervision rebuilds since the pool (re)started."""
+        """Rebuilds after a crash since the pool (re)started."""
         return self._restarts
 
     @property
-    def pending_tasks(self) -> int:
-        """Supervised tasks submitted but not yet consumed (queue + in flight).
+    def generation(self) -> int:
+        """The current executor's generation.
 
-        The observability layer reports this as the pool-queue gauge; it is
-        an instantaneous count, safe to read from any thread.
+        A future from an older generation went to an executor that has since
+        been rebuilt or closed.
         """
-        with self._lock:
-            return len(self._registry)
+        return self._generation
 
     @property
     def is_broken(self) -> bool:
-        """True once supervision gave up; :meth:`close` resets the state."""
+        """True once the pool gave up; :meth:`close` resets the state."""
         return self._broken is not None
 
     #: Warm-up rounds before :meth:`start` gives up on reaching every worker
@@ -474,13 +353,17 @@ class WorkerPool:
         rather than hanging.
         """
         with self._lock:
-            if self._broken is not None:
-                raise WorkerPoolBroken(
-                    "worker pool is permanently broken; close() it before reuse"
-                ) from self._broken
+            self._raise_if_broken()
             if self._executor is None:
                 self._spawn()
         return self
+
+    def _raise_if_broken(self) -> None:
+        if self._broken is not None:
+            raise WorkerPoolBroken(
+                f"worker pool gave up after {self._restarts} restart(s); "
+                "close() it before reuse"
+            ) from self._broken
 
     def _spawn(self) -> None:
         """Build a fresh executor and warm every worker (caller holds the lock)."""
@@ -498,46 +381,38 @@ class WorkerPool:
             for future in done:
                 seen_pids.add(future.result())  # surfaces initializer failures
 
-    def submit(self, fn: Callable[..., R], /, *args, **kwargs) -> SupervisedFuture:
-        """Schedule ``fn(*args, **kwargs)``; returns its supervised future.
+    def submit(self, fn: Callable[..., R], /, *args) -> Tuple[Future, int]:
+        """Schedule ``fn(*args)``; returns ``(future, generation)``.
 
-        ``fn`` must be a deterministic picklable function of its arguments:
-        supervision re-executes it after a worker crash, and only a pure
-        task makes the re-execution indistinguishable from the first run.
+        The future is the executor's own.  A worker crash fails it with
+        :class:`BrokenExecutor`; the caller then calls :meth:`recover` with
+        ``generation`` and resubmits ``fn`` if it still wants the result —
+        which is only byte-safe for a deterministic picklable function of
+        its arguments.  An executor found already broken here is recovered
+        before the task goes to its successor.
         """
-        supervised = SupervisedFuture(self, fn, args, kwargs)
         with self._lock:
-            if self._executor is None:
-                self.start()
             while True:
-                assert self._executor is not None
+                self.start()
+                generation = self._generation
                 try:
-                    inner = self._executor.submit(fn, *args, **kwargs)
+                    return self._executor.submit(fn, *args), generation
                 except BrokenExecutor:
-                    self._recover(self._generation)  # raises when terminal
-                    continue
-                break
-            supervised._bind(inner, self._generation)
-            self._registry.add(supervised)
-        return supervised
+                    self.recover(generation)
 
-    def _recover(self, broken_generation: int) -> None:
-        """Rebuild after a breakage observed on ``broken_generation``.
+    def recover(self, generation: int) -> None:
+        """Rebuild the executor after a crash observed on ``generation``.
 
-        Any number of waiter threads may race here; only the first to hold
-        the lock for the still-current generation performs the rebuild (and
-        the resubmission of every unresolved supervised task).  Late
-        arrivals see an advanced generation and return immediately — their
-        futures were already rebound.  Raises :class:`WorkerPoolBroken`
-        when the restart budget is exhausted or the rebuild itself fails.
+        Once per generation: the first call for the current generation
+        discards the dead executor and spawns and warms a fresh one (the
+        initializer re-runs); later calls for a past generation return at
+        once.  Raises :class:`WorkerPoolBroken` when the restart budget is
+        exhausted, the rebuild itself fails, or the pool already gave up.
         """
         with self._lock:
-            if self._broken is not None:
-                raise WorkerPoolBroken(
-                    f"worker pool gave up after {self._restarts} restart(s)"
-                ) from self._broken
-            if broken_generation != self._generation:
-                return  # another waiter already recovered this breakage
+            self._raise_if_broken()
+            if generation != self._generation:
+                return  # this crash was already recovered
             old, self._executor = self._executor, None
             self._generation += 1
             if old is not None:
@@ -547,51 +422,31 @@ class WorkerPool:
                     f"worker pool broke again after {self._restarts} restart(s) "
                     f"(max_restarts={self.max_restarts})"
                 )
-                self._registry.clear()
                 raise self._broken
             try:
                 self._spawn()
             except BaseException as exc:
                 self._broken = exc
-                self._registry.clear()
                 raise WorkerPoolBroken(
                     "worker pool could not be rebuilt after a crash"
                 ) from exc
             self._restarts += 1
             _LOG.warning(
-                "worker pool rebuilt after a crash (restart %d/%d, generation %d); "
-                "resubmitting %d unresolved task(s)",
-                self._restarts, self.max_restarts, self._generation, len(self._registry),
+                "worker pool rebuilt after a crash (restart %d/%d, generation %d)",
+                self._restarts, self.max_restarts, self._generation,
             )
-            # Resubmit everything the crash invalidated; tasks that already
-            # resolved (real result or real task exception) keep their
-            # outcome, and consumed tasks were deregistered long ago.
-            for supervised in list(self._registry):
-                if supervised._is_resolved():
-                    self._registry.discard(supervised)
-                    continue
-                fn, args, kwargs = supervised._task
-                assert self._executor is not None
-                inner = self._executor.submit(fn, *args, **kwargs)
-                supervised._bind(inner, self._generation)
-                supervised.resubmissions += 1
-
-    def _deregister(self, supervised: SupervisedFuture) -> None:
-        with self._lock:
-            self._registry.discard(supervised)
 
     def close(self) -> None:
         """Shut the workers down (idempotent); pending futures are cancelled.
 
         Also clears the broken state and the restart budget: an explicit
-        close + start is a deliberate fresh pool, not a supervised rebuild.
+        close + start is a deliberate fresh pool, not a crash recovery.
         """
         with self._lock:
             executor, self._executor = self._executor, None
             self._generation += 1
             self._restarts = 0
             self._broken = None
-            self._registry.clear()
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
 

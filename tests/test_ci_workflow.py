@@ -142,6 +142,27 @@ class TestWorkflowDocument:
         assert smoke_steps, "no named step runs the HTTP front-door smoke"
         assert "--check-metrics" in smoke_steps[0]["run"]
 
+    def test_test_job_runs_chaos_cli_with_forced_workers(self, workflow):
+        # The serving CLI runs under a fault plan as its own named step: a
+        # worker kill, chunk failures and a straggler past its deadline with
+        # hedging on, every served table checked against the fault-free
+        # reference (the CLI exits nonzero on a mismatch).
+        steps = workflow["jobs"]["tests"]["steps"]
+        chaos_steps = [
+            step
+            for step in steps
+            if "repro.experiments.cli serve" in step.get("run", "")
+            and "--fault-plan" in step.get("run", "")
+        ]
+        assert chaos_steps, "no named step runs the chaos CLI"
+        step = chaos_steps[0]
+        assert step.get("name"), "the chaos CLI step must be named"
+        for flag in ("kill@1", "--chunk-timeout", "--hedge-multiplier", "--json"):
+            assert flag in step["run"]
+        env = step.get("env") or {}
+        assert str(env.get("REPRO_WORKERS")) == "2"
+        assert env.get("PYTHONPATH") == "src"
+
     def test_test_job_runs_serving_examples_with_forced_workers(self, workflow):
         # The narrated serving examples run end to end as their own named
         # step, so an API change that breaks them fails CI.  REPRO_WORKERS=2

@@ -74,3 +74,53 @@ class TestAblationCLI:
         payload = json.loads(capsys.readouterr().out)
         assert "smote_k" in payload
         assert len(payload["smote_k"]) >= 2
+
+
+CHAOS = [
+    "serve",
+    *FAST,
+    "--models",
+    "smote",
+    "--workers",
+    "2",
+    "--fault-plan",
+    "kill@1,fail@0*2,delay@3:0.5",
+    "--chunk-timeout",
+    "0.3",
+    "--hedge-multiplier",
+    "3",
+    "--requests",
+    "4",
+    "--serve-rows",
+    "4000",
+    "--chunk-size",
+    "250",
+    "--json",
+]
+
+
+class TestServeChaosCLI:
+    """``serve --fault-plan`` checks its byte promise against the fault-free
+    in-process reference (the CI chaos step runs the same path)."""
+
+    def test_faults_are_recovered_to_the_reference_bytes(self, capsys):
+        assert cli_main(CHAOS) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fault_check"] == {"verified": True, "mismatches": 0}
+        assert payload["pool_restarts"] >= 1
+        assert payload["chunk_retries"] >= 1
+
+    def test_a_diverging_table_fails_the_run(self, capsys, monkeypatch):
+        # Shift the reference's seed: the served tables no longer match it.
+        from repro.models.base import Surrogate
+
+        sample_batches = Surrogate.sample_batches
+
+        def shifted(self, n, chunk_size, *, seed=None, sampling_mode="exact"):
+            return sample_batches(self, n, chunk_size, seed=seed + 1, sampling_mode=sampling_mode)
+
+        monkeypatch.setattr(Surrogate, "sample_batches", shifted)
+        assert cli_main(CHAOS) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["fault_check"] == {"verified": False, "mismatches": 4}
+        assert "diverged from the fault-free reference" in captured.err

@@ -6,7 +6,7 @@ abandoned deadline, or as a hedged duplicate — regenerates identical output.
 So each fault path is tested against the fault-free single-process reference,
 not against statistics:
 
-* worker kill mid-chunk → pool supervision rebuilds and resubmits → bytes;
+* worker kill mid-chunk → the pool rebuilds, the chunk run resubmits → bytes;
 * transient chunk failure → bounded retry/backoff → bytes;
 * straggler chunk → deadline resubmission and hedging → bytes;
 * pool collapse (restart budget exhausted) → the service degrades to
@@ -18,6 +18,8 @@ so a fault fires the planned number of times across processes, retries and
 executor rebuilds.
 """
 
+import sys
+import threading
 import time
 from concurrent.futures import CancelledError
 
@@ -173,20 +175,77 @@ class TestFaultPlan:
 
 
 class TestKillRecovery:
-    """A worker killed mid-chunk loses nothing: supervision rebuilds the pool,
-    re-runs the initializer, resubmits the queued chunks — identical bytes."""
+    """A worker killed mid-chunk loses nothing: the pool is rebuilt (the
+    initializer re-runs) and the chunk run resubmits every chunk the crash
+    took down — identical bytes."""
 
     @pytest.mark.parametrize("name", ["smote", "copula"])
     @pytest.mark.parametrize("mode", MODES)
     def test_kill_mid_request_is_byte_identical(self, models, plan, name, mode):
+        # No retry budget at all: a crash is not charged to the chunk.
         model = models[name]
         with ShardedSampler(
-            model, workers=2, chunk_size=CHUNK, fault_plan=plan("kill@1")
+            model,
+            workers=2,
+            chunk_size=CHUNK,
+            chunk_policy=ChunkPolicy(max_retries=0),
+            fault_plan=plan("kill@1"),
         ) as sampler:
             served = sampler.sample(N_ROWS, seed=SEED, sampling_mode=mode)
             restarts = sampler.pool_restarts
+            pending = sampler.pool_pending_tasks
         assert served == _reference(model, mode)
         assert restarts >= 1
+        assert pending == 0
+
+    def test_a_crash_resubmits_the_whole_backlog_at_once(self, plan):
+        # Sixteen one-row chunks of 0.2 s on two workers.  The kill lands
+        # when chunk 2 starts, one chunk time in, and takes at least chunks
+        # 2-15 down.  Resubmitted together they take 7 rounds on the rebuilt
+        # pool; resubmitted one by one as each is awaited they would take 14,
+        # so the request would need at least 15 chunk times.
+        delay, chunks = 0.2, 16
+        with SamplingService(
+            _stall_model(delay=delay), workers=2, chunk_size=1, fault_plan=plan("kill@2")
+        ) as service:
+            started = time.perf_counter()
+            served = service.sample(RequestSpec(chunks, seed=SEED))
+            elapsed = time.perf_counter() - started
+            stats = service.stats()
+        assert len(served) == chunks
+        assert stats.pool_restarts == 1
+        assert elapsed < (chunks - 1) * delay
+
+    def test_concurrent_runs_share_one_rebuild(self, models, plan):
+        # Eight threads sample through one pool while a kill lands: each
+        # run resubmits its own lost chunks, the pool is rebuilt once, and
+        # the pending count every thread updates returns to zero.
+        model = models["smote"]
+        seeds = list(range(8))
+        served = {}
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedSampler(
+                model, workers=2, chunk_size=CHUNK, fault_plan=plan("kill@1")
+            ) as sampler:
+
+                def serve(seed):
+                    served[seed] = sampler.sample(N_ROWS, seed=seed, sampling_mode="fast")
+
+                threads = [threading.Thread(target=serve, args=(seed,)) for seed in seeds]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                restarts, pending = sampler.pool_restarts, sampler.pool_pending_tasks
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert restarts == 1
+        assert pending == 0
+        for seed in seeds:
+            assert served[seed] == _reference(model, "fast", seed=seed)
 
     def test_two_kills_within_budget(self, models, plan):
         model = models["smote"]
@@ -234,7 +293,7 @@ class TestRetryAndTimeout:
 
     def test_timed_out_attempt_is_resubmitted_byte_identically(self, models, plan):
         model = models["smote"]
-        policy = ChunkPolicy(timeout=0.2, max_retries=2, backoff=0.01, poll=0.005)
+        policy = ChunkPolicy(timeout=0.2, max_retries=2, backoff=0.01)
         with ShardedSampler(
             model,
             workers=2,
@@ -260,9 +319,7 @@ class TestRetryAndTimeout:
 class TestHedging:
     def test_straggler_is_hedged_byte_identically(self, models, plan):
         model = models["smote"]
-        policy = ChunkPolicy(
-            hedge_multiplier=2.0, min_hedge_latency=0.05, backoff=0.01, poll=0.005
-        )
+        policy = ChunkPolicy(hedge_multiplier=2.0, min_hedge_latency=0.05, backoff=0.01)
         with ShardedSampler(
             model,
             workers=2,
@@ -281,9 +338,7 @@ class TestHedging:
     @pytest.mark.parametrize("mode", MODES)
     def test_hedged_service_requests_match_solo(self, models, plan, mode):
         model = models["copula"]
-        policy = ChunkPolicy(
-            hedge_multiplier=2.0, min_hedge_latency=0.05, backoff=0.01, poll=0.005
-        )
+        policy = ChunkPolicy(hedge_multiplier=2.0, min_hedge_latency=0.05, backoff=0.01)
         with SamplingService(
             model,
             workers=2,

@@ -18,6 +18,8 @@ import inspect
 import io
 import json
 import logging
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -36,9 +38,10 @@ from repro.serve import (
     priority_weight,
     table_fingerprint,
 )
-from repro.serve.http import _Router
+from repro.serve.http import MAX_BODY_BYTES, _Router
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
+from test_serve_service import _slow_model  # noqa: E402
 
 CHUNK = 50
 
@@ -95,6 +98,22 @@ def _get(address, path, timeout=30.0):
     host, port = address
     with _open(f"http://{host}:{port}{path}", timeout) as response:
         return response.status, json.loads(response.read().decode("utf-8"))
+
+
+def _raw_exchange(address, request):
+    """Send raw request bytes, half-close, and read the whole response:
+    ``(status, JSON body)``."""
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            response += data
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 class TestRequestSpec:
@@ -187,6 +206,28 @@ class TestBackendRouter:
 
 
 class TestFrontDoor:
+    def test_slots_are_released_when_requests_resolve_unwatched(self):
+        # Callers that gave up on result() and only poll done() must still
+        # free their slots, or the pinned backend counts as busy for good
+        # and unpinned traffic avoids it.  A cancelled request frees its
+        # slot too.
+        model = _slow_model(delay=0.1)
+        with SamplingService(model, workers=1) as a, SamplingService(model, workers=1) as b:
+            door = FrontDoor({"a": a, "b": b})
+            tickets = [door.submit(RequestSpec(5, seed=i), model="a") for i in range(4)]
+            assert tickets.pop().cancel()
+            for ticket in tickets:
+                with pytest.raises(TimeoutError):
+                    ticket.result(timeout=0.01)
+            deadline = time.monotonic() + 30
+            while not all(ticket.done() for ticket in tickets):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert door.stats()["router"]["in_flight"] == {"a": 0, "b": 0}
+            unpinned = door.submit(RequestSpec(5, seed=9))
+            assert unpinned.backend == "a"  # ties go to registration order
+            assert len(unpinned.result(timeout=30)) == 5
+
     def test_routing_never_changes_bytes(self, tvae, service):
         with SamplingService(tvae, workers=1, chunk_size=CHUNK) as canary:
             door = FrontDoor({"prod": service, "canary": canary})
@@ -280,6 +321,26 @@ class TestHttpEndpoint:
         with pytest.raises(urllib.error.HTTPError) as wrong_method:
             _get(door.address, "/sample")
         assert wrong_method.value.code == 405
+
+    @pytest.mark.parametrize(
+        "length, body, status",
+        [
+            ("abc", b"", 400),
+            ("-5", b"", 400),
+            ("100", b'{"n": 10}', 400),  # the body ends short of its length
+            (str(MAX_BODY_BYTES + 1), b"", 413),
+            ("9" * 5000, b"", 413),
+        ],
+        ids=["not-a-number", "negative", "short-body", "over-the-limit", "5000-digits"],
+    )
+    def test_bad_content_length_is_a_client_error(self, door, length, body, status):
+        request = (
+            "POST /sample HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("latin-1")
+        got, payload = _raw_exchange(door.address, request + body)
+        assert got == status
+        assert "Content-Length" in payload["error"]
 
     def test_fractional_count_or_seed_is_a_400(self, door):
         for body in ({"n": 10.7}, {"rows": 10.2}, {"n": 10, "seed": 2.5}):

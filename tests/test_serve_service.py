@@ -193,6 +193,18 @@ class TestSamplingService:
         assert stats.in_flight_rows == 0
         assert 0 <= stats.p50_latency <= stats.p95_latency
 
+    def test_done_callbacks_run_before_done_and_never_break_the_dispatcher(self):
+        with SamplingService(_slow_model(delay=0.1), workers=1) as service:
+            request = service.submit(RequestSpec(10, seed=1))
+            seen = []
+            request.add_done_callback(lambda resolved: seen.append(resolved.done()))
+            request.add_done_callback(lambda resolved: 1 / 0)  # logged, not raised
+            assert len(request.result(timeout=30)) == 10
+            # Already resolved: the callback runs at once.
+            request.add_done_callback(lambda resolved: seen.append(resolved.done()))
+            assert seen == [False, True]
+            assert len(service.sample(RequestSpec(5, seed=2))) == 5
+
     def test_autoscale_stays_inside_the_core_budget(self, tvae, monkeypatch):
         # max_workers=4 and a demand of 8 workers' rows would resize a
         # 2-core host into 4 processes; the budget caps the pool at 2.

@@ -2,6 +2,7 @@
 
 import os
 import time
+from concurrent.futures import BrokenExecutor
 
 import numpy  # noqa: F401 - maps numpy's OpenBLAS into this process
 import pytest
@@ -111,7 +112,7 @@ def _failing_init():
 class TestWorkerPool:
     def test_initializer_runs_per_worker(self):
         with WorkerPool(2, initializer=_pool_init, initargs=(21,)) as pool:
-            futures = [pool.submit(_pool_task, i) for i in range(6)]
+            futures = [pool.submit(_pool_task, i)[0] for i in range(6)]
             assert sorted(f.result() for f in futures) == [42 + i for i in range(6)]
 
     def test_start_is_eager_and_idempotent(self):
@@ -127,7 +128,7 @@ class TestWorkerPool:
     def test_submit_lazily_starts(self):
         pool = WorkerPool(1, initializer=_pool_init, initargs=(1,))
         try:
-            assert pool.submit(_pool_task, 0).result() == 2
+            assert pool.submit(_pool_task, 0)[0].result() == 2
             assert pool.is_running
         finally:
             pool.close()
@@ -157,39 +158,77 @@ def _die_always():
     os._exit(87)
 
 
+def _die_after(seconds):
+    time.sleep(seconds)
+    os._exit(87)
+
+
+def _run_through_crashes(pool, fn, *args):
+    """``fn(*args)`` on the pool, recovering it and resubmitting after a crash
+    (the caller's half of the recovery contract)."""
+    while True:
+        future, generation = pool.submit(fn, *args)
+        try:
+            return future.result(timeout=60)
+        except BrokenExecutor:
+            pool.recover(generation)
+
+
+def _init_count(path):
+    """Initializer that appends a line per run, so tests can count runs."""
+    with open(path, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+
+
+def _init_runs(path):
+    with open(path) as fh:
+        return len(fh.read().split())
+
+
 class TestWorkerPoolSupervision:
-    """A worker death must cost a restart, never a queued task."""
+    """The pool recovers from a worker death; its caller resubmits."""
 
-    def test_crash_recovers_and_resubmits_queued_tasks(self, tmp_path):
-        latch = str(tmp_path / "crash.latch")
-        with WorkerPool(2, initializer=_pool_init, initargs=(21,)) as pool:
-            doomed = pool.submit(_die_once, latch)
-            queued = [pool.submit(_pool_task, i) for i in range(6)]
-            # The crash poisons the whole executor; supervision rebuilds it,
-            # re-runs the initializer and replays every unresolved future.
-            assert doomed.result(timeout=60) > 0
-            assert sorted(f.result(timeout=60) for f in queued) == [
-                42 + i for i in range(6)
-            ]
-            assert pool.restarts >= 1
-            assert not pool.is_broken
-            # The pool stays serviceable after recovery.
-            assert pool.submit(_pool_task, 100).result(timeout=60) == 142
-
-    def test_resubmission_counter_records_replays(self, tmp_path):
-        latch = str(tmp_path / "replay.latch")
+    def test_crash_fails_the_generation_with_broken_executor(self):
         with WorkerPool(2) as pool:
-            doomed = pool.submit(_die_once, latch)
-            assert doomed.result(timeout=60) > 0
-            assert doomed.resubmissions >= 1
+            doomed, generation = pool.submit(_die_after, 0.2)
+            held = [pool.submit(parallel._worker_warmup, 30.0) for _ in range(3)]
+            # The crash poisons the whole executor: every future of its
+            # generation fails, and the pool replays none of them.
+            for future in [doomed] + [future for future, _ in held]:
+                with pytest.raises(BrokenExecutor):
+                    future.result(timeout=60)
+            assert {held_generation for _, held_generation in held} == {generation}
+            assert pool.restarts == 0
+            assert pool.generation == generation
+
+    def test_recover_rebuilds_once_per_generation(self, tmp_path):
+        latch, runs = str(tmp_path / "crash.latch"), str(tmp_path / "init.runs")
+        with WorkerPool(2, initializer=_init_count, initargs=(runs,)) as pool:
+            assert _init_runs(runs) == 2
+            doomed, generation = pool.submit(_die_once, latch)
+            with pytest.raises(BrokenExecutor):
+                doomed.result(timeout=60)
+            pool.recover(generation)
+            pool.recover(generation)  # the same crash, reported twice
+            assert pool.restarts == 1
+            assert pool.generation == generation + 1
+            assert _init_runs(runs) == 4  # the initializer re-ran per worker
+            # The caller resubmits on the rebuilt pool.
+            future, resubmitted = pool.submit(_die_once, latch)
+            assert resubmitted == generation + 1
+            assert future.result(timeout=60) > 0
 
     def test_restart_budget_exhaustion_breaks_the_pool(self):
         pool = WorkerPool(2, max_restarts=0)
         try:
-            future = pool.submit(_die_always)
-            with pytest.raises(WorkerPoolBroken):
+            future, generation = pool.submit(_die_always)
+            with pytest.raises(BrokenExecutor):
                 future.result(timeout=60)
+            with pytest.raises(WorkerPoolBroken):
+                pool.recover(generation)
             assert pool.is_broken
+            with pytest.raises(WorkerPoolBroken):
+                pool.recover(generation + 1)
             with pytest.raises(WorkerPoolBroken):
                 pool.submit(_square, 3)
             with pytest.raises(WorkerPoolBroken):
@@ -201,12 +240,13 @@ class TestWorkerPoolSupervision:
         pool = WorkerPool(2, max_restarts=0)
         try:
             with pytest.raises(WorkerPoolBroken):
-                pool.submit(_die_always).result(timeout=60)
+                _run_through_crashes(pool, _die_always)
             assert pool.is_broken
             pool.close()
             assert not pool.is_broken
-            # A fresh start after close is a brand-new supervision budget.
-            assert pool.submit(_square, 4).result(timeout=60) == 16
+            assert pool.restarts == 0
+            # A fresh start after close is a brand-new restart budget.
+            assert _run_through_crashes(pool, _square, 4) == 16
         finally:
             pool.close()
 
@@ -225,7 +265,7 @@ def _blas_by_worker(pool):
     """``{pid: (counts, env)}`` from every worker of the pool's current generation."""
     seen = {}
     for _ in range(50):
-        futures = [pool.submit(_worker_blas, 0.05) for _ in range(pool.workers)]
+        futures = [pool.submit(_worker_blas, 0.05)[0] for _ in range(pool.workers)]
         for future in futures:
             pid, counts, env = future.result(timeout=60)
             seen[pid] = (counts, env)
@@ -257,7 +297,7 @@ class TestCoreBudget:
         before = openblas_threads()
         pool = WorkerPool(2).start()
         assert openblas_threads() == before
-        assert pool.submit(_square, 3).result(timeout=60) == 9
+        assert pool.submit(_square, 3)[0].result(timeout=60) == 9
         pool.close()
         assert openblas_threads() == before
 
@@ -268,7 +308,7 @@ class TestCoreBudget:
     def test_rebuilt_workers_keep_the_budget(self, tmp_path):
         latch = str(tmp_path / "crash.latch")
         with WorkerPool(2) as pool:
-            assert pool.submit(_die_once, latch).result(timeout=60) > 0
+            assert _run_through_crashes(pool, _die_once, latch) > 0
             assert pool.restarts >= 1
             _assert_one_thread(_blas_by_worker(pool))
 
