@@ -651,7 +651,7 @@ def bench_serve_faulty(registry: BenchmarkRegistry, sizes, repeats: int) -> None
     ``sample_batches`` concatenation as the ``"seed"`` variant, the warm
     4-worker sharded fast path as ``"optimized"`` — except a ``kill@1``
     fault plan is re-armed before every optimized run, so each measurement
-    pays exactly one worker crash: pool teardown, executor rebuild, the
+    pays exactly one worker crash: pool teardown, worker re-fork, the
     snapshot/warm-cache initializer, and the chunk run's resubmission of
     every chunk the crash took down.  The recorded speedup is therefore the
     *recovery-inclusive* sharding gain, and the perf gate guards the cost

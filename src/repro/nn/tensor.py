@@ -10,14 +10,16 @@ Design notes
 * All operations are whole-array numpy calls; no per-element Python loops.
 * Broadcasting follows numpy semantics; gradients are "un-broadcast" by
   summing over the broadcast axes so shapes always round-trip.
-* Gradient tracking can be suspended globally with the :func:`no_grad`
-  context manager (used during sampling / evaluation), which skips graph
-  construction entirely.
+* Gradient tracking can be suspended with the :func:`no_grad` context
+  manager (used during sampling / evaluation), which skips graph
+  construction entirely.  The mode is per thread, so a thread sampling
+  under ``no_grad`` leaves another thread's training untouched.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -25,23 +27,29 @@ import numpy as np
 Array = np.ndarray
 Scalar = Union[int, float]
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True  # every thread starts with gradient recording on
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph construction (cheaper inference)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Context manager disabling graph construction in this thread (cheaper
+    inference)."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    return _grad_enabled
+    """Whether this thread records the graph (off inside :func:`no_grad`)."""
+    return _grad_mode.enabled
 
 
 def _unbroadcast(grad: Array, shape: Tuple[int, ...]) -> Array:
@@ -88,7 +96,7 @@ class Tensor:
     ) -> None:
         self.data: Array = np.asarray(data, dtype=np.float64)
         self.grad: Optional[Array] = None
-        self.requires_grad = bool(requires_grad) and _grad_enabled
+        self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self._backward: Optional[Callable[[], None]] = None
         self._prev: Tuple["Tensor", ...] = ()
         self.name = name
@@ -141,7 +149,7 @@ class Tensor:
     def _make_result(
         self, data: Array, parents: Tuple["Tensor", ...]
     ) -> "Tensor":
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
+        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._prev = tuple(p for p in parents if p.requires_grad)
@@ -431,7 +439,7 @@ class Tensor:
         """Concatenate tensors along ``axis`` with gradient routing."""
         tensors = list(tensors)
         data = np.concatenate([t.data for t in tensors], axis=axis)
-        requires = _grad_enabled and any(t.requires_grad for t in tensors)
+        requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._prev = tuple(t for t in tensors if t.requires_grad)

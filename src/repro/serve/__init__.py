@@ -45,11 +45,11 @@ proven by equality against the fault-free run (``tests/test_serve_faults.py``),
 not by statistics:
 
 * **Crash recovery** — a worker death (``BrokenProcessPool``) costs one
-  executor rebuild: the :class:`~repro.utils.parallel.WorkerPool` re-runs
-  the snapshot/warm-cache initializer once per crashed generation, and
-  the chunk run, the one layer that resubmits, resubmits every chunk
-  attempt the crash took down at once.  A crash is not charged to a
-  chunk's retry budget; ``max_pool_restarts`` bounds the rebuilds and
+  pool rebuild: the :class:`~repro.utils.parallel.WorkerPool` forks fresh
+  workers that re-run the snapshot/warm-cache initializer once per crashed
+  generation, and the chunk run, the one layer that resubmits, resubmits
+  every chunk attempt the crash took down at once.  A crash is not charged
+  to a chunk's retry budget; ``max_pool_restarts`` bounds the rebuilds and
   restart counts are reported in the stats.
 * **Per-chunk retry / timeout / hedging**
   (:class:`~repro.serve.sharded.ChunkPolicy`) — failed chunks are

@@ -12,9 +12,9 @@ Three fault kinds cover the serving layer's failure surface:
 
 ``kill``
     The worker calls ``os._exit`` mid-chunk — the hard crash.  The whole
-    pool is poisoned (``BrokenProcessPool``), which exercises crash
-    recovery: the pool rebuilds its executor (the initializer re-runs) and
-    the chunk run resubmits every chunk attempt the crash took down.
+    pool generation is poisoned (``BrokenProcessPool``), which exercises
+    crash recovery: the pool forks fresh workers (the initializer re-runs)
+    and the chunk run resubmits every chunk attempt the crash took down.
 ``delay``
     The worker sleeps ``value`` seconds before sampling — the straggler.
     Exercises per-chunk deadlines (timeout → resubmit) and hedging (a
@@ -108,7 +108,7 @@ class FaultPlan:
     The plan is constructed in the parent process (so every worker shares
     one ``token_dir``) and shipped to workers through the pool initializer.
     It is deliberately *data*: pickling it re-targets the same token
-    directory, keeping the exactly-once latch intact across executor
+    directory, keeping the exactly-once latch intact across pool
     rebuilds.
     """
 

@@ -257,7 +257,7 @@ class ChunkPolicy:
 
 
 class _Attempt(NamedTuple):
-    """One pooled execution of a chunk: the executor's future, the pool
+    """One pooled execution of a chunk: the pool's future, the pool
     generation it went to, and its start (the attempt's deadline clock)."""
 
     future: Future
@@ -309,8 +309,8 @@ class _ChunkRun:
 
     def status(self, attempt: _Attempt) -> str:
         """``_PENDING``, ``_OK``, ``_FAILED`` (the task's own exception) or
-        ``_LOST``: failed with :class:`BrokenExecutor`, cancelled by an
-        executor shutdown, or unfinished on a generation that is dead."""
+        ``_LOST``: failed with :class:`BrokenExecutor`, cancelled by the
+        pool closing, or unfinished on a generation that is dead."""
         future = attempt.future
         if not future.done():
             return _LOST if attempt.generation != self.pool.generation else _PENDING
@@ -710,7 +710,7 @@ class ShardedSampler:
             ),
         }
         self._pool_restarts_gauge = self.metrics.gauge(
-            "repro_serve_pool_restarts", "Supervised executor rebuilds, all pool generations."
+            "repro_serve_pool_restarts", "Worker pool rebuilds after crashes, all pool generations."
         )
         #: Restarts of pools already torn down (restart / hot swap) — keeps
         #: the cumulative fault counters monotonic across pool generations.
@@ -740,7 +740,7 @@ class ShardedSampler:
 
     @property
     def pool_restarts(self) -> int:
-        """Supervised executor rebuilds across every pool generation.
+        """Worker pool rebuilds after crashes, across every pool generation.
 
         Reading it also sets the ``repro_serve_pool_restarts`` gauge.
         """

@@ -74,16 +74,20 @@ class TestWorkflowDocument:
     def test_test_job_gates_fault_injection_with_forced_workers(self, workflow):
         # The chaos suite must run as its own named step with REPRO_WORKERS=2:
         # supervision, retry/timeout/hedging and degraded mode only mean
-        # anything over a real multi-process pool.
+        # anything over a real multi-process pool.  The pool's own contract
+        # suite (crashes, close, large payloads, concurrent submitters) runs
+        # in the same step.
         steps = workflow["jobs"]["tests"]["steps"]
         fault_steps = [
             step for step in steps if "tests/test_serve_faults.py" in step.get("run", "")
         ]
         assert fault_steps, "no named step runs tests/test_serve_faults.py"
         assert fault_steps[0].get("name"), "the fault-injection step must be named"
+        assert "tests/test_utils_parallel.py" in fault_steps[0]["run"]
         env = fault_steps[0].get("env") or {}
         assert str(env.get("REPRO_WORKERS")) == "2"
-        assert os.path.exists(os.path.join(REPO_ROOT, "tests", "test_serve_faults.py"))
+        for suite in ("test_serve_faults.py", "test_utils_parallel.py"):
+            assert os.path.exists(os.path.join(REPO_ROOT, "tests", suite))
 
     def test_test_job_runs_scenario_smoke_with_forced_workers(self, workflow):
         # One short fixed-seed chaos-drift scenario runs through the real

@@ -1,11 +1,13 @@
 """Tests for the autograd engine, including finite-difference gradient checks."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -166,6 +168,65 @@ class TestReductionsAndShapes:
         check_gradient(
             lambda t: -(t.log_softmax(axis=-1) * Tensor(target)).sum(), (3, 4), seed=11
         )
+
+
+def _start(target):
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestGradModeIsPerThread:
+    """``no_grad`` in one thread leaves every other thread's mode alone
+    (two backends can sample exact-mode models on two threads)."""
+
+    TIMEOUT = 30
+
+    def test_no_grad_in_another_thread_does_not_reach_this_one(self):
+        inside, leave = threading.Event(), threading.Event()
+
+        def sampler():
+            with no_grad():
+                inside.set()
+                leave.wait(self.TIMEOUT)
+
+        thread = _start(sampler)
+        try:
+            assert inside.wait(self.TIMEOUT)
+            assert is_grad_enabled()
+            assert Tensor(np.array([1.0]), requires_grad=True).requires_grad
+        finally:
+            leave.set()
+            thread.join(self.TIMEOUT)
+        assert not thread.is_alive()
+
+    def test_overlapping_blocks_in_two_threads_leave_recording_on(self):
+        # A enters, B enters, A exits, B exits: a process-wide flag would end
+        # with B restoring the "off" it found on entry, for good.
+        a_in, b_in, a_out, b_out = (threading.Event() for _ in range(4))
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(self.TIMEOUT)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(self.TIMEOUT)
+            with no_grad():
+                b_in.set()
+                a_out.wait(self.TIMEOUT)
+            b_out.set()
+
+        threads = [_start(thread_a), _start(thread_b)]
+        for thread in threads:
+            thread.join(self.TIMEOUT)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(event.is_set() for event in (a_in, b_in, a_out, b_out))
+        assert is_grad_enabled()
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        (x * x).sum().backward()
+        np.testing.assert_allclose(x.grad, [6.0])
 
 
 class TestGraphMechanics:

@@ -15,7 +15,7 @@ not against statistics:
 Faults come from the deterministic :mod:`repro.serve.faults` harness: plans
 are seedable/parsable data, and their exactly-once token latch lives on disk
 so a fault fires the planned number of times across processes, retries and
-executor rebuilds.
+pool rebuilds.
 """
 
 import sys
