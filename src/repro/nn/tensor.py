@@ -149,9 +149,11 @@ class Tensor:
     def _make_result(
         self, data: Array, parents: Tuple["Tensor", ...]
     ) -> "Tensor":
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
+        # Built without requires_grad, so ``__init__`` does not read the
+        # per-thread grad mode a second time on every recorded op.
+        out = Tensor(data)
+        if is_grad_enabled() and any(p.requires_grad for p in parents):
+            out.requires_grad = True
             out._prev = tuple(p for p in parents if p.requires_grad)
         return out
 
@@ -439,9 +441,9 @@ class Tensor:
         """Concatenate tensors along ``axis`` with gradient routing."""
         tensors = list(tensors)
         data = np.concatenate([t.data for t in tensors], axis=axis)
-        requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
+        out = Tensor(data)
+        if is_grad_enabled() and any(t.requires_grad for t in tensors):
+            out.requires_grad = True
             out._prev = tuple(t for t in tensors if t.requires_grad)
             sizes = [t.data.shape[axis] for t in tensors]
             offsets = np.cumsum([0] + sizes)

@@ -53,7 +53,7 @@ not by statistics:
   restart counts are reported in the stats.
 * **Per-chunk retry / timeout / hedging**
   (:class:`~repro.serve.sharded.ChunkPolicy`) — failed chunks are
-  resubmitted with exponential backoff up to ``max_retries``; a chunk past
+  resubmitted at once, up to ``max_retries`` times; a chunk past
   its per-attempt ``timeout`` is abandoned and resubmitted; with
   ``hedge_multiplier`` set, a chunk slower than that multiple of the run's
   median chunk latency gets a duplicate raced against it, first success
@@ -123,10 +123,6 @@ takes the model's own ``(n, *, seed=None, sampling_mode="exact")``:
     request's ``deadline`` is already blown.  Rejections carry a
     ``reason`` and ``retry_after`` hint; the HTTP front door maps them to
     ``429`` + ``Retry-After``.  Once admitted, a request is always served.
-:class:`~repro.serve.admission.AutoscalePolicy`
-    Queue-depth-driven autoscaling: the dispatcher resizes the worker pool
-    between ``min_workers``/``max_workers`` with demand.  Byte-safe by the
-    sharding contract — a resize changes wall clock, never data.
 :class:`~repro.serve.http.FrontDoor`
     The async multi-tenant front door: routes each request to the named
     backend service (registry stages ``prod``/``canary`` serving
@@ -146,9 +142,9 @@ layers all embed.
 Observability (the ``repro.obs`` plane)
 ---------------------------------------
 Every layer above writes into one
-:class:`~repro.obs.metrics.MetricsRegistry` per service (pass
-``SamplingService(metrics=...)`` to share one), and the stats tree is a
-*view* of that registry, the only store of serving stats — the numbers on
+:class:`~repro.obs.metrics.MetricsRegistry` per service
+(:attr:`SamplingService.metrics`), and the stats tree is a *view* of that
+registry, the only store of serving stats — the numbers on
 ``/stats`` and ``/metrics`` are the same by construction, latency
 percentiles included.  The serving metric names:
 
@@ -165,8 +161,7 @@ percentiles included.  The serving metric names:
   ``repro_serve_degraded_passes_total``,
   ``repro_serve_cancelled_requests_total``;
 * control — ``repro_serve_admission_{admitted,rejected}_total`` (rejects by
-  ``reason``), ``repro_serve_scale_{ups,downs}_total``,
-  ``repro_serve_model_swaps_total``.
+  ``reason``), ``repro_serve_model_swaps_total``.
 
 ``GET /metrics`` on the front door serves the Prometheus text page over
 every backend (series tagged ``backend="<name>"``)::
@@ -199,7 +194,7 @@ Throughput is guarded by the ``serve_sharded_*`` kernels in
 front-door dispatch by ``serve_front_door``.
 """
 
-from repro.serve.admission import AdmissionPolicy, AdmissionRejected, AutoscalePolicy
+from repro.serve.admission import AdmissionPolicy, AdmissionRejected
 from repro.serve.api import (
     PRIORITY_CLASSES,
     PriorityClass,
@@ -221,7 +216,6 @@ from repro.serve.sharded import ChunkError, ChunkPolicy, ShardedSampler
 __all__ = [
     "AdmissionPolicy",
     "AdmissionRejected",
-    "AutoscalePolicy",
     "ChunkError",
     "ChunkPolicy",
     "Fault",

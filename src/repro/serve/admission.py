@@ -1,4 +1,4 @@
-"""SLO-aware admission control and queue-depth autoscaling policies.
+"""SLO-aware admission control.
 
 Admission control generalizes the service's original row-budget overload
 signal: instead of only *blocking* when the in-flight budget fills, the
@@ -13,26 +13,15 @@ independent signals, each optional:
 * **deadline (SLO)** — reject a request carrying a
   :attr:`~repro.serve.api.RequestSpec.deadline` whose *estimated* queue
   wait (backlog rows / observed service rate, from EMAs the dispatcher
-  feeds at every delivery) already exceeds that deadline.  No rate
-  observed yet → no deadline rejections (the estimator never guesses).
+  feeds at every delivery, floored at 1 row/s) already exceeds that
+  deadline.  No rate observed yet → no deadline rejections (the estimator
+  never guesses).
 
 The determinism contract: admission decides *whether* a request enters the
 queue, never *what* it returns — an admitted request is always served with
 its own seed's bytes.  Scenario replays therefore stay fingerprint-identical
 as long as their admission bounds are generous enough to admit everything,
 which the catalog specs guarantee by construction.
-
-:class:`AutoscalePolicy` is the sibling knob set for demand-driven
-worker scaling: at every refill of its pipeline, the dispatcher computes
-``ceil(demand_rows / rows_per_worker)`` within ``[min_workers,
-max_workers]``, capped at the core budget
-(:func:`~repro.utils.parallel.available_workers`), where the demand is the
-rows queued plus the rows in flight.  A resize stops the refills: it
-applies at the safe point, once every in-flight request is delivered.
-Scaling up is immediate; scaling down waits for ``shrink_patience``
-consecutive under-demand refills so a lull between bursts does not thrash
-the pool.  Resizing never changes output bytes — the sharding contract
-makes chunk streams worker-count-invariant.
 """
 
 from __future__ import annotations
@@ -48,9 +37,16 @@ __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
     "AdmissionRejected",
-    "AutoscalePolicy",
     "ServiceOverloaded",
 ]
+
+
+#: Floor (rows/s) the wait estimator never drops under, so one slow
+#: delivery cannot make the estimator reject everything forever.
+_MIN_RATE_FLOOR = 1.0
+#: Smoothing factor of the dispatcher-fed EMAs behind the service-rate
+#: estimate (rows and seconds per delivery).
+_RATE_SMOOTHING = 0.3
 
 
 class ServiceOverloaded(RuntimeError):
@@ -77,20 +73,15 @@ class AdmissionRejected(ServiceOverloaded):
 class AdmissionPolicy:
     """Bounds at which the service rejects instead of queueing.
 
-    All three signals default to disabled; an all-``None`` policy admits
-    everything (the pre-admission-control behaviour).
+    Both caps default to disabled.  The deadline signal has no field here:
+    a request carries its own
+    :attr:`~repro.serve.api.RequestSpec.deadline`.
     """
 
     #: Reject when this many requests are already admitted-but-undelivered.
     max_queue_depth: Optional[int] = None
     #: Reject when admitting would exceed this many undelivered rows.
     max_backlog_rows: Optional[int] = None
-    #: Floor (rows/s) the wait estimator never drops under, so one slow
-    #: batch cannot make the estimator reject everything forever.
-    min_rate_floor: float = 1.0
-    #: Smoothing factor of the dispatcher-fed EMAs behind the service-rate
-    #: estimate (rows and seconds per delivery).
-    rate_smoothing: float = 0.3
 
     def __post_init__(self) -> None:
         if self.max_queue_depth is not None and self.max_queue_depth < 0:
@@ -100,12 +91,6 @@ class AdmissionPolicy:
         if self.max_backlog_rows is not None and self.max_backlog_rows < 0:
             raise ValueError(
                 f"max_backlog_rows must be non-negative or None, got {self.max_backlog_rows}"
-            )
-        if self.min_rate_floor <= 0:
-            raise ValueError(f"min_rate_floor must be positive, got {self.min_rate_floor}")
-        if not 0 < self.rate_smoothing <= 1:
-            raise ValueError(
-                f"rate_smoothing must be in (0, 1], got {self.rate_smoothing}"
             )
 
 
@@ -192,7 +177,7 @@ class AdmissionController:
         if rows <= 0 or seconds <= 0:
             return
         with self._lock:
-            alpha = self.policy.rate_smoothing
+            alpha = _RATE_SMOOTHING
             ema_rows, ema_seconds = self._ema or (rows, seconds)  # the first delivery seeds both
             self._ema = (alpha * rows + (1 - alpha) * ema_rows, alpha * seconds + (1 - alpha) * ema_seconds)
 
@@ -202,7 +187,7 @@ class AdmissionController:
             ema = self._ema
         if ema is None:
             return None
-        return backlog_rows / max(ema[0] / ema[1], self.policy.min_rate_floor)
+        return backlog_rows / max(ema[0] / ema[1], _MIN_RATE_FLOOR)
 
     def _drain_estimate(self, backlog_rows: int) -> float:
         wait = self.estimated_wait(backlog_rows)
@@ -223,38 +208,3 @@ class AdmissionController:
             "rejected_backlog_rows": int(self._m_rejected.value(reason="backlog_rows")),
             "rejected_deadline": int(self._m_rejected.value(reason="deadline")),
         }
-
-
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """Queue-depth-driven worker scaling bounds for the service dispatcher."""
-
-    min_workers: int = 1
-    max_workers: int = 4
-    #: Demand grain: the target worker count is
-    #: ``ceil(demand_rows / rows_per_worker)`` clamped to the bounds above.
-    rows_per_worker: int = 50_000
-    #: Consecutive under-demand refills required before shrinking.
-    shrink_patience: int = 3
-
-    def __post_init__(self) -> None:
-        if self.min_workers < 1:
-            raise ValueError(f"min_workers must be at least 1, got {self.min_workers}")
-        if self.max_workers < self.min_workers:
-            raise ValueError(
-                f"max_workers ({self.max_workers}) must be >= min_workers "
-                f"({self.min_workers})"
-            )
-        if self.rows_per_worker < 1:
-            raise ValueError(
-                f"rows_per_worker must be positive, got {self.rows_per_worker}"
-            )
-        if self.shrink_patience < 1:
-            raise ValueError(
-                f"shrink_patience must be at least 1, got {self.shrink_patience}"
-            )
-
-    def target_workers(self, demand_rows: int) -> int:
-        """The worker count the demand calls for, clamped to the bounds."""
-        wanted = -(-max(0, demand_rows) // self.rows_per_worker) if demand_rows else 0
-        return max(self.min_workers, min(self.max_workers, wanted))

@@ -21,7 +21,7 @@ Three fault kinds cover the serving layer's failure surface:
     duplicate raced against the laggard, first result wins).
 ``fail``
     The worker raises :class:`InjectedFault` — the transient task error.
-    Exercises the bounded per-chunk retry/backoff path.
+    Exercises the bounded per-chunk retry path.
 
 Exactly-once across processes
 -----------------------------

@@ -28,12 +28,13 @@ read.  Routes:
     "model", "columns"?}``; ``400`` on a malformed spec; ``413`` on a body
     declared larger than :data:`MAX_BODY_BYTES`; ``429`` with a
     ``Retry-After`` header when admission control rejects
-    (:class:`~repro.serve.admission.AdmissionRejected`) or the in-flight
-    budget is full; ``500`` with ``{"error": "<type>: <message>"}`` when
-    generation fails (a :class:`~repro.serve.sharded.ChunkError` or any
-    other sampling exception), its traceback logged.  Blocking waits
-    happen on executor threads, so slow requests never stall the accept
-    loop.
+    (:class:`~repro.serve.admission.AdmissionRejected`); ``500`` with
+    ``{"error": "<type>: <message>"}`` when generation fails (a
+    :class:`~repro.serve.sharded.ChunkError` or any other sampling
+    exception), its traceback logged.  A request that arrives while the
+    backend's in-flight budget is full waits for budget, then is served.
+    Blocking waits happen on executor threads, so slow requests never
+    stall the accept loop.
 ``GET /stats``
     The unified stats tree per backend (see
     :meth:`~repro.serve.service.ServiceStats.to_dict`) plus the router's
@@ -60,7 +61,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.obs.metrics import render_prometheus_multi
-from repro.serve.admission import AdmissionRejected, ServiceOverloaded
+from repro.serve.admission import AdmissionRejected
 from repro.serve.api import RequestSpec, table_fingerprint
 from repro.serve.service import SampleRequest, SamplingService
 from repro.tabular.table import Table
@@ -450,8 +451,6 @@ class FrontDoor:
                 {"error": str(exc), "reason": exc.reason, "retry_after": exc.retry_after},
                 {"Retry-After": f"{max(1, round(exc.retry_after))}"},
             )
-        except ServiceOverloaded as exc:
-            return 429, {"error": str(exc), "reason": "overloaded"}, {"Retry-After": "1"}
         except KeyError as exc:
             return 400, {"error": str(exc)}, {}
         try:

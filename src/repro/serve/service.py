@@ -39,22 +39,13 @@ deadline (SLO) checks against an observed-service-rate estimate — raising
 request is admitted it is always served.  A caller that stops waiting
 should :meth:`SampleRequest.cancel` to release its budget.
 
-Autoscaling: with an :class:`~repro.serve.admission.AutoscalePolicy` the
-dispatcher resizes the worker pool toward the demand (rows queued plus
-rows in flight: ``ceil(demand rows / rows_per_worker)`` within
-``[min_workers, max_workers]``, and never past the core budget) —
-immediately up, patiently down.  A resize, like a model swap, stops the
-refills: the dispatcher delivers what is in flight and applies it at that
-safe point.  Byte-safe by the worker-count-invariance of the sharding
-contract.
-
 Fault tolerance: chunk failures / timeouts / stragglers are absorbed by
 :class:`~repro.serve.sharded.ChunkPolicy`, a worker death by a pool rebuild
 after which the chunk run resubmits every chunk the crash took down, and
 pool collapse degrades to byte-identical in-process serving.
 :meth:`stats` reports one unified tree (:meth:`ServiceStats.to_dict`):
-throughput, queue, latency, workers / autoscale, fault counters, admission
-counters and per-tenant latencies.
+throughput, queue, latency, workers, fault counters, admission counters
+and per-tenant latencies.
 """
 
 from __future__ import annotations
@@ -75,18 +66,13 @@ from repro.obs.tracing import (
     trace_id_from_child,
     trace_id_from_seed,
 )
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    AutoscalePolicy,
-    ServiceOverloaded,
-)
+from repro.serve.admission import AdmissionController, AdmissionPolicy, ServiceOverloaded
 from repro.serve.api import RequestSpec, priority_weight
 from repro.serve.faults import FaultPlan
 from repro.serve.sharded import ChunkPolicy, ShardedSampler
 from repro.tabular.table import Table
 from repro.utils.logging import get_logger
-from repro.utils.parallel import WorkerPoolBroken, available_workers
+from repro.utils.parallel import WorkerPoolBroken
 
 __all__ = ["SampleRequest", "SamplingService", "ServiceOverloaded", "ServiceStats"]
 
@@ -224,15 +210,9 @@ class _FairQueue:
         self._vtime = 0.0
         self._flow_finish: Dict[Tuple[str, str], float] = {}
         self._live = 0
-        self._live_rows = 0
 
     def __len__(self) -> int:
         return self._live
-
-    @property
-    def rows(self) -> int:
-        """Rows queued (live requests only)."""
-        return self._live_rows
 
     def push(self, request: SampleRequest) -> None:
         spec = request.spec
@@ -245,7 +225,6 @@ class _FairQueue:
         heapq.heappush(self._heap, (finish, self._seq, request))
         self._seq += 1
         self._live += 1
-        self._live_rows += spec.n
 
     def discard(self, request: SampleRequest) -> bool:
         """Remove a queued request (lazy: its heap entry dies when popped)."""
@@ -253,7 +232,6 @@ class _FairQueue:
             return False
         request._queued = False
         self._live -= 1
-        self._live_rows -= request.spec.n
         return True
 
     def pop_batch(self, max_rows: Optional[int], in_flight_rows: int) -> List[SampleRequest]:
@@ -277,7 +255,6 @@ class _FairQueue:
             heapq.heappop(self._heap)
             request._queued = False
             self._live -= 1
-            self._live_rows -= request.spec.n
             self._vtime = max(self._vtime, request._wfq_start)
             batch.append(request)
             rows += request.spec.n
@@ -318,10 +295,8 @@ class ServiceStats:
     degraded_passes: int = 0
     #: Requests abandoned via :meth:`SampleRequest.cancel`.
     cancelled_requests: int = 0
-    #: Current worker count and autoscale activity.
+    #: Current worker count.
     workers: int = 1
-    scale_ups: int = 0
-    scale_downs: int = 0
     #: True once the pool collapsed and the service runs in-process.
     degraded: bool = False
     #: Admission counters (empty mapping = admission control disabled).
@@ -334,8 +309,8 @@ class ServiceStats:
 
         Stable field names shared by the CLI ``--json`` payloads, the HTTP
         ``/stats`` route and the scenario reports' ``timing.service`` block
-        — one namespace for throughput, queue, latency, worker/autoscale,
-        fault, admission and per-tenant counters.
+        — one namespace for throughput, queue, latency, worker, fault,
+        admission and per-tenant counters.
         """
         return {
             "throughput": {
@@ -354,8 +329,6 @@ class ServiceStats:
             },
             "workers": {
                 "current": self.workers,
-                "scale_ups": self.scale_ups,
-                "scale_downs": self.scale_downs,
                 "degraded": self.degraded,
             },
             "faults": {
@@ -396,9 +369,6 @@ class SamplingService:
         Optional :class:`~repro.serve.admission.AdmissionPolicy`: reject
         (instead of queue) on queue-depth / backlog-row caps or a blown
         per-request deadline estimate.  ``None`` admits everything.
-    autoscale:
-        Optional :class:`~repro.serve.admission.AutoscalePolicy`: the
-        dispatcher resizes the pool with demand between its bounds.
     microbatch_rows:
         Upper bound on the rows in flight: dispatched to the pool but not
         yet delivered.  A single request larger than the bound is dispatched
@@ -406,18 +376,17 @@ class SamplingService:
         everything queued at each refill; a bound keeps a sustained backlog
         in the fair queue, so the weighted fair order decides who enters
         the pool next.
-    metrics:
-        A :class:`~repro.obs.metrics.MetricsRegistry` shared by every layer
-        of this service's stack (sampler fault counters, pool gauges,
-        admission, the request/latency instruments here).  ``None`` creates
-        a private registry, exposed as :attr:`metrics`; the front door
-        renders it on ``GET /metrics``.
     tracer:
         Optional :class:`~repro.obs.tracing.Tracer`.  When set, each
         request records its span taxonomy (``request`` → ``admission`` /
         ``queue_wait`` / ``dispatch`` / ``chunk[i]``–``attempt[j]`` /
         ``worker_compute`` / ``assemble`` / ``deliver``); ``None`` is a
         strict no-op — served bytes are identical either way.
+
+    Every layer of the service's stack (sampler fault counters, pool
+    gauges, admission, the request/latency instruments here) writes into
+    the service's own :class:`~repro.obs.metrics.MetricsRegistry`, exposed
+    as :attr:`metrics`; the front door renders it on ``GET /metrics``.
 
     The service starts its pool and dispatcher on construction and is a
     context manager; :meth:`close` drains the queue and the pipeline, then
@@ -435,18 +404,14 @@ class SamplingService:
         fault_plan: Optional[FaultPlan] = None,
         max_pool_restarts: int = 5,
         admission: Optional[AdmissionPolicy] = None,
-        autoscale: Optional[AutoscalePolicy] = None,
         microbatch_rows: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if max_inflight_rows < 1:
             raise ValueError(f"max_inflight_rows must be positive, got {max_inflight_rows}")
         if microbatch_rows is not None and microbatch_rows < 1:
             raise ValueError(f"microbatch_rows must be positive or None, got {microbatch_rows}")
-        if workers is None and autoscale is not None:
-            workers = autoscale.min_workers
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._tracer = tracer
         self._sampler = ShardedSampler(
             model,
@@ -464,7 +429,6 @@ class SamplingService:
             if admission is not None
             else None
         )
-        self._autoscale = autoscale
         self._microbatch_rows = microbatch_rows
         self._lock = threading.Condition()
         self._queue = _FairQueue()
@@ -479,7 +443,6 @@ class SamplingService:
         self._admission_waiters: Deque[int] = deque()
         self._pending_swaps: Deque[_SwapTicket] = deque()
         self._closing = False
-        self._shrink_streak = 0
         registry = self.metrics
         # The sampler's chunk fault counters, read back by :meth:`stats`.
         self._m_chunk = {
@@ -506,12 +469,6 @@ class SamplingService:
         )
         self._m_cancelled = registry.counter(
             "repro_serve_cancelled_requests_total", "Requests abandoned via cancel()."
-        )
-        self._m_scale_ups = registry.counter(
-            "repro_serve_scale_ups_total", "Autoscale pool expansions."
-        )
-        self._m_scale_downs = registry.counter(
-            "repro_serve_scale_downs_total", "Autoscale pool shrinks."
         )
         self._m_model_swaps = registry.counter(
             "repro_serve_model_swaps_total", "Hot model swaps applied."
@@ -710,7 +667,6 @@ class SamplingService:
         uptime = time.perf_counter() - self._started_at
         self._g_queue_depth.set(queue_depth)
         self._g_inflight_rows.set(in_flight)
-        self._g_workers.set(self._sampler.workers)
         self._g_degraded.set(1 if self._sampler.pool_broken else 0)
         self._g_pool_pending.set(self._sampler.pool_pending_tasks)
         return ServiceStats(
@@ -730,8 +686,6 @@ class SamplingService:
             degraded_passes=int(self._m_degraded_passes.total()),
             cancelled_requests=int(self._m_cancelled.total()),
             workers=self._sampler.workers,
-            scale_ups=int(self._m_scale_ups.total()),
-            scale_downs=int(self._m_scale_downs.total()),
             degraded=self._sampler.pool_broken,
             admission=self._admission.snapshot() if self._admission is not None else {},
             tenants=tenants,
@@ -795,12 +749,11 @@ class SamplingService:
         ``[request, sizes, children, handles, error, run, dispatched_at]``.
         They share one chunk run, so hedging sees every chunk completed
         before; a fresh run starts when the pipeline empties or the pool
-        collapses.  A pending swap or resize stops the refills until the
-        pipeline has drained: the safe point where it applies.
+        collapses.  A pending swap stops the refills until the pipeline has
+        drained: the safe point where it applies.
         """
         pipeline: Deque[list] = deque()
         pipeline_rows, run, delivered_at = 0, None, 0.0
-        resize_to: Optional[int] = None
         while True:
             with self._lock:
                 while not (pipeline or self._queue or self._pending_swaps or self._closing):
@@ -810,9 +763,8 @@ class SamplingService:
                     swaps = list(self._pending_swaps)
                     self._pending_swaps.clear()
                 batch: List[SampleRequest] = []
-                if not self._pending_swaps and (resize_to is None or not pipeline):
+                if not self._pending_swaps:
                     batch = self._queue.pop_batch(self._microbatch_rows, pipeline_rows)
-                queued_rows = self._queue.rows
                 self._set_queue_gauges_locked()
                 if self._closing and not (pipeline or batch or swaps):
                     return
@@ -821,11 +773,6 @@ class SamplingService:
             if batch:
                 self._m_batches.inc()
                 pipeline_rows += sum(request.spec.n for request in batch)
-                resize_to = self._autoscale_target(queued_rows + pipeline_rows) or resize_to
-            if resize_to is not None and not pipeline:
-                self._resize(resize_to)
-                resize_to = None
-            if batch:
                 if not pipeline or (not run.in_process and self._sampler.pool_broken):
                     run = self._sampler.chunk_run()
                 pipeline.extend(self._dispatch(run, batch))
@@ -844,41 +791,6 @@ class SamplingService:
             if self._admission is not None:
                 self._admission.observe_batch(request.spec.n, now - max(dispatched_at, delivered_at))
             delivered_at = now
-
-    def _autoscale_target(self, demand_rows: int) -> Optional[int]:
-        """The worker count the demand calls for, or ``None`` to keep the pool.
-
-        Evaluated once per refill.  Scale-up is immediate; scale-down waits
-        for ``shrink_patience`` consecutive under-demand refills.  The target
-        never exceeds the core budget
-        (:func:`~repro.utils.parallel.available_workers`): workers past it
-        only contend for the same CPUs.  A broken pool is never resized —
-        degraded mode is the pool's verdict, not a capacity problem.
-        """
-        policy = self._autoscale
-        if policy is None or self._sampler.pool_broken:
-            return None
-        target = min(policy.target_workers(demand_rows), available_workers(None))
-        if target < self._sampler.workers:
-            self._shrink_streak += 1
-            if self._shrink_streak < policy.shrink_patience:
-                return None
-        self._shrink_streak = 0
-        return target if target != self._sampler.workers else None
-
-    def _resize(self, workers: int) -> None:
-        """Resize the pool at a safe point (nothing in flight); byte-safe by
-        the sharding contract.  A failure keeps the current size."""
-        current = self._sampler.workers
-        if workers == current or self._sampler.pool_broken:
-            return
-        try:
-            self._sampler.resize(workers)
-        except Exception:
-            _LOG.warning("resizing the pool to %d workers failed", workers, exc_info=True)
-            return
-        self._g_workers.set(self._sampler.workers)
-        (self._m_scale_ups if workers > current else self._m_scale_downs).inc()
 
     def _apply_swaps(self, swaps: List[_SwapTicket]) -> None:
         """Install the most recent pending model (earlier ones are superseded).

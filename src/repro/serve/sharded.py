@@ -58,11 +58,11 @@ levels:
   contract.
 * **Per-chunk resilience** is governed by a :class:`ChunkPolicy`: each chunk
   attempt carries an optional deadline (``timeout``); a timed-out or failed
-  attempt is resubmitted with exponential backoff up to ``max_retries``
-  times; and with ``hedge_multiplier`` set, a chunk whose in-flight time
-  exceeds that multiple of the run's median completed-chunk latency is
-  *hedged* — a duplicate is submitted and the first successful result wins
-  (when both finish, their tables are asserted equal).  A handle waits for
+  attempt is resubmitted at once, up to ``max_retries`` times; and with
+  ``hedge_multiplier`` set, a chunk whose in-flight time exceeds that
+  multiple of the run's median completed-chunk latency is *hedged* — a
+  duplicate is submitted and the first successful result wins (when both
+  finish, their tables are asserted equal).  A handle waits for
   all of this in one event-driven loop: it blocks until an attempt
   finishes, the deadline passes or the hedge trigger fires.
 * **Failure context**: a chunk that exhausts its budget raises
@@ -209,6 +209,10 @@ class ChunkError(RuntimeError):
         self.size = size
 
 
+#: Floor (seconds) of the hedge trigger.
+_MIN_HEDGE_LATENCY = 0.05
+
+
 @dataclass(frozen=True)
 class ChunkPolicy:
     """Per-chunk resilience knobs for the sharded engine.
@@ -224,32 +228,24 @@ class ChunkPolicy:
         combined.  A worker crash is not charged: the chunk run resubmits
         what a crash took down, bounded by the pool's restart budget
         (``max_pool_restarts``), not the chunk's.
-    backoff:
-        Base of the exponential backoff slept before retry ``k``:
-        ``backoff * 2**(k-1)`` seconds.
     hedge_multiplier:
         Straggler hedging: once a chunk's in-flight time exceeds
         ``hedge_multiplier * median(completed chunk latencies)`` a duplicate
         attempt is submitted and the first success wins (both finishing is
-        asserted byte-equal).  ``None`` disables hedging.
-    min_hedge_latency:
-        Floor (seconds) under which hedging never triggers, so micro-chunks
-        do not hedge on scheduling noise.
+        asserted byte-equal).  The trigger never drops under 50 ms, so
+        micro-chunks do not hedge on scheduling noise.  ``None`` disables
+        hedging.
     """
 
     timeout: Optional[float] = None
     max_retries: int = 2
-    backoff: float = 0.05
     hedge_multiplier: Optional[float] = None
-    min_hedge_latency: float = 0.05
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive or None, got {self.timeout}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be non-negative, got {self.max_retries}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be non-negative, got {self.backoff}")
         if self.hedge_multiplier is not None and self.hedge_multiplier <= 0:
             raise ValueError(
                 f"hedge_multiplier must be positive or None, got {self.hedge_multiplier}"
@@ -497,7 +493,7 @@ class _ChunkHandle:
         median = self._run.median_latency()
         if policy.hedge_multiplier is None or median is None:
             return None
-        return max(policy.min_hedge_latency, policy.hedge_multiplier * median)
+        return max(_MIN_HEDGE_LATENCY, policy.hedge_multiplier * median)
 
     def _record_attempt_span(
         self, attempt: int, started: float, *, error: Optional[str] = None
@@ -538,8 +534,6 @@ class _ChunkHandle:
             self.index, self.size, self._failures, exc,
             self._failures, policy.max_retries,
         )
-        if policy.backoff > 0:
-            time.sleep(policy.backoff * (2 ** (self._failures - 1)))
         self._attempts = [self._launch()]
 
     def _finish(self, table: Table, started_at: float, *, hedged_win: bool) -> Table:
@@ -628,8 +622,8 @@ class ShardedSampler:
         worker-count-invariance tests rely on being able to demand 4 workers
         on a one-core box.  Each pool worker runs ``max(1, budget //
         workers)`` BLAS threads (never more than the parent), re-applied on
-        every pool rebuild and :meth:`resize`; the parent keeps all its
-        threads.  ``1`` runs in-process with no pool at all, on every core.
+        every pool rebuild; the parent keeps all its threads.  ``1`` runs
+        in-process with no pool at all, on every core.
     chunk_size:
         Rows per chunk (the sharding grain and the streaming memory bound).
     chunk_policy:
@@ -773,24 +767,6 @@ class ShardedSampler:
     def restart(self) -> "ShardedSampler":
         """Tear the pool down and re-snapshot the model (e.g. after a refit)."""
         self.close()
-        return self.start()
-
-    def resize(self, workers: int) -> "ShardedSampler":
-        """Change the worker count at a safe point (no chunks in flight).
-
-        The autoscaling hook: the service dispatcher stops refilling its
-        pipeline and calls this once every in-flight request has been
-        delivered.  Byte-safe by the sharding contract — chunk streams
-        are worker-count-invariant, so a resized pool serves identical
-        bytes.  The current pool (if any) is torn down and a fresh one is
-        started at the new count (``1`` runs pool-free); the sampler is
-        started afterwards either way.
-        """
-        workers = max(1, int(workers))
-        if workers == self.workers:
-            return self
-        self.close()
-        self.workers = workers
         return self.start()
 
     def swap_model(self, model: Surrogate) -> "ShardedSampler":

@@ -231,7 +231,7 @@ class TestMultiTenantSLOFrontDoor:
         assert two_a.deterministic_dict() == two_b.deterministic_dict()
         assert two_a.output_fingerprint
         # Worker count is recorded but must not leak into anything else:
-        # autoscaling/routing may change wall clock, never bytes.
+        # worker count and routing may change wall clock, never bytes.
         core_two, core_one = two_a.deterministic_dict(), one.deterministic_dict()
         assert (core_two.pop("workers"), core_one.pop("workers")) == (2, 1)
         assert core_two == core_one

@@ -7,7 +7,7 @@ So each fault path is tested against the fault-free single-process reference,
 not against statistics:
 
 * worker kill mid-chunk → the pool rebuilds, the chunk run resubmits → bytes;
-* transient chunk failure → bounded retry/backoff → bytes;
+* transient chunk failure → bounded retry → bytes;
 * straggler chunk → deadline resubmission and hedging → bytes;
 * pool collapse (restart budget exhausted) → the service degrades to
   in-process generation with zero lost requests → bytes.
@@ -261,7 +261,7 @@ class TestKillRecovery:
 class TestRetryAndTimeout:
     def test_transient_failure_retries_to_identical_bytes(self, models, plan):
         model = models["smote"]
-        policy = ChunkPolicy(max_retries=2, backoff=0.01)
+        policy = ChunkPolicy(max_retries=2)
         with ShardedSampler(
             model,
             workers=2,
@@ -277,7 +277,7 @@ class TestRetryAndTimeout:
 
     def test_exhausted_retry_budget_raises_chunk_error_with_context(self, models, plan):
         model = models["smote"]
-        policy = ChunkPolicy(max_retries=0, backoff=0.0)
+        policy = ChunkPolicy(max_retries=0)
         with ShardedSampler(
             model,
             workers=2,
@@ -293,7 +293,7 @@ class TestRetryAndTimeout:
 
     def test_timed_out_attempt_is_resubmitted_byte_identically(self, models, plan):
         model = models["smote"]
-        policy = ChunkPolicy(timeout=0.2, max_retries=2, backoff=0.01)
+        policy = ChunkPolicy(timeout=0.2, max_retries=2)
         with ShardedSampler(
             model,
             workers=2,
@@ -319,7 +319,7 @@ class TestRetryAndTimeout:
 class TestHedging:
     def test_straggler_is_hedged_byte_identically(self, models, plan):
         model = models["smote"]
-        policy = ChunkPolicy(hedge_multiplier=2.0, min_hedge_latency=0.05, backoff=0.01)
+        policy = ChunkPolicy(hedge_multiplier=2.0)
         with ShardedSampler(
             model,
             workers=2,
@@ -338,7 +338,7 @@ class TestHedging:
     @pytest.mark.parametrize("mode", MODES)
     def test_hedged_service_requests_match_solo(self, models, plan, mode):
         model = models["copula"]
-        policy = ChunkPolicy(hedge_multiplier=2.0, min_hedge_latency=0.05, backoff=0.01)
+        policy = ChunkPolicy(hedge_multiplier=2.0)
         with SamplingService(
             model,
             workers=2,
@@ -431,7 +431,7 @@ class TestServiceFaultTolerance:
         # One request's chunk exhausts its budget; a sibling request in
         # flight with it must still be served.
         model = models["smote"]
-        policy = ChunkPolicy(max_retries=0, backoff=0.0)
+        policy = ChunkPolicy(max_retries=0)
         with SamplingService(
             model,
             workers=2,

@@ -11,9 +11,13 @@ Three layers, bottom up:
 * :class:`FrontDoor` — multi-backend routing plus the stdlib HTTP
   endpoint: a served table round-trips through JSON byte-identically
   (same fingerprint), admission rejections surface as ``429`` with a
-  ``Retry-After`` header, malformed requests as ``400``.
+  ``Retry-After`` header, malformed requests as ``400``, and a request
+  over a full in-flight budget waits for it and is served.
+
+The settable values of the serving configuration surface are pinned too.
 """
 
+import dataclasses
 import inspect
 import io
 import json
@@ -26,11 +30,13 @@ import urllib.request
 import numpy as np
 import pytest
 
+import repro.serve
 from repro.models.base import Surrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.serve import (
     PRIORITY_CLASSES,
     AdmissionPolicy,
+    ChunkPolicy,
     FrontDoor,
     RequestSpec,
     SamplingService,
@@ -371,6 +377,26 @@ class TestHttpEndpoint:
             finally:
                 door.stop_http()
 
+    def test_a_request_over_a_full_budget_waits_and_gets_a_200(self):
+        # An 80-row request the slow model serves in 0.5 s fills the
+        # 100-row budget: a 50-row POST waits for that budget rather than
+        # being turned away, and is served once the first is delivered.
+        with SamplingService(
+            _slow_model(delay=0.5), workers=1, chunk_size=1000, max_inflight_rows=100
+        ) as svc:
+            door = FrontDoor({"prod": svc})
+            door.start_http()
+            try:
+                blocking = svc.submit(RequestSpec(80, seed=1))
+                status, payload, _ = _post(
+                    door.address, "/sample", {"n": 50, "seed": 2, "fingerprint_only": True}
+                )
+                assert blocking.done()
+            finally:
+                door.stop_http()
+        assert status == 200
+        assert payload["rows"] == 50
+
     def test_failed_generation_is_a_500_naming_its_cause(self):
         # A failed generation reaches the client as its cause, and the log
         # as its traceback.
@@ -444,6 +470,43 @@ class TestOneFormPerLayer:
                 ("seed", "KEYWORD_ONLY", None),
                 ("sampling_mode", "KEYWORD_ONLY", "exact"),
             ]
+
+    def test_configuration_surface(self):
+        # Every settable serving value has a caller; a new knob edits this.
+        assert _shape(SamplingService.__init__) == [
+            ("model", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+            ("workers", "KEYWORD_ONLY", None),
+            ("chunk_size", "KEYWORD_ONLY", ShardedSampler.DEFAULT_CHUNK_SIZE),
+            ("max_inflight_rows", "KEYWORD_ONLY", 4_000_000),
+            ("chunk_policy", "KEYWORD_ONLY", None),
+            ("fault_plan", "KEYWORD_ONLY", None),
+            ("max_pool_restarts", "KEYWORD_ONLY", 5),
+            ("admission", "KEYWORD_ONLY", None),
+            ("microbatch_rows", "KEYWORD_ONLY", None),
+            ("tracer", "KEYWORD_ONLY", None),
+        ]
+        assert _shape(ShardedSampler.__init__) == [
+            ("model", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+            ("workers", "KEYWORD_ONLY", None),
+            ("chunk_size", "KEYWORD_ONLY", ShardedSampler.DEFAULT_CHUNK_SIZE),
+            ("chunk_policy", "KEYWORD_ONLY", None),
+            ("fault_plan", "KEYWORD_ONLY", None),
+            ("max_pool_restarts", "KEYWORD_ONLY", 5),
+            ("metrics", "KEYWORD_ONLY", None),
+            ("tracer", "KEYWORD_ONLY", None),
+        ]
+        assert [(f.name, f.default) for f in dataclasses.fields(ChunkPolicy)] == [
+            ("timeout", None),
+            ("max_retries", 2),
+            ("hedge_multiplier", None),
+        ]
+        assert [(f.name, f.default) for f in dataclasses.fields(AdmissionPolicy)] == [
+            ("max_queue_depth", None),
+            ("max_backlog_rows", None),
+        ]
+        assert "AutoscalePolicy" not in repro.serve.__all__
+        assert not hasattr(repro.serve, "AutoscalePolicy")
+        assert not hasattr(ShardedSampler, "resize")
 
     def test_wrong_form_raises_type_error(self, tvae, service):
         for call in (service.submit, service.sample):

@@ -27,7 +27,6 @@ from repro.models.smote import SMOTESurrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.serve import (
     AdmissionPolicy,
-    AutoscalePolicy,
     ModelRegistry,
     RequestSpec,
     SamplingService,
@@ -204,17 +203,6 @@ class TestSamplingService:
             request.add_done_callback(lambda resolved: seen.append(resolved.done()))
             assert seen == [False, True]
             assert len(service.sample(RequestSpec(5, seed=2))) == 5
-
-    def test_autoscale_stays_inside_the_core_budget(self, tvae, monkeypatch):
-        # max_workers=4 and a demand of 8 workers' rows would resize a
-        # 2-core host into 4 processes; the budget caps the pool at 2.
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        policy = AutoscalePolicy(max_workers=4, rows_per_worker=CHUNK)
-        with SamplingService(tvae, autoscale=policy, chunk_size=CHUNK) as service:
-            served = service.sample(RequestSpec(8 * CHUNK, seed=3, sampling_mode="fast"))
-            assert service.workers == 2
-        with ShardedSampler(tvae, workers=1, chunk_size=CHUNK) as solo:
-            assert served == solo.sample(8 * CHUNK, seed=3, sampling_mode="fast")
 
     def test_backpressure_rejects_when_budget_is_full(self):
         model = _slow_model(delay=0.3)

@@ -221,7 +221,7 @@ class _BlasProbe(Surrogate):
 
 class TestCoreBudget:
     @pytest.mark.skipif(not openblas_threads(), reason="no OpenBLAS is mapped")
-    def test_resize_reapplies_the_budget(self, monkeypatch):
+    def test_pool_workers_share_the_core_budget(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "2")
         probe = _BlasProbe().fit(
             Table({"x": np.zeros(4)}, TableSchema.from_columns(numerical=["x"]))
@@ -229,10 +229,9 @@ class TestCoreBudget:
         parent = max(openblas_threads().values())
         with ShardedSampler(probe, workers=2, chunk_size=10) as sampler:
             assert set(sampler.sample(40, seed=1)["x"]) == {1.0}
-            sampler.resize(1)  # in-process: the parent's threads
+        with ShardedSampler(probe, workers=1, chunk_size=10) as sampler:
+            # In-process: the parent's threads.
             assert set(sampler.sample(40, seed=1)["x"]) == {float(parent)}
-            sampler.resize(2)  # a fresh pool takes its share again
-            assert set(sampler.sample(40, seed=1)["x"]) == {1.0}
         assert max(openblas_threads().values()) == parent
 
 

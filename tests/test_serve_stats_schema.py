@@ -22,7 +22,7 @@ GOLDEN_SCHEMA = {
     "throughput": {"rows_per_second", "total_requests", "total_rows", "uptime_s"},
     "queue": {"depth", "in_flight_rows"},
     "latency": {"p50_s", "p95_s"},
-    "workers": {"current", "scale_ups", "scale_downs", "degraded"},
+    "workers": {"current", "degraded"},
     "faults": {
         "pool_restarts",
         "chunk_retries",
