@@ -122,8 +122,8 @@ The serving layer stacks three pieces on the streaming API:
 ``repro-experiments serve`` drives the stack end to end;
 ``examples/serving_throughput.py`` is the narrated tour.  Throughput is
 recorded by the ``serve_sharded_tvae`` / ``serve_sharded_tabddpm`` kernels
-in ``benchmarks/BENCH_hotpaths.json`` (single-worker exact-mode serving loop
-as the baseline; see ``benchmarks/README.md`` for the contract).
+in ``benchmarks/BENCH_hotpaths.json`` (one in-process fast-mode worker as the
+baseline; see ``benchmarks/README.md`` for the contract).
 
 Degenerate inputs —
 constant numerical columns, single-category columns, ``sample(0)``,

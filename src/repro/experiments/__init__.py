@@ -2,8 +2,8 @@
 
 Every experiment follows the same pattern: build the synthetic PanDA dataset
 (the stand-in for the paper's real 150-day trace), run the relevant models or
-analyses, and return plain dictionaries / arrays that the benchmark suite and
-the CLI print as the rows or series of the corresponding paper artefact.
+analyses, and return plain dictionaries / arrays that the ``repro-experiments``
+CLI prints as the rows or series of the corresponding paper artefact.
 
 Experiments
 -----------

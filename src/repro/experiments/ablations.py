@@ -8,8 +8,8 @@ experiment configuration:
 * **SMOTE neighbourhood size** — the fidelity/privacy (DCR) trade-off as the
   interpolation neighbourhood grows;
 * **numerical pre-processing** — Gaussian quantile transform (the paper's
-  choice) vs. plain standardisation for TVAE, quantifying why the quantile
-  transform is the default.
+  choice) vs. plain standardisation for TVAE: the fidelity (WD/JSD) each
+  pre-processing gives on the same training split.
 """
 
 from __future__ import annotations

@@ -31,7 +31,8 @@ from repro.experiments.figures import (
     fig4_distributions,
     fig5_correlations,
 )
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import PAPER_TABLE1, run_table1
+from repro.metrics.report import format_table
 from repro.utils.logging import set_verbosity
 
 EXPERIMENTS = ("table1", "fig1", "fig2", "fig3", "fig4", "fig5", "ablations", "serve", "scenario")
@@ -207,6 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "scores": [s.as_dict() for s in result["scores"]],
                 "ranks": result["ranks"],
                 "timings": result["timings"],
+                "paper": [s.as_dict() for s in PAPER_TABLE1],
             }
             print(json.dumps(payload, indent=2))
         else:
@@ -214,6 +216,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print()
             for metric, order in result["ranks"].items():
                 print(f"{metric:>10}: {' > '.join(order)}")
+            print()
+            print(format_table(PAPER_TABLE1, title="THE PAPER'S TABLE I"))
         return 0
 
     if args.experiment == "fig1":

@@ -1,7 +1,7 @@
 """Figure experiments: the data series behind Figs. 1–5 of the paper.
 
 Each function returns plain dictionaries of numpy arrays / floats so the
-benchmark harness and the CLI can print the series (the paper shows them as
+``repro-experiments`` CLI can print the series (the paper shows them as
 plots; the reproduction reports the underlying numbers).
 """
 
@@ -23,6 +23,20 @@ from repro.scheduler.jobs import jobs_from_table
 from repro.scheduler.simulator import GridSimulator
 from repro.tabular.table import Table
 from repro.utils.rng import derive_seed
+
+
+def _fit_and_sample(config: ExperimentConfig, data: DatasetBundle, purpose: str) -> Dict[str, Table]:
+    """Fit every configured model on the training split and sample one table
+    each, seeded per ``purpose`` (the figure) and model."""
+    n_synthetic = config.n_synthetic or data.n_train
+    tables: Dict[str, Table] = {}
+    for name in config.models:
+        model = build_model(name, config)
+        model.fit(data.train)
+        tables[_DISPLAY_NAMES.get(name.lower(), name)] = model.sample(
+            n_synthetic, seed=derive_seed(config.seed, purpose, name)
+        )
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +161,7 @@ def fig4_distributions(
     config = config or ExperimentConfig.ci()
     data = dataset or build_dataset(config)
     if synthetic_tables is None:
-        synthetic_tables = {}
-        n_synthetic = config.n_synthetic or data.n_train
-        for name in config.models:
-            display = _DISPLAY_NAMES.get(name.lower(), name)
-            model = build_model(name, config)
-            model.fit(data.train)
-            synthetic_tables[display] = model.sample(
-                n_synthetic, seed=derive_seed(config.seed, "fig4", name)
-            )
+        synthetic_tables = _fit_and_sample(config, data, "fig4")
 
     numerical: Dict[str, Dict[str, object]] = {}
     for column in data.train.schema.numerical:
@@ -190,15 +196,7 @@ def fig5_correlations(
     config = config or ExperimentConfig.ci()
     data = dataset or build_dataset(config)
     if synthetic_tables is None:
-        synthetic_tables = {}
-        n_synthetic = config.n_synthetic or data.n_train
-        for name in config.models:
-            display = _DISPLAY_NAMES.get(name.lower(), name)
-            model = build_model(name, config)
-            model.fit(data.train)
-            synthetic_tables[display] = model.sample(
-                n_synthetic, seed=derive_seed(config.seed, "fig5", name)
-            )
+        synthetic_tables = _fit_and_sample(config, data, "fig5")
 
     gt_matrix, columns = association_matrix(data.train)
     per_model = {

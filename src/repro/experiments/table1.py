@@ -35,6 +35,16 @@ _DISPLAY_NAMES = {
     "gaussian_copula": "GaussianCopula",
 }
 
+#: The paper's own Table I.  Absolute values differ from a reproduction (a
+#: synthetic trace, scaled-down training); the model orderings are what
+#: ``tests/test_experiments.py::TestPaperClaims`` checks on both.
+PAPER_TABLE1 = (
+    SurrogateScore("TVAE", wd=0.961, jsd=0.806, diff_corr=0.653, dcr=0.143, diff_mlef=5.875),
+    SurrogateScore("CTABGAN+", wd=1.000, jsd=0.820, diff_corr=0.658, dcr=0.105, diff_mlef=10.464),
+    SurrogateScore("SMOTE", wd=0.871, jsd=0.799, diff_corr=0.011, dcr=0.001, diff_mlef=0.058),
+    SurrogateScore("TabDDPM", wd=0.874, jsd=0.799, diff_corr=0.036, dcr=0.025, diff_mlef=0.826),
+)
+
 
 def build_model(name: str, config: ExperimentConfig) -> Surrogate:
     """Instantiate one surrogate with the experiment's training budget."""

@@ -2,7 +2,7 @@
 
 :func:`evaluate_surrogate_data` computes all five paper metrics for one
 synthetic table; :func:`format_table` renders a list of scores in the layout
-of the paper's Table I so the benchmark harness can print it directly.
+of the paper's Table I so ``repro-experiments table1`` can print it directly.
 """
 
 from __future__ import annotations

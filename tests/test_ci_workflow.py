@@ -6,7 +6,9 @@ structural check on it.  PyYAML is optional everywhere else, hence the
 import guard.
 """
 
+import glob
 import os
+import re
 
 import pytest
 
@@ -337,6 +339,21 @@ class TestWorkflowDocument:
                     cached += 1
         assert cached >= 2
 
-    def test_requirements_file_exists(self):
+    def test_every_requirement_is_imported(self):
+        # CI installs only what it runs: every distribution listed is imported
+        # (or importorskip'd) by some .py file under src/, tests/, benchmarks/
+        # or examples/.
         path = os.path.join(REPO_ROOT, ".github", "workflows", "requirements-ci.txt")
-        assert os.path.exists(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.split("#", 1)[0].strip() for line in fh]
+        distributions = [re.split(r"[<>=!~;\[\s]", line, maxsplit=1)[0] for line in lines if line]
+        assert distributions
+        imported = set()
+        for top in ("src", "tests", "benchmarks", "examples"):
+            for source in glob.glob(os.path.join(REPO_ROOT, top, "**", "*.py"), recursive=True):
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+                imported.update(re.findall(r"^\s*(?:import|from)\s+(\w+)", text, re.MULTILINE))
+                imported.update(re.findall(r"importorskip\(\s*['\"](\w+)", text))
+        modules = {name: {"PyYAML": "yaml"}.get(name, name.lower().replace("-", "_")) for name in distributions}
+        assert not [name for name, module in modules.items() if module not in imported]

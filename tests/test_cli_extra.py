@@ -17,11 +17,13 @@ class TestTable1CLI:
     def test_json_payload_schema(self, capsys):
         assert cli_main(["table1", *FAST, "--models", "smote", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"scores", "ranks", "timings"}
+        assert set(payload) == {"scores", "ranks", "timings", "paper"}
         (score,) = payload["scores"]
         assert score["model"] == "SMOTE"
         for key in ("wd", "jsd", "diff_corr", "dcr", "diff_mlef"):
             assert isinstance(score[key], float)
+        assert [row["model"] for row in payload["paper"]] == ["TVAE", "CTABGAN+", "SMOTE", "TabDDPM"]
+        assert payload["paper"][2]["wd"] == 0.871
 
     def test_multiple_models_ranked(self, capsys):
         assert cli_main(["table1", *FAST, "--models", "smote", "copula", "--no-mlef"]) == 0
