@@ -115,7 +115,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve_group = parser.add_argument_group("serve", "options for the 'serve' experiment")
     serve_group.add_argument(
         "--http", action="store_true",
-        help="front-door smoke: start the asyncio HTTP endpoint, replay the "
+        help="front-door smoke: start the threaded HTTP endpoint, replay the "
         "demo requests over HTTP (fingerprint_only), and verify every "
         "fingerprint against the in-process service — exits non-zero on any "
         "mismatch",

@@ -353,25 +353,44 @@ class MetricsRegistry:
             out[name] = entry
         return out
 
-    def render_prometheus(self, extra_labels: Optional[Mapping[str, str]] = None) -> str:
-        """The Prometheus text exposition format (version 0.0.4).
+    def render_prometheus(self) -> str:
+        """The Prometheus text exposition format (version 0.0.4)."""
+        return _render_families([("", self)])
 
-        ``extra_labels`` are appended to every series — the front door uses
-        this to tag each backend service's registry with
-        ``backend="<name>"`` before concatenating them.
-        """
-        extra = ""
-        if extra_labels:
-            extra = ",".join(
-                f'{n}="{_escape_label_value(str(v))}"' for n, v in sorted(extra_labels.items())
-            )
-        lines: List[str] = []
-        with self._lock:
-            metrics = list(self._metrics.items())
-        for name, metric in sorted(metrics):
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} {metric.kind}")
+
+def render_prometheus_multi(registries: Mapping[str, MetricsRegistry]) -> str:
+    """One text page over several registries, each series tagged with its
+    ``backend="name"``.
+
+    This is what ``GET /metrics`` on the :class:`~repro.serve.http.FrontDoor`
+    serves: one page over all backend services (``prod``, ``canary``, ...).
+    """
+    return _render_families(
+        [
+            (f'backend="{_escape_label_value(name)}"', registry)
+            for name, registry in sorted(registries.items())
+        ]
+    )
+
+
+def _render_families(tagged: Sequence[Tuple[str, MetricsRegistry]]) -> str:
+    """The text page over ``(extra labels, registry)`` pairs, family by
+    family: a metric name's HELP and TYPE lines once, then every registry's
+    series of it, each with that registry's extra labels.  The first
+    registry holding a name gives its help text and kind."""
+    families: Dict[str, List[Tuple[str, _Metric]]] = {}
+    for extra, registry in tagged:
+        with registry._lock:
+            metrics = list(registry._metrics.items())
+        for name, metric in metrics:
+            families.setdefault(name, []).append((extra, metric))
+    lines: List[str] = []
+    for name, members in sorted(families.items()):
+        first = members[0][1]
+        if first.help:
+            lines.append(f"# HELP {name} {first.help}")
+        lines.append(f"# TYPE {name} {first.kind}")
+        for extra, metric in members:
             if isinstance(metric, Histogram):
                 for key, data in sorted(metric.series().items()):
                     base = metric._label_string(key)
@@ -393,21 +412,7 @@ class MetricsRegistry:
                     joined = ",".join(x for x in (base, extra) if x)
                     suffix = f"{{{joined}}}" if joined else ""
                     lines.append(f"{name}{suffix} {_format_value(value)}")
-        return "\n".join(lines) + "\n" if lines else ""
-
-
-def render_prometheus_multi(registries: Mapping[str, MetricsRegistry]) -> str:
-    """Concatenate several registries, tagging each with ``backend="name"``.
-
-    This is what ``GET /metrics`` on the :class:`~repro.serve.http.FrontDoor`
-    serves: one text page over all backend services (``prod``, ``canary``,
-    ...), each series labelled with its backend.
-    """
-    parts = [
-        registry.render_prometheus(extra_labels={"backend": name})
-        for name, registry in sorted(registries.items())
-    ]
-    return "".join(part for part in parts if part)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 _SAMPLE_RE = re.compile(
@@ -450,11 +455,13 @@ def validate_prometheus_text(text: str, required: Sequence[str] = ()) -> List[st
 
     Returns a list of human-readable problems (empty means valid).  Checks
     every non-comment line parses as ``name{labels} value``, that ``# TYPE``
-    lines carry a known type, and that every name in ``required`` appears as
-    at least one sample.
+    lines carry a known type, that no name has a second ``# HELP`` or
+    ``# TYPE`` line, and that every name in ``required`` appears as at least
+    one sample.
     """
     errors: List[str] = []
     seen: set = set()
+    described: set = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -467,6 +474,9 @@ def validate_prometheus_text(text: str, required: Sequence[str] = ()) -> List[st
                 errors.append(f"line {lineno}: invalid metric name {fields[2]!r}")
             if fields[1] == "TYPE" and (len(fields) < 4 or fields[3] not in _TYPES):
                 errors.append(f"line {lineno}: unknown metric type in {line!r}")
+            if (fields[1], fields[2]) in described:
+                errors.append(f"line {lineno}: second {fields[1]} line for {fields[2]!r}")
+            described.add((fields[1], fields[2]))
             continue
         match = _SAMPLE_RE.match(line)
         if not match:

@@ -42,9 +42,8 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -166,29 +165,6 @@ class TracedChunk:
     spans: List[Span] = field(default_factory=list)
 
 
-def make_span(
-    name: str,
-    trace_id: str,
-    *,
-    span_id: str,
-    parent_id: Optional[str] = None,
-    start: float,
-    duration: float,
-    attrs: Optional[Dict[str, object]] = None,
-) -> Span:
-    return Span(
-        name=name,
-        trace_id=trace_id,
-        span_id=span_id,
-        parent_id=parent_id,
-        start=start,
-        duration=max(float(duration), 0.0),
-        pid=os.getpid(),
-        tid=threading.get_ident() & 0x7FFFFFFF,
-        attrs=dict(attrs) if attrs else {},
-    )
-
-
 class Tracer:
     """Append-only, thread-safe span collector.
 
@@ -204,40 +180,11 @@ class Tracer:
         with self._lock:
             return len(self._spans)
 
-    def record(self, span: Span) -> None:
-        with self._lock:
-            self._spans.append(span)
-
     def extend(self, spans: Sequence[Span]) -> None:
         if not spans:
             return
         with self._lock:
             self._spans.extend(spans)
-
-    def record_span(
-        self,
-        name: str,
-        trace_id: str,
-        *,
-        span_id: str,
-        parent_id: Optional[str] = None,
-        start: float,
-        duration: float,
-        attrs: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Record a span whose timing was measured externally (``start`` in
-        epoch seconds — use :func:`wall_clock` on ``perf_counter`` stamps)."""
-        self.record(
-            make_span(
-                name,
-                trace_id,
-                span_id=span_id,
-                parent_id=parent_id,
-                start=start,
-                duration=duration,
-                attrs=attrs,
-            )
-        )
 
     def add(
         self,
@@ -255,43 +202,23 @@ class Tracer:
         ``name`` without any ``[i]`` suffix — so ``add("chunk[3]", trace,
         3, ...)`` records under :func:`chunk_span_id`, the ID both sides of
         the pool derive.  ``start``/``end`` are ``time.perf_counter()``
-        stamps (``end`` defaults to now); the stored start is epoch time.
+        stamps (``end`` defaults to now); the stored start is epoch time,
+        and a negative duration is stored as 0.
         """
         now = time.perf_counter()
-        self.record_span(
-            name,
-            trace_id,
+        span = Span(
+            name=name,
+            trace_id=trace_id,
             span_id=span_id(trace_id, name.partition("[")[0], *key),
             parent_id=parent,
             start=wall_clock(start),
-            duration=(now if end is None else end) - start,
-            attrs=attrs,
+            duration=max((now if end is None else end) - start, 0.0),
+            pid=os.getpid(),
+            tid=threading.get_ident() & 0x7FFFFFFF,
+            attrs=dict(attrs) if attrs else {},
         )
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        trace_id: str,
-        *,
-        span_id: str,
-        parent_id: Optional[str] = None,
-        attrs: Optional[Dict[str, object]] = None,
-    ) -> Iterator[None]:
-        start_wall = time.time()
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_span(
-                name,
-                trace_id,
-                span_id=span_id,
-                parent_id=parent_id,
-                start=start_wall,
-                duration=time.perf_counter() - start,
-                attrs=attrs,
-            )
+        with self._lock:
+            self._spans.append(span)
 
     def spans(self) -> List[Span]:
         with self._lock:

@@ -124,11 +124,11 @@ takes the model's own ``(n, *, seed=None, sampling_mode="exact")``:
     ``reason`` and ``retry_after`` hint; the HTTP front door maps them to
     ``429`` + ``Retry-After``.  Once admitted, a request is always served.
 :class:`~repro.serve.http.FrontDoor`
-    The async multi-tenant front door: routes each request to the named
-    backend service (registry stages ``prod``/``canary`` serving
-    concurrently) with the most free slots, and optionally speaks
-    stdlib-only HTTP (``POST /sample``, ``GET /stats|/models|/healthz``)
-    from a background asyncio thread.
+    The multi-tenant front door: routes each request to the named backend
+    service (registry stages ``prod``/``canary`` serving concurrently) with
+    the most free slots, and optionally speaks stdlib-only HTTP
+    (``POST /sample``, ``GET /stats|/models|/metrics|/healthz``) from a
+    threaded server, one thread per exchange.
 :func:`~repro.serve.api.table_fingerprint`
     The byte contract: a SHA-256 over schema + exact cell bytes, shared by
     scenario reports, HTTP ``fingerprint_only`` responses and the CI

@@ -1,4 +1,4 @@
-"""The async multi-tenant front door: one entry point over many services.
+"""The multi-tenant front door: one entry point over many services.
 
 :class:`FrontDoor` fans a stream of :class:`~repro.serve.api.RequestSpec`
 submissions out across named backends — one
@@ -11,30 +11,30 @@ its ``model`` is pinned but still counted.  Routing never touches *bytes* —
 a request's result is a function of its own seed, whichever backend serves
 it.
 
-The HTTP endpoint is stdlib-only: an :mod:`asyncio` protocol server
-(started with :meth:`FrontDoor.start_http`) running on a background thread,
-speaking just enough HTTP/1.1 for clients like ``urllib`` — one request per
-connection, JSON in, JSON out.  On every route a ``Content-Length`` that is
-not a non-negative integer, or a body that ends short of it, gets ``400``,
-and one above :data:`MAX_BODY_BYTES` gets ``413`` without the body being
-read.  Routes:
+The HTTP endpoint is stdlib-only (started with :meth:`FrontDoor.start_http`):
+each connection gets a thread of its own, which makes the calls an
+in-process caller makes — one request per connection, JSON in, JSON out.
+So every POST enters the service, and its fair queue, when it arrives, and
+the status routes never wait behind sample work.  On every route a
+``Content-Length`` that is not a non-negative integer, or a body that ends
+short of it, gets ``400``, and one above :data:`MAX_BODY_BYTES` gets
+``413`` without the body being read.  Routes:
 
 ``POST /sample``
     Body: a JSON object with the :class:`~repro.serve.api.RequestSpec`
     fields (``n`` or ``rows``, ``seed``, ``sampling_mode``, ``tenant``,
     ``priority``, ``deadline``) plus two routing extras — ``model`` (pin a
-    backend) and ``fingerprint_only`` (return the table's SHA-256 instead
-    of its columns).  Responses: ``200`` with ``{"fingerprint", "rows",
-    "model", "columns"?}``; ``400`` on a malformed spec; ``413`` on a body
-    declared larger than :data:`MAX_BODY_BYTES`; ``429`` with a
+    backend) and ``fingerprint_only`` (``true`` returns the table's SHA-256
+    instead of its columns).  Responses: ``200`` with ``{"fingerprint",
+    "rows", "model", "columns"?}``; ``400`` on a malformed spec; ``413`` on
+    a body declared larger than :data:`MAX_BODY_BYTES`; ``429`` with a
     ``Retry-After`` header when admission control rejects
     (:class:`~repro.serve.admission.AdmissionRejected`); ``500`` with
     ``{"error": "<type>: <message>"}`` when generation fails (a
     :class:`~repro.serve.sharded.ChunkError` or any other sampling
     exception), its traceback logged.  A request that arrives while the
-    backend's in-flight budget is full waits for budget, then is served.
-    Blocking waits happen on executor threads, so slow requests never
-    stall the accept loop.
+    backend's in-flight budget is full waits in the service's FIFO line for
+    budget, then is served.
 ``GET /stats``
     The unified stats tree per backend (see
     :meth:`~repro.serve.service.ServiceStats.to_dict`) plus the router's
@@ -52,9 +52,9 @@ read.  Routes:
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
+import http.server
 import json
+import socketserver
 import threading
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -70,16 +70,6 @@ from repro.utils.logging import get_logger
 __all__ = ["FrontDoor", "FrontDoorTicket"]
 
 _LOG = get_logger(__name__)
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-}
 
 #: Largest request body read, in bytes; a ``RequestSpec`` body is under 1 KiB.
 MAX_BODY_BYTES = 1 << 20
@@ -187,9 +177,7 @@ class FrontDoor:
         self._router = _Router(
             {name: service.workers for name, service in self._services.items()}
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._server_thread: Optional[threading.Thread] = None
+        self._server: Optional[_Server] = None
         self.address: Optional[Tuple[str, int]] = None
 
     # -- programmatic API --------------------------------------------------------
@@ -258,163 +246,52 @@ class FrontDoor:
         """Serve HTTP on a background thread; returns the bound (host, port).
 
         ``port=0`` binds an ephemeral port (the test/CI-friendly default).
+        A bind error raises here.
         """
-        if self._server_thread is not None:
+        if self._server is not None:
             raise RuntimeError("the HTTP endpoint is already running")
-        ready = threading.Event()
-        failure: List[BaseException] = []
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                server = loop.run_until_complete(
-                    asyncio.start_server(self._handle_connection, host, port)
-                )
-            except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
-                failure.append(exc)
-                ready.set()
-                loop.close()
-                return
-            self._server = server
-            sock = server.sockets[0].getsockname()
-            self.address = (sock[0], sock[1])
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                server.close()
-                loop.run_until_complete(server.wait_closed())
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._server_thread = threading.Thread(
-            target=run, name="repro-serve-http", daemon=True
-        )
-        self._server_thread.start()
-        ready.wait()
-        if failure:
-            self._server_thread.join()
-            self._server_thread = None
-            self._loop = None
-            raise failure[0]
-        assert self.address is not None
+        server = self._server = _Server((host, port), _Handler)
+        server.door = self
+        threading.Thread(
+            target=server.serve_forever,
+            args=(_Server.SHUTDOWN_POLL_S,),
+            name="repro-serve-http",
+            daemon=True,
+        ).start()
+        self.address = server.server_address[:2]
         return self.address
 
     def stop_http(self) -> None:
-        """Stop the HTTP endpoint; idempotent, keeps backends serving."""
-        thread = self._server_thread
-        loop = self._loop
-        if thread is None or loop is None:
+        """Stop accepting connections; idempotent, keeps backends serving.
+
+        Exchanges already under way finish on their own threads.
+        """
+        if self._server is None:
             return
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join()
-        self._server_thread = None
+        self._server.shutdown()  # waits for serve_forever to return
+        self._server.server_close()
         self._server = None
-        self._loop = None
         self.address = None
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One HTTP/1.1 exchange: parse, route, respond, close."""
-        status, payload, extra = 500, {"error": "internal server error"}, {}
-        try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return  # connection opened and dropped; nothing to answer
-            method, path = parts[0].upper(), parts[1].split("?", 1)[0]
-            headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            declared = headers.get("content-length", "").lstrip("0") or "0"
-            if not declared.isdecimal():
-                status, payload = 400, {"error": f"invalid Content-Length {declared!r}"}
-            elif len(declared) > len(str(MAX_BODY_BYTES)) or int(declared) > MAX_BODY_BYTES:
-                # The length test first: int() refuses thousands of digits.
-                status, payload = 413, {
-                    "error": f"Content-Length {declared} exceeds the "
-                    f"{MAX_BODY_BYTES}-byte limit"
-                }
-            else:
-                try:
-                    body = await reader.readexactly(int(declared))
-                except asyncio.IncompleteReadError as exc:
-                    status, payload = 400, {
-                        "error": f"body ended after {len(exc.partial)} of "
-                        f"{declared} Content-Length bytes"
-                    }
-                else:
-                    status, payload, extra = await self._route(method, path, body)
-        except Exception:
-            # The server must keep running: record the failure, answer with
-            # the 500 defaults.
-            _LOG.error("HTTP exchange failed", exc_info=True)
-        finally:
-            with contextlib.suppress(Exception):
-                # str payloads ship raw (the Prometheus text page); anything
-                # else is JSON.
-                if isinstance(payload, str):
-                    data = payload.encode("utf-8")
-                    content_type = "text/plain; version=0.0.4; charset=utf-8"
-                else:
-                    data = json.dumps(payload).encode("utf-8")
-                    content_type = "application/json"
-                head = (
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    "Connection: close\r\n"
-                )
-                for name, value in extra.items():
-                    head += f"{name}: {value}\r\n"
-                writer.write(head.encode("latin-1") + b"\r\n" + data)
-                await writer.drain()
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _route(
+    def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Union[Dict[str, object], str], Dict[str, str]]:
         if path == "/sample":
             if method != "POST":
                 return 405, {"error": "POST only"}, {"Allow": "POST"}
-            # The whole serve — JSON parse, admission, the blocking wait for
-            # the table — runs on an executor thread; the event loop only
-            # shuttles bytes.
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(None, self._sample_response, body)
+            return self._sample_response(body)
         if method != "GET":
             return 405, {"error": "GET only"}, {"Allow": "GET"}
         if path == "/stats":
-            loop = asyncio.get_running_loop()
-            stats = await loop.run_in_executor(None, self.stats)
-            return 200, stats, {}
+            return 200, self.stats(), {}
         if path == "/metrics":
-            loop = asyncio.get_running_loop()
-            text = await loop.run_in_executor(None, self._metrics_page)
-            return 200, text, {}
+            return 200, self._metrics_page(), {}
         if path == "/models":
-            return (
-                200,
-                {
-                    "models": {
-                        name: {
-                            "workers": service.workers,
-                            "degraded": service.degraded,
-                        }
-                        for name, service in self._services.items()
-                    }
-                },
-                {},
-            )
+            models = {
+                name: {"workers": service.workers, "degraded": service.degraded}
+                for name, service in self._services.items()
+            }
+            return 200, {"models": models}, {}
         if path == "/healthz":
             return 200, {"status": "ok", "models": self.models}, {}
         return 404, {"error": f"no route for {path}"}, {}
@@ -433,13 +310,15 @@ class FrontDoor:
         )
 
     def _sample_response(self, body: bytes) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        """The blocking half of ``POST /sample`` (runs on executor threads)."""
+        """``POST /sample``: parse, submit, wait for the table."""
         try:
             raw = json.loads(body.decode("utf-8")) if body else {}
             if not isinstance(raw, dict):
                 raise ValueError("request body must be a JSON object")
             model = raw.pop("model", None)
-            fingerprint_only = bool(raw.pop("fingerprint_only", False))
+            fingerprint_only = raw.pop("fingerprint_only", False)
+            if not isinstance(fingerprint_only, bool):
+                raise TypeError(f"fingerprint_only must be true or false, got {fingerprint_only!r}")
             spec = RequestSpec.from_payload(raw)
         except (ValueError, TypeError, KeyError) as exc:
             return 400, {"error": str(exc)}, {}
@@ -477,3 +356,72 @@ def _columns_payload(table: Table) -> Dict[str, List[object]]:
     for name in table.schema.categorical:
         columns[name] = np.asarray(table[name]).astype(str).tolist()
     return columns
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    """One daemon thread per connection (not ``http.server.ThreadingHTTPServer``,
+    whose ``server_bind`` makes a reverse-DNS lookup with no time bound)."""
+
+    #: ``stop_http`` must not wait for a client that keeps a connection open.
+    daemon_threads = True
+    #: The listen backlog: a burst of connects past the default 5 would wait
+    #: out SYN retransmits.
+    request_queue_size = 128
+    #: A restart on a fixed port must not wait out TIME_WAIT.
+    allow_reuse_address = True
+    #: How often ``serve_forever`` checks for a shutdown request, in seconds.
+    SHUTDOWN_POLL_S = 0.05
+
+    door: FrontDoor
+
+    def handle_error(self, request, client_address) -> None:
+        # Only writing the response can get here: a client that hung up.
+        _LOG.debug("HTTP exchange with %s broke off", client_address, exc_info=True)
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """One HTTP exchange: read the body, route it, write the response."""
+
+    server: _Server
+
+    def _exchange(self) -> None:
+        status, payload, extra = 500, {"error": "internal server error"}, {}
+        try:
+            status, payload, extra = self._read_and_route()
+        except Exception:
+            # The server must keep running: record the failure, answer 500.
+            _LOG.error("HTTP exchange failed", exc_info=True)
+        # str payloads (the Prometheus page) ship raw; anything else is JSON.
+        if isinstance(payload, str):
+            data = payload.encode("utf-8")
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            data = json.dumps(payload).encode("utf-8")
+            content_type = "application/json"
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in extra.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
+
+    # Each method reaches the router, which answers 405 with ``Allow``.
+    do_GET = do_POST = do_PUT = do_DELETE = _exchange
+
+    def _read_and_route(self) -> Tuple[int, Union[Dict[str, object], str], Dict[str, str]]:
+        declared = self.headers.get("Content-Length", "").strip().lstrip("0") or "0"
+        if not declared.isdecimal():
+            return 400, {"error": f"invalid Content-Length {declared!r}"}, {}
+        # The length test first: int() refuses thousands of digits.
+        if len(declared) > len(str(MAX_BODY_BYTES)) or int(declared) > MAX_BODY_BYTES:
+            error = f"Content-Length {declared} exceeds the {MAX_BODY_BYTES}-byte limit"
+            return 413, {"error": error}, {}
+        body = self.rfile.read(int(declared))
+        if len(body) < int(declared):
+            error = f"body ended after {len(body)} of {declared} Content-Length bytes"
+            return 400, {"error": error}, {}
+        return self.server.door._route(self.command, self.path.split("?", 1)[0], body)
+
+    def log_message(self, format: str, *args: object) -> None:
+        """Silent: the default writes every request to stderr."""

@@ -112,7 +112,7 @@ class TestWorkflowDocument:
         assert env.get("PYTHONPATH") == "src"
 
     def test_test_job_runs_front_door_smoke_with_forced_workers(self, workflow):
-        # The async front door runs end to end as its own named step: the
+        # The front door runs end to end as its own named step: the threaded
         # HTTP endpoint over a live service, 200 mixed-tenant requests
         # replayed through POST /sample, every remote fingerprint asserted
         # byte-identical to the in-process table (the CLI exits nonzero on

@@ -8,6 +8,7 @@ stitching relies on) and both export formats.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from repro.obs.tracing import (
     Span,
     Tracer,
     chunk_span_id,
-    make_span,
     request_span_id,
     span_id,
     trace_id_from_child,
@@ -174,12 +174,30 @@ class TestPrometheusText:
         problems = validate_prometheus_text(text, required=("repro_nonexistent_total",))
         assert any("repro_nonexistent_total" in p for p in problems)
 
+    def test_validate_reports_a_second_help_or_type_line(self):
+        text = self._populated().render_prometheus()
+        problems = validate_prometheus_text(text + text)
+        assert any("second TYPE line for 'repro_depth'" in p for p in problems)
+        assert any("second HELP line for 'repro_depth'" in p for p in problems)
+
     def test_multi_registry_render_tags_backend(self):
         prod, canary = self._populated(), self._populated()
         text = render_prometheus_multi({"prod": prod, "canary": canary})
         assert 'backend="prod"' in text
         assert 'backend="canary"' in text
         assert validate_prometheus_text(text, required=("repro_requests_total",)) == []
+        # One HELP and one TYPE line per family, then both backends' series.
+        lines = text.splitlines()
+        assert [line.split()[2] for line in lines if line.startswith("# TYPE")] == [
+            "repro_depth",
+            "repro_requests_total",
+            "repro_wait_seconds",
+        ]
+        depth = lines.index("# TYPE repro_depth gauge")
+        assert lines[depth + 1 : depth + 3] == [
+            'repro_depth{backend="canary"} 3',
+            'repro_depth{backend="prod"} 3',
+        ]
 
 
 class TestTraceIdentity:
@@ -205,8 +223,6 @@ class TestTraceIdentity:
         assert span_id(trace, "admission") != span_id(trace, "queue_wait")
 
     def test_wall_clock_maps_perf_stamp_to_epoch(self):
-        import time
-
         now = wall_clock(time.perf_counter())
         assert abs(now - time.time()) < 1.0
 
@@ -216,16 +232,15 @@ class TestTracer:
         tracer = Tracer()
         trace = trace_id_from_seed(1)
         root = request_span_id(trace)
-        tracer.record_span(
-            "request", trace, span_id=root, start=100.0, duration=2.0
-        )
-        tracer.record_span(
+        start = time.perf_counter()
+        tracer.add("request", trace, parent=None, start=start, end=start + 2.0)
+        tracer.add(
             "chunk[0]",
             trace,
-            span_id=chunk_span_id(trace, 0),
-            parent_id=root,
-            start=100.5,
-            duration=1.0,
+            0,
+            parent=root,
+            start=start + 0.5,
+            end=start + 1.5,
             attrs={"rows": 512},
         )
         return tracer, trace
@@ -236,18 +251,17 @@ class TestTracer:
         grouped = tracer.traces()
         assert list(grouped) == [trace]
         assert [s.name for s in grouped[trace]] == ["request", "chunk[0]"]
+        # add derives the IDs both sides of the pool derive.
+        request, chunk = grouped[trace]
+        assert request.span_id == request_span_id(trace)
+        assert (chunk.span_id, chunk.parent_id) == (chunk_span_id(trace, 0), request.span_id)
+        assert chunk.duration == pytest.approx(1.0)
 
-    def test_span_context_manager_measures(self):
+    def test_add_clamps_negative_duration(self):
         tracer = Tracer()
-        trace = trace_id_from_seed(2)
-        with tracer.span("work", trace, span_id=span_id(trace, "work")):
-            pass
+        start = time.perf_counter()
+        tracer.add("s", "t", parent=None, start=start, end=start - 1.0)
         (span,) = tracer.spans()
-        assert span.name == "work"
-        assert span.duration >= 0.0
-
-    def test_make_span_clamps_negative_duration(self):
-        span = make_span("s", "t", span_id="i", start=0.0, duration=-1.0)
         assert span.duration == 0.0
 
     def test_export_jsonl(self, tmp_path):

@@ -12,7 +12,10 @@ Three layers, bottom up:
   endpoint: a served table round-trips through JSON byte-identically
   (same fingerprint), admission rejections surface as ``429`` with a
   ``Retry-After`` header, malformed requests as ``400``, and a request
-  over a full in-flight budget waits for it and is served.
+  over a full in-flight budget waits for it and is served.  Every POST
+  reaches the fair queue when it arrives, however many are pending, so an
+  ``interactive`` POST overtakes queued ``batch`` ones and the status
+  routes answer while sample work is stuck.
 
 The settable values of the serving configuration surface are pinned too.
 """
@@ -23,6 +26,7 @@ import io
 import json
 import logging
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -106,12 +110,15 @@ def _get(address, path, timeout=30.0):
         return response.status, json.loads(response.read().decode("utf-8"))
 
 
-def _raw_exchange(address, request):
+def _raw_exchange(address, request, sent=None):
     """Send raw request bytes, half-close, and read the whole response:
-    ``(status, JSON body)``."""
+    ``(status, JSON body)``.  ``sent`` (an event) is set once the request
+    is on the wire."""
     with socket.create_connection(address, timeout=30) as sock:
         sock.sendall(request)
         sock.shutdown(socket.SHUT_WR)
+        if sent is not None:
+            sent.set()
         response = b""
         while True:
             data = sock.recv(65536)
@@ -120,6 +127,61 @@ def _raw_exchange(address, request):
             response += data
     head, _, body = response.partition(b"\r\n\r\n")
     return int(head.split()[1]), json.loads(body)
+
+
+class _PostClient(threading.Thread):
+    """``POST /sample`` on a thread of its own: ``sent`` is set once the
+    request is on the wire, ``response`` holds ``(status, JSON body)``."""
+
+    def __init__(self, address, payload):
+        super().__init__(daemon=True)
+        body = json.dumps(payload).encode("utf-8")
+        self.request = (
+            "POST /sample HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1") + body
+        self.address = address
+        self.sent = threading.Event()
+        self.response = None
+        self.start()
+
+    def run(self):
+        self.response = _raw_exchange(self.address, self.request, self.sent)
+
+
+class _GatedSurrogate(Surrogate):
+    """Test double that logs each sampling call's ``n`` and then holds it
+    until the test opens ``gate``."""
+
+    name = "gated"
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.calls = []
+
+    def fit(self, table):
+        self._mark_fitted(table)
+        return self
+
+    def _sample_exact(self, n, *, seed=None):
+        self.calls.append(n)
+        if not self.gate.wait(timeout=60):
+            raise TimeoutError("the test never opened the gate")
+        return Table({"x": np.zeros(n)}, self.schema_)
+
+
+def _wait_until(condition, what, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out after {timeout} s waiting until {what}")
+        time.sleep(0.005)
+
+
+#: More concurrent POSTs than ``min(32, cpu_count + 4)``, the thread count of
+#: a default executor, on any host.
+PENDING_POSTS = 33
 
 
 class TestRequestSpec:
@@ -324,9 +386,16 @@ class TestHttpEndpoint:
         with pytest.raises(urllib.error.HTTPError) as not_found:
             _get(door.address, "/no-such-route")
         assert not_found.value.code == 404
-        with pytest.raises(urllib.error.HTTPError) as wrong_method:
-            _get(door.address, "/sample")
-        assert wrong_method.value.code == 405
+        host, port = door.address
+        for method, path, allow in (
+            ("GET", "/sample", "POST"),
+            ("PUT", "/sample", "POST"),
+            ("DELETE", "/stats", "GET"),
+        ):
+            request = urllib.request.Request(f"http://{host}:{port}{path}", method=method)
+            with pytest.raises(urllib.error.HTTPError) as wrong_method:
+                _open(request, timeout=30)
+            assert (wrong_method.value.code, wrong_method.value.headers["Allow"]) == (405, allow)
 
     @pytest.mark.parametrize(
         "length, body, status",
@@ -349,7 +418,13 @@ class TestHttpEndpoint:
         assert "Content-Length" in payload["error"]
 
     def test_fractional_count_or_seed_is_a_400(self, door):
-        for body in ({"n": 10.7}, {"rows": 10.2}, {"n": 10, "seed": 2.5}):
+        for body in (
+            {"n": 10.7},
+            {"rows": 10.2},
+            {"n": 10, "seed": 2.5},
+            {"n": 3, "seed": 1, "fingerprint_only": "false"},  # a string, not a boolean
+            {"n": 3, "seed": 1, "fingerprint_only": 1},
+        ):
             with pytest.raises(urllib.error.HTTPError) as bad:
                 _post(door.address, "/sample", body)
             assert bad.value.code == 400, body
@@ -420,6 +495,32 @@ class TestHttpEndpoint:
         assert "synthetic generation failure" in body["error"]
         assert [record.exc_info[0].__name__ for record in records] == ["ChunkError"]
 
+    def test_a_bind_error_raises_to_the_caller_and_the_door_can_start_again(self, service):
+        door = FrontDoor({"prod": service})
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            with pytest.raises(OSError):
+                door.start_http(port=taken.getsockname()[1])
+        assert door.address is None
+        door.start_http()
+        try:
+            assert _get(door.address, "/healthz")[0] == 200
+        finally:
+            door.stop_http()
+
+    def test_stop_http_does_not_wait_for_an_idle_client(self, service):
+        door = FrontDoor({"prod": service})
+        door.start_http()
+        with socket.create_connection(door.address, timeout=30):
+            # The server accepts in order: once a later exchange is answered,
+            # the idle connection has been taken up too.
+            assert _get(door.address, "/healthz")[0] == 200
+            stopper = threading.Thread(target=door.stop_http, daemon=True)
+            stopper.start()
+            stopper.join(timeout=10)
+            assert not stopper.is_alive(), "stop_http waited on an idle client"
+
     def test_stop_http_is_idempotent_and_restartable(self, service):
         door = FrontDoor({"prod": service})
         first = door.start_http()
@@ -430,6 +531,79 @@ class TestHttpEndpoint:
         status, health = _get(door.address, "/healthz")
         assert status == 200 and health["models"] == ["prod"]
         door.stop_http()
+
+
+class TestEveryPostReachesTheFairQueue:
+    """Each HTTP exchange runs on a thread of its own, so a POST enters the
+    service when it arrives, however many others are pending."""
+
+    @pytest.fixture
+    def gated(self):
+        """A door over a one-worker service whose model is held shut, with
+        :data:`PENDING_POSTS` one-row ``batch`` POSTs sent and stuck."""
+        model = _GatedSurrogate().fit(
+            Table({"x": np.arange(8.0)}, TableSchema.from_columns(numerical=["x"]))
+        )
+        clients = []
+        with SamplingService(model, workers=1) as svc:
+            door = FrontDoor({"prod": svc})
+            door.start_http()
+            try:
+                clients.extend(
+                    _PostClient(
+                        door.address,
+                        {"n": 1, "seed": i, "priority": "batch", "fingerprint_only": True},
+                    )
+                    for i in range(PENDING_POSTS)
+                )
+                _wait_until(
+                    lambda: all(client.sent.is_set() for client in clients) and model.calls,
+                    "every POST is sent and the model holds the first",
+                )
+                yield door, svc, model, clients
+            finally:
+                model.gate.set()
+                for client in clients:
+                    client.join(timeout=30)
+                door.stop_http()
+        statuses = [client.response[0] if client.response else None for client in clients]
+        assert statuses == [200] * len(clients)
+
+    def test_an_interactive_post_overtakes_queued_batch_posts(self, gated):
+        door, svc, model, clients = gated
+        _wait_until(
+            lambda: svc.stats().in_flight_rows == PENDING_POSTS,
+            f"all {PENDING_POSTS} batch POSTs are admitted",
+        )
+        # The dispatcher is held inside the model, so what it has popped
+        # from the fair queue stays put until the gate opens.
+        dispatched = PENDING_POSTS - svc.stats().queue_depth
+        clients.append(
+            _PostClient(
+                door.address,
+                {"n": 2, "seed": 99, "priority": "interactive", "fingerprint_only": True},
+            )
+        )
+        _wait_until(
+            lambda: svc.stats().in_flight_rows == PENDING_POSTS + 2,
+            "the interactive POST is admitted",
+        )
+        model.gate.set()
+        for client in clients:
+            client.join(timeout=30)
+        # The next refill pops the interactive request ahead of every batch
+        # request still queued (weight 4 against 1).
+        assert model.calls[dispatched] == 2, model.calls
+
+    def test_status_routes_answer_while_posts_are_pending(self, gated):
+        door, _svc, _model, clients = gated
+        host, port = door.address
+        with _open(f"http://{host}:{port}/metrics", timeout=10) as response:
+            assert response.status == 200
+            assert "repro_serve_queue_depth" in response.read().decode("utf-8")
+        status, stats = _get(door.address, "/stats", timeout=10)
+        assert status == 200 and "prod" in stats["models"]
+        assert not any(client.response for client in clients)
 
 
 class _BrokenSurrogate(Surrogate):
