@@ -88,6 +88,10 @@ def fig2_scheduler_comparison(
     Runs every brokerage policy on the real (held-out) workload and, when a
     synthetic table is provided, re-runs every policy on the synthetic
     workload so the real-vs-surrogate gap can be reported at the system level.
+    Both workloads simulate the same number of jobs, ``n_jobs``: the smallest
+    of ``max_jobs`` and the two tables' row counts.  A table with more rows
+    contributes a seeded uniform subsample, which spans its whole time
+    window (cutting the arrival-sorted jobs would keep only the earliest).
 
     The experiment-scale traces carry orders of magnitude fewer jobs than the
     production stream (the paper sees ~16k analysis jobs/day), so arrival
@@ -102,8 +106,12 @@ def fig2_scheduler_comparison(
         times = np.asarray(table["creationtime"], dtype=np.float64) / max(time_compression, 1e-9)
         return table.with_column("creationtime", times, "numerical")
 
+    n_jobs = min(max_jobs, len(data.test), len(synthetic) if synthetic is not None else max_jobs)
+
     def simulate(table: Table, label: str) -> List[Dict[str, object]]:
-        jobs = jobs_from_table(compress(table))[:max_jobs]
+        if len(table) > n_jobs:
+            table = table.sample(n_jobs, seed=derive_seed(config.seed, "fig2-jobs", label))
+        jobs = jobs_from_table(compress(table))
         rows: List[Dict[str, object]] = []
         for broker_name in brokers:
             cluster = GridCluster(data.generator.sites, capacity_scale=capacity_scale, min_capacity=1)
@@ -119,7 +127,7 @@ def fig2_scheduler_comparison(
     rows = simulate(data.test, "real")
     if synthetic is not None:
         rows.extend(simulate(synthetic, "synthetic"))
-    return {"rows": rows, "n_jobs": min(max_jobs, len(data.test))}
+    return {"rows": rows, "n_jobs": n_jobs}
 
 
 # ---------------------------------------------------------------------------

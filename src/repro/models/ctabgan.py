@@ -41,6 +41,7 @@ from repro.nn import (
     BlockLayout,
     MLP,
     PackedForward,
+    StepArrays,
     Tensor,
     bce_with_logits,
     clip_grad_norm,
@@ -797,46 +798,51 @@ class CTABGANPlusSurrogate(Surrogate):
         history: List[Dict[str, float]] = []
         ones = None
         zeros = None
+        # Nothing a step produces is read after it, so each discriminator or
+        # generator step reuses the arrays of the one before (StepArrays).
+        arrays = StepArrays()
         for epoch in range(cfg.epochs):
             d_loss_value = 0.0
             g_loss_value = 0.0
             for _ in range(steps_per_epoch):
                 # -- discriminator update(s) -------------------------------------
                 for _ in range(cfg.discriminator_steps):
-                    cond, col_c, cat_c, row_c = self._condition.sample(cfg.batch_size, rng)
-                    real = encoded[row_c]
-                    noise = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
-                    with no_grad():
-                        fake_raw = self._generator(Tensor(np.concatenate([noise, cond], axis=1)))
-                        fake = self._activate_generator_output(fake_raw).numpy()
-                    real_in = Tensor(np.concatenate([real, cond], axis=1))
-                    fake_in = Tensor(np.concatenate([fake, cond], axis=1))
-                    real_logit = self._discriminator(real_in)
-                    fake_logit = self._discriminator(fake_in)
-                    if ones is None or ones.shape[0] != cfg.batch_size:
-                        ones = np.ones((cfg.batch_size, 1))
-                        zeros = np.zeros((cfg.batch_size, 1))
-                    d_loss = bce_with_logits(real_logit, ones) + bce_with_logits(fake_logit, zeros)
-                    d_optimizer.zero_grad()
-                    d_loss.backward()
-                    clip_grad_norm(d_params, cfg.grad_clip)
-                    d_optimizer.step()
-                    d_loss_value += d_loss.item()
+                    with arrays:
+                        cond, col_c, cat_c, row_c = self._condition.sample(cfg.batch_size, rng)
+                        real = encoded[row_c]
+                        noise = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
+                        with no_grad():
+                            fake_raw = self._generator(Tensor(np.concatenate([noise, cond], axis=1)))
+                            fake = self._activate_generator_output(fake_raw).numpy()
+                        real_in = Tensor(np.concatenate([real, cond], axis=1))
+                        fake_in = Tensor(np.concatenate([fake, cond], axis=1))
+                        real_logit = self._discriminator(real_in)
+                        fake_logit = self._discriminator(fake_in)
+                        if ones is None or ones.shape[0] != cfg.batch_size:
+                            ones = np.ones((cfg.batch_size, 1))
+                            zeros = np.zeros((cfg.batch_size, 1))
+                        d_loss = bce_with_logits(real_logit, ones) + bce_with_logits(fake_logit, zeros)
+                        d_optimizer.zero_grad()
+                        d_loss.backward()
+                        clip_grad_norm(d_params, cfg.grad_clip)
+                        d_optimizer.step()
+                        d_loss_value += d_loss.item()
 
                 # -- generator update ----------------------------------------------
-                cond, col_c, cat_c, _rows = self._condition.sample(cfg.batch_size, rng)
-                noise = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
-                fake_raw = self._generator(Tensor(np.concatenate([noise, cond], axis=1)))
-                fake = self._activate_generator_output(fake_raw)
-                fake_logit = self._discriminator(Tensor.concat([fake, Tensor(cond)], axis=1))
-                adv_loss = bce_with_logits(fake_logit, np.ones((cfg.batch_size, 1)))
-                cond_loss = self._condition_loss(fake_raw, col_c, cat_c)
-                g_loss = adv_loss + cond_loss
-                g_optimizer.zero_grad()
-                g_loss.backward()
-                clip_grad_norm(g_params, cfg.grad_clip)
-                g_optimizer.step()
-                g_loss_value += g_loss.item()
+                with arrays:
+                    cond, col_c, cat_c, _rows = self._condition.sample(cfg.batch_size, rng)
+                    noise = rng.standard_normal((cfg.batch_size, cfg.noise_dim))
+                    fake_raw = self._generator(Tensor(np.concatenate([noise, cond], axis=1)))
+                    fake = self._activate_generator_output(fake_raw)
+                    fake_logit = self._discriminator(Tensor.concat([fake, Tensor(cond)], axis=1))
+                    adv_loss = bce_with_logits(fake_logit, np.ones((cfg.batch_size, 1)))
+                    cond_loss = self._condition_loss(fake_raw, col_c, cat_c)
+                    g_loss = adv_loss + cond_loss
+                    g_optimizer.zero_grad()
+                    g_loss.backward()
+                    clip_grad_norm(g_params, cfg.grad_clip)
+                    g_optimizer.step()
+                    g_loss_value += g_loss.item()
 
             history.append(
                 {

@@ -63,6 +63,24 @@ class MLPDenoiser(Module):
             fused=fused,
             seed=seed,
         )
+        self._embedding_table: "np.ndarray | None" = None
+
+    def embedding_table(self, t: np.ndarray) -> np.ndarray:
+        """The embedding table, covering every timestep in ``t``.
+
+        Row ``k`` is ``timestep_embedding([k])``: the sines and cosines are
+        elementwise, so a row has the same bits wherever it was computed, and
+        a lookup by ``t`` replaces recomputing them every call.  The table
+        grows to the largest timestep seen (``n_timesteps`` rows in TabDDPM).
+        """
+        if t.dtype.kind not in "iu" or (t.size and t.min() < 0):
+            raise ValueError("timesteps must be non-negative integers")
+        table = getattr(self, "_embedding_table", None)
+        top = int(t.max()) + 1 if t.size else 1
+        if table is None or table.shape[0] < top:
+            table = timestep_embedding(np.arange(top), self.time_embedding_dim)
+            self._embedding_table = table
+        return table
 
     def _ensure_inference_buffer(self, n: int) -> np.ndarray:
         buffer = getattr(self, "_inference_buffer", None)
@@ -84,10 +102,11 @@ class MLPDenoiser(Module):
         return view
 
     def __getstate__(self):
-        # The inference buffer is sample-request-sized scratch; it is
-        # re-created on the next forward (the getattr guard above).
+        # The inference buffer and the embedding table are derived scratch;
+        # they are re-created on the next forward (the getattr guards).
         state = dict(self.__dict__)
         state.pop("_inference_buffer", None)
+        state["_embedding_table"] = None
         return state
 
     def packed(self, dtype=np.float32) -> "PackedDenoiser":
@@ -101,6 +120,7 @@ class MLPDenoiser(Module):
 
     def forward(self, x_t: Tensor, t: np.ndarray) -> Tensor:
         t_arr = np.asarray(t)
+        table = self.embedding_table(t_arr)
         if (
             not is_grad_enabled()
             and t_arr.ndim == 1
@@ -108,18 +128,14 @@ class MLPDenoiser(Module):
             and (t_arr == t_arr[0]).all()
         ):
             # Ancestral sampling calls the denoiser with one shared timestep:
-            # the sinusoidal embedding is the same row for every sample, so it
-            # is computed once and broadcast into a reused input buffer (the
-            # embedding is a pure per-row function — values are identical to
-            # the full per-row computation and concatenation).
+            # its embedding row is broadcast into a reused input buffer.
             n = x_t.data.shape[0]
             buffer = self._ensure_inference_buffer(n)
             if x_t.data.base is not buffer:
                 buffer[:, : self.n_features] = x_t.data
-            buffer[:, self.n_features :] = timestep_embedding(t_arr[:1], self.time_embedding_dim)
+            buffer[:, self.n_features :] = table[t_arr[0]]
             return self.net(Tensor(buffer))
-        emb = timestep_embedding(t, self.time_embedding_dim)
-        inputs = Tensor.concat([x_t, Tensor(emb)], axis=1)
+        inputs = Tensor.concat([x_t, Tensor(table[t_arr])], axis=1)
         return self.net(inputs)
 
 

@@ -30,6 +30,7 @@ from repro.nn import (
     Adam,
     BlockLayout,
     CosineSchedule,
+    StepArrays,
     Tensor,
     clip_grad_norm,
     mixed_reconstruction_loss,
@@ -152,6 +153,9 @@ class TabDDPMSurrogate(Surrogate):
         lr_schedule = CosineSchedule(optimizer, total_steps=cfg.epochs * steps_per_epoch)
 
         num_idx = self._numerical_indices
+        # Nothing a step produces is read after the step, so its arrays are
+        # reused by the next one (see StepArrays).
+        arrays = StepArrays()
         losses: List[float] = []
         for epoch in range(cfg.epochs):
             permutation = rng.permutation(X.shape[0])
@@ -160,21 +164,22 @@ class TabDDPMSurrogate(Surrogate):
                 idx = permutation[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 if idx.size < 2:
                     continue
-                batch = X[idx]
-                t = rng.integers(0, cfg.n_timesteps, size=idx.size)
-                noisy, noise = self._q_sample(batch, t, rng)
+                with arrays:
+                    batch = X[idx]
+                    t = rng.integers(0, cfg.n_timesteps, size=idx.size)
+                    noisy, noise = self._q_sample(batch, t, rng)
 
-                prediction = self._denoiser(Tensor(noisy), t)
-                loss = mixed_reconstruction_loss(
-                    prediction, num_idx, noise, self._categorical_layout, batch
-                )
+                    prediction = self._denoiser(Tensor(noisy), t)
+                    loss = mixed_reconstruction_loss(
+                        prediction, num_idx, noise, self._categorical_layout, batch
+                    )
 
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(params, cfg.grad_clip)
-                optimizer.step()
-                lr_schedule.step()
-                epoch_loss += loss.item()
+                    optimizer.zero_grad()
+                    loss.backward()
+                    clip_grad_norm(params, cfg.grad_clip)
+                    optimizer.step()
+                    lr_schedule.step()
+                    epoch_loss += loss.item()
             losses.append(epoch_loss / steps_per_epoch)
             logger.info("TabDDPM epoch %d/%d loss=%.4f", epoch + 1, cfg.epochs, losses[-1])
         self.loss_history_ = losses
@@ -213,15 +218,19 @@ class TabDDPMSurrogate(Surrogate):
         chosen = self._block_diffusion.prior_sample_into(state, rng)
         self._init_constant_blocks(state)
 
+        # A step reads only the state and its own prediction, so the
+        # denoiser's layer arrays are reused from step to step (StepArrays).
+        arrays = StepArrays()
         for t in reversed(range(cfg.n_timesteps)):
-            t_vector = np.full(n, t, dtype=np.int64)
-            prediction = self._denoise_batch(state, t_vector)
-            if num_idx.size:
-                eps = prediction[:, num_idx]
-                state[:, num_idx] = self._gaussian.p_sample_step(state[:, num_idx], t, eps, rng)
-            chosen = self._block_diffusion.p_sample_into(
-                state, prediction, t, rng, prev_chosen=chosen
-            )
+            with arrays:
+                t_vector = np.full(n, t, dtype=np.int64)
+                prediction = self._denoise_batch(state, t_vector)
+                if num_idx.size:
+                    eps = prediction[:, num_idx]
+                    state[:, num_idx] = self._gaussian.p_sample_step(state[:, num_idx], t, eps, rng)
+                chosen = self._block_diffusion.p_sample_into(
+                    state, prediction, t, rng, prev_chosen=chosen
+                )
 
         self._denoiser.train()
         return self._encoder.inverse_transform(state)

@@ -18,7 +18,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.models.tabddpm.schedule import DiffusionSchedule
-from repro.models.width_buckets import bounded_scratch, even_row_chunks
+from repro.models.width_buckets import (
+    bounded_scratch,
+    build_width_bucket_tables,
+    even_row_chunks,
+)
 
 
 class MultinomialDiffusion:
@@ -122,9 +126,13 @@ class MultinomialBlockDiffusion:
 
     The per-block :class:`MultinomialDiffusion` draws the forward sample of
     each one-hot block with its own numpy calls, which makes a TabDDPM
-    training step loop over categorical features in Python.  This class packs
-    every block into a zero-padded ``(rows, blocks, max_categories)`` cube so
-    one ``cumsum`` + one comparison samples all blocks at once.
+    training step loop over categorical features in Python.  This class
+    sorts the blocks into width buckets (``[2, 8)``, ``[8, 32)`` and
+    ``>= 32`` categories) and packs each bucket into a zero-padded
+    ``(rows, blocks, bucket_width)`` cube, so one ``cumsum`` + one comparison
+    per bucket samples all of its blocks at once.  Each cube pads to its own
+    bucket's widest block, not the table's: PanDA's 4-, 40-, 8-, 4- and
+    9-wide blocks take 66 lanes instead of 200.
 
     Bit-for-bit equivalence with the sequential per-block path is preserved:
 
@@ -146,7 +154,8 @@ class MultinomialBlockDiffusion:
     #: columns, and the per-block loop dominates fast-mode sampling there).
     #: Blocks at or beyond this width stay on the per-block path: the padded
     #: cube would mostly hold padding, and such blocks are rare enough that
-    #: one dense pass each is already efficient.
+    #: one dense pass each is already efficient.  The forward noising uses
+    #: the same width buckets.
     _FAST_LANE_WIDTH_LIMIT = 32
 
     def __init__(self, spans: Sequence[Tuple[int, int]], schedule: DiffusionSchedule):
@@ -158,15 +167,26 @@ class MultinomialBlockDiffusion:
         if widths.size and widths.min() < 2:
             raise ValueError("every categorical block needs at least 2 categories")
         self.n_blocks = len(self.spans)
-        self.max_width = int(widths.max()) if widths.size else 0
         self.starts = np.array([a for a, _ in self.spans], dtype=np.intp)
         self.widths = widths
-        # Gather index + validity mask for the padded cube; invalid positions
-        # point at the block start and are zeroed through the mask.
-        lane = np.arange(self.max_width, dtype=np.intp)[None, :]
-        self.valid = (lane < widths[:, None]).astype(np.float64)
-        self.gather = self.starts[:, None] + np.where(lane < widths[:, None], lane, 0)
-        self._gather_flat = self.gather.ravel()
+        # Forward-noising cubes, one per width bucket of the relaxed reverse
+        # step, the blocks beyond its lanes being the third: (block ids, pad
+        # width, block-major flat gather index, validity mask, widths,
+        # starts).  Padded lanes point at the block start and are zeroed
+        # through the mask.
+        buckets, huge = self._fast_tables()
+        groups = [(gids, pad) for gids, pad, *_ in buckets]
+        if huge:
+            groups.append((np.array(huge, dtype=np.intp), int(widths[huge].max())))
+        self._noise_buckets = []
+        for gids, pad in groups:
+            w, a = widths[gids], self.starts[gids]
+            lane = np.arange(pad, dtype=np.intp)[None, :]
+            inside = lane < w[:, None]
+            gather = (a[:, None] + np.where(inside, lane, 0)).ravel()
+            self._noise_buckets.append(
+                (gids, pad, gather, inside.astype(np.float64), w[None, :, None], a[None, :])
+            )
         self.columns = (
             np.concatenate([np.arange(a, b, dtype=np.intp) for a, b in self.spans])
             if self.spans else np.empty(0, dtype=np.intp)
@@ -241,17 +261,19 @@ class MultinomialBlockDiffusion:
         n = x0.shape[0]
         t = np.asarray(t, dtype=np.int64)
         keep = self.schedule.alphas_bar[t][:, None, None]
-        x0_cube = x0[:, self._gather_flat].reshape(n, self.n_blocks, self.max_width)
-        probs = keep * x0_cube + (1.0 - keep) / self.widths[None, :, None]
-        # Padded lanes are zeroed here, so the cumulative sums below match the
-        # unpadded per-block ones exactly; x0 needs no separate masking.
-        probs *= self.valid
-        cumulative = np.cumsum(probs, axis=2)
-        cumulative /= np.maximum(cumulative[:, :, -1:], 1e-12)
-        draws = rng.random((self.n_blocks, n)).T[:, :, None]
-        chosen = (draws < cumulative).argmax(axis=2)
-        out[:, self.columns] = 0.0
-        out[np.arange(n)[:, None], self.starts[None, :] + chosen] = 1.0
+        draws = rng.random((self.n_blocks, n))
+        self._zero_blocks(out)
+        rows = np.arange(n)[:, None]
+        for gids, pad, gather, valid, widths, starts in self._noise_buckets:
+            cube = x0[:, gather].reshape(n, gids.size, pad)
+            probs = keep * cube + (1.0 - keep) / widths
+            # Padded lanes are zeroed here, so the cumulative sums below match
+            # the unpadded per-block ones exactly; x0 needs no separate masking.
+            probs *= valid
+            cumulative = np.cumsum(probs, axis=2)
+            cumulative /= np.maximum(cumulative[:, :, -1:], 1e-12)
+            chosen = (draws[gids].T[:, :, None] < cumulative).argmax(axis=2)
+            out[rows, starts + chosen] = 1.0
 
     # -- batched reverse chain ---------------------------------------------------
 
@@ -371,7 +393,7 @@ class MultinomialBlockDiffusion:
         relaxed kernel is free to batch.  Bucketing keeps the padding waste
         bounded: each cube pads to its own bucket's maximum, not the table
         maximum.  Lane ``j`` of a block narrower than ``j+1`` gathers the
-        block's first column (a harmless duplicate: it never exceeds the
+        block's last column (a harmless duplicate: it never exceeds the
         block maximum) and is zeroed after the exp.  ``huge`` lists the
         blocks at or beyond the limit, which keep the per-block path.  Built
         lazily so instances restored from older fits work unchanged.
@@ -379,8 +401,6 @@ class MultinomialBlockDiffusion:
         cached = getattr(self, "_fast_tables_", None)
         if cached is not None:
             return cached
-        from repro.models.width_buckets import build_width_bucket_tables
-
         tables = build_width_bucket_tables(
             self.widths,
             self.starts,

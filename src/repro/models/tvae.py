@@ -28,6 +28,7 @@ from repro.nn import (
     CosineSchedule,
     MLP,
     PackedForward,
+    StepArrays,
     Tensor,
     clip_grad_norm,
     gaussian_kl_from_stats,
@@ -142,6 +143,9 @@ class TVAESurrogate(Surrogate):
         n_batches_per_epoch = max(1, X.shape[0] // cfg.batch_size)
         schedule = CosineSchedule(optimizer, total_steps=cfg.epochs * n_batches_per_epoch)
 
+        # Nothing a step produces is read after it, so each step reuses the
+        # arrays of the one before (StepArrays).
+        arrays = StepArrays()
         losses: List[float] = []
         for epoch in range(cfg.epochs):
             permutation = rng.permutation(X.shape[0])
@@ -150,27 +154,28 @@ class TVAESurrogate(Surrogate):
                 idx = permutation[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 if idx.size < 2:
                     continue
-                batch = X[idx]
-                batch_t = Tensor(batch)
+                with arrays:
+                    batch = X[idx]
+                    batch_t = Tensor(batch)
 
-                # Fused VAE head: one reparameterisation node and one KL node
-                # over the packed [mu | logvar] stats (bit-identical to the
-                # slice/clip/exp composition).
-                stats = self._encoder_net(batch_t)
-                noise = rng.standard_normal((idx.size, cfg.latent_dim))
-                z = gaussian_reparameterize(stats, noise, cfg.latent_dim)
-                decoded = self._decoder_net(z)
+                    # Fused VAE head: one reparameterisation node and one KL node
+                    # over the packed [mu | logvar] stats (bit-identical to the
+                    # slice/clip/exp composition).
+                    stats = self._encoder_net(batch_t)
+                    noise = rng.standard_normal((idx.size, cfg.latent_dim))
+                    z = gaussian_reparameterize(stats, noise, cfg.latent_dim)
+                    decoded = self._decoder_net(z)
 
-                recon = self._reconstruction_loss(decoded, batch)
-                kl = gaussian_kl_from_stats(stats, cfg.latent_dim)
-                loss = recon + cfg.kl_weight * kl
+                    recon = self._reconstruction_loss(decoded, batch)
+                    kl = gaussian_kl_from_stats(stats, cfg.latent_dim)
+                    loss = recon + cfg.kl_weight * kl
 
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(params, cfg.grad_clip)
-                optimizer.step()
-                schedule.step()
-                epoch_loss += loss.item()
+                    optimizer.zero_grad()
+                    loss.backward()
+                    clip_grad_norm(params, cfg.grad_clip)
+                    optimizer.step()
+                    schedule.step()
+                    epoch_loss += loss.item()
             losses.append(epoch_loss / n_batches_per_epoch)
             logger.info("TVAE epoch %d/%d loss=%.4f", epoch + 1, cfg.epochs, losses[-1])
         self.loss_history_ = losses

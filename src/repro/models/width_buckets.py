@@ -36,7 +36,7 @@ def build_width_bucket_tables(
     (``narrow_limit <= width < fast_limit`` — relaxed kernels only).  Each
     bucket pads to its own maximum, so the padding waste is bounded by the
     bucket, not the table.  Lane ``j`` of a block narrower than ``j + 1``
-    gathers the block's first column — a harmless duplicate (it never
+    gathers the block's last column — a harmless duplicate (it never
     exceeds the block maximum) that the kernels zero right after their
     ``exp`` — as recorded in the per-lane ``pad_blocks`` lists.
 

@@ -12,7 +12,7 @@ models are implemented, each with an analytically derived backward pass that
 is validated against finite differences in the test suite.
 """
 
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import StepArrays, Tensor, no_grad
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import (
     Dropout,
@@ -46,6 +46,7 @@ from repro.nn import init
 __all__ = [
     "Tensor",
     "no_grad",
+    "StepArrays",
     "Module",
     "Parameter",
     "Linear",

@@ -127,26 +127,19 @@ def _blockwise_log_softmax(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(log_probs, softmax)`` per block over a gathered matrix.
 
-    Each width group reshapes to ``(rows, blocks, width)`` so maxima and
-    normaliser sums reduce over stride-1 lanes of the original block width
-    (the same per-lane pairwise rounding as the unfused slices) and the
-    shift/normalise stages broadcast without any per-column gathers.
+    Block maxima are exact in any order, so one ``maximum.reduceat`` takes
+    them all, and every elementwise stage runs once over the whole matrix.
+    Only the normaliser sums are order-sensitive: :meth:`BlockLayout.block_sums`
+    reduces stride-1 lanes of each block's width, the per-lane pairwise
+    rounding of the unfused slices.
     """
-    n = gathered.shape[0]
-    log_probs = np.empty((n, layout.total_width))
-    softmax = np.empty((n, layout.total_width))
-    for width, c0, c1, b0, b1 in layout.width_groups:
-        m = b1 - b0
-        seg = np.ascontiguousarray(gathered[:, c0:c1]).reshape(n, m, width)
-        shifted = seg - seg.max(axis=-1, keepdims=True)
-        expv = np.exp(shifted)
-        log_sum = np.log(expv.sum(axis=-1, keepdims=True))
-        # shifted/expv are no longer needed as-is: overwrite them in place
-        # with log-probs and softmax (identical values, two fewer arrays).
-        np.subtract(shifted, log_sum, out=shifted)
-        log_probs[:, c0:c1] = shifted.reshape(n, m * width)
-        np.exp(shifted, out=expv)
-        softmax[:, c0:c1] = expv.reshape(n, m * width)
+    of_col = layout.block_of_col
+    shifted = gathered - np.maximum.reduceat(gathered, layout.starts, axis=1)[:, of_col]
+    softmax = np.exp(shifted)
+    log_sum = np.log(layout.block_sums(softmax))
+    # shifted is no longer needed as-is: overwrite it with the log-probs.
+    log_probs = np.subtract(shifted, log_sum[:, of_col], out=shifted)
+    np.exp(log_probs, out=softmax)
     return log_probs, softmax
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor, is_grad_enabled, step_array
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -80,17 +80,17 @@ class FusedLinear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         weight, bias = self.weight, self.bias
-        z = x.data @ weight.data
+        z = np.matmul(x.data, weight.data, out=step_array(x.data.shape[:-1] + (self.out_features,)))
         if bias is not None:
-            z += bias.data  # z is freshly allocated; in-place add is safe
+            z += bias.data  # z is this node's own array; in-place add is safe
         # Forward activation; keep exactly what the backward pass needs.
         act = self.activation
         if act == "relu":
-            saved = z > 0
-            data = z * saved
+            saved = np.greater(z, 0, out=step_array(z.shape, bool))
+            data = np.multiply(z, saved, out=z)
         elif act == "leaky_relu":
             saved = np.where(z > 0, 1.0, self.negative_slope)
-            data = z * saved
+            data = np.multiply(z, saved, out=z)
         elif act == "tanh":
             data = np.tanh(z)
             saved = data
@@ -115,7 +115,7 @@ class FusedLinear(Module):
         def _backward() -> None:
             g = out.grad
             if act == "relu" or act == "leaky_relu":
-                gz = g * saved
+                gz = np.multiply(g, saved, out=step_array(g.shape))
             elif act == "tanh":
                 gz = g * (1.0 - saved ** 2)
             elif act == "sigmoid":
@@ -145,11 +145,11 @@ class FusedLinear(Module):
                 else:
                     weight.grad += x.data.T @ gz
             if x.requires_grad:
-                gx = gz @ weight.data.T
                 if x.grad is None:
-                    x.grad = gx  # freshly allocated and owned: no copy needed
+                    # This node's own array: no copy needed.
+                    x.grad = np.matmul(gz, weight.data.T, out=step_array(x.data.shape))
                 else:
-                    x.grad += gx
+                    x.grad += gz @ weight.data.T
         out._backward = _backward
         return out
 

@@ -18,7 +18,9 @@ So every POST enters the service, and its fair queue, when it arrives, and
 the status routes never wait behind sample work.  On every route a
 ``Content-Length`` that is not a non-negative integer, or a body that ends
 short of it, gets ``400``, and one above :data:`MAX_BODY_BYTES` gets
-``413`` without the body being read.  Routes:
+``413`` without the body being read.  A connection that stays silent for
+30 s before its request is complete is closed (with ``408`` if the body
+stalled), also after :meth:`FrontDoor.stop_http`.  Routes:
 
 ``POST /sample``
     Body: a JSON object with the :class:`~repro.serve.api.RequestSpec`
@@ -264,7 +266,9 @@ class FrontDoor:
     def stop_http(self) -> None:
         """Stop accepting connections; idempotent, keeps backends serving.
 
-        Exchanges already under way finish on their own threads.
+        Exchanges already under way finish on their own threads; one whose
+        client has not sent its whole request ends within the handler's read
+        timeout.
         """
         if self._server is None:
             return
@@ -384,6 +388,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 
     server: _Server
 
+    #: Seconds a socket read or write may block.  Each connection holds a
+    #: thread, so a client that connects and then sends nothing, or stops
+    #: halfway through its request, must not hold it for ever.  Sampling
+    #: time does not count: the socket is idle while the request is served.
+    timeout = 30.0
+
     def _exchange(self) -> None:
         status, payload, extra = 500, {"error": "internal server error"}, {}
         try:
@@ -417,7 +427,11 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         if len(declared) > len(str(MAX_BODY_BYTES)) or int(declared) > MAX_BODY_BYTES:
             error = f"Content-Length {declared} exceeds the {MAX_BODY_BYTES}-byte limit"
             return 413, {"error": error}, {}
-        body = self.rfile.read(int(declared))
+        try:
+            body = self.rfile.read(int(declared))
+        except TimeoutError:
+            self.close_connection = True
+            return 408, {"error": f"request body not sent within {self.timeout:g} s"}, {}
         if len(body) < int(declared):
             error = f"body ended after {len(body)} of {declared} Content-Length bytes"
             return 400, {"error": error}, {}

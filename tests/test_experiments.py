@@ -183,6 +183,20 @@ class TestFigures:
         labels = {r["workload"] for r in result["rows"]}
         assert labels == {"real", "synthetic"}
 
+    @pytest.mark.parametrize("max_jobs", [10_000, 120])
+    def test_fig2_workloads_have_equal_job_counts(self, tiny_config, tiny_dataset, max_jobs):
+        # A synthetic table three times the held-out one: without a common
+        # size the synthetic side simulates three times the jobs.
+        n_real = len(tiny_dataset.test)
+        synthetic = SMOTESurrogate().fit(tiny_dataset.train).sample(3 * n_real, seed=0)
+        result = fig2_scheduler_comparison(
+            tiny_config, dataset=tiny_dataset, synthetic=synthetic,
+            brokers=("least_loaded",), max_jobs=max_jobs,
+        )
+        assert result["n_jobs"] == min(max_jobs, n_real)
+        jobs = {row["workload"]: row["jobs"] for row in result["rows"]}
+        assert jobs == {"real": result["n_jobs"], "synthetic": result["n_jobs"]}
+
     def test_fig3_profile_and_funnel(self, tiny_config, tiny_dataset):
         result = fig3_dataset_profile(tiny_config, dataset=tiny_dataset)
         profile = {row["name"]: row for row in result["profile"]}

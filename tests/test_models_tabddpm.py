@@ -17,6 +17,7 @@ from repro.models.tabddpm import (
     linear_beta_schedule,
     timestep_embedding,
 )
+from repro.models.tabddpm.multinomial import MultinomialBlockDiffusion
 from repro.nn import Tensor
 
 
@@ -159,7 +160,63 @@ class TestMultinomialDiffusion:
         assert (posterior >= 0).all()
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBlockDiffusionBits:
+    """The bucketed forward noising against the per-block reference."""
+
+    @pytest.mark.parametrize("widths", [[2, 3, 7, 8, 9, 31, 32, 40], [40], [4, 40, 8, 4, 9], [33, 2]])
+    def test_q_sample_into_matches_per_block_q_sample(self, widths):
+        schedule = DiffusionSchedule.cosine(100)
+        spans, col = [], 2
+        for width in widths:
+            spans.append((col, col + width))
+            col += width + 1  # a non-block column between blocks
+        rng = np.random.default_rng(len(widths))
+        n = 257
+        x0 = np.zeros((n, col))
+        for start, stop in spans:
+            x0[np.arange(n), start + rng.integers(0, stop - start, n)] = 1.0
+        t = rng.integers(0, 100, n)
+        out = np.full_like(x0, 7.0)
+        MultinomialBlockDiffusion(spans, schedule).q_sample_into(out, x0, t, np.random.default_rng(5))
+        reference = np.random.default_rng(5)
+        for start, stop in spans:
+            expected = MultinomialDiffusion(stop - start, schedule).q_sample(x0[:, start:stop], t, reference)
+            np.testing.assert_array_equal(out[:, start:stop], expected)
+        # Columns outside the blocks are left alone.
+        outside = np.setdiff1d(np.arange(col), np.concatenate([np.arange(*s) for s in spans]))
+        assert (out[:, outside] == 7.0).all()
+
+
 class TestDenoiser:
+    @pytest.mark.parametrize("n_timesteps", [16, 100, 1000])
+    @pytest.mark.parametrize("dim", [16, 64, 65, 128])
+    def test_embedding_table_rows_are_timestep_embedding_bits(self, n_timesteps, dim):
+        model = MLPDenoiser(3, hidden_dims=(4,), time_embedding_dim=dim, seed=0)
+        rng = np.random.default_rng(dim)
+        # A small first call, then the full range: the table grows.
+        table = model.embedding_table(np.array([3]))
+        assert table.shape == (4, dim)
+        table = model.embedding_table(np.array([n_timesteps - 1]))
+        assert table.shape == (n_timesteps, dim)
+        for rows in (1, 2, 255, 4097):
+            t = rng.integers(0, n_timesteps, rows)
+            assert (_bits(table[t]) == _bits(timestep_embedding(t, dim))).all()
+        for t0 in (0, n_timesteps // 2, n_timesteps - 1):
+            assert (_bits(table[t0]) == _bits(timestep_embedding(np.array([t0]), dim)[0])).all()
+        if dim % 2:
+            assert (table[:, -1] == 0.0).all()
+
+    def test_embedding_table_rejects_negative_or_fractional_timesteps(self):
+        model = MLPDenoiser(3, hidden_dims=(4,), time_embedding_dim=8, seed=0)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            model(Tensor(np.zeros((2, 3))), np.array([1, -1]))
+        with pytest.raises(ValueError, match="non-negative integers"):
+            model(Tensor(np.zeros((2, 3))), np.array([0.5, 1.0]))
+
     def test_timestep_embedding_shape_and_range(self):
         emb = timestep_embedding(np.array([0, 10, 50]), 32)
         assert emb.shape == (3, 32)

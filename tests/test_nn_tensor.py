@@ -1,13 +1,17 @@
 """Tests for the autograd engine, including finite-difference gradient checks."""
 
+import contextlib
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro.nn.layers import FusedLinear
+from repro.nn.tensor import StepArrays, Tensor, is_grad_enabled, no_grad, step_array
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -290,3 +294,92 @@ class TestGraphMechanics:
         loss(t).backward()
         expected = numeric_grad(lambda v: ((x @ v) ** 2).mean(), w0.copy())
         np.testing.assert_allclose(t.grad, expected, rtol=1e-4, atol=1e-6)
+
+
+class TestBackwardFreesTheGraph:
+    def test_intermediate_activations_die_when_backward_returns(self):
+        # A node and its backward closure form a reference cycle; backward()
+        # must break it, so no collector run is needed to free the step.
+        layer = FusedLinear(3, 4, "relu", seed=0)
+        x = Tensor(np.random.default_rng(0).normal(size=(5, 3)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hidden = layer(x)
+            activation = weakref.ref(hidden.data)
+            loss = (hidden * hidden).sum()
+            del hidden
+            loss.backward()
+            assert activation() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert layer.weight.grad is not None and loss.item() >= 0.0
+
+    def test_a_second_backward_through_a_freed_graph_raises(self):
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        shared = t * 2.0
+        first = shared.sum()
+        second = (shared * 3.0).sum()
+        first.backward()
+        np.testing.assert_array_equal(t.grad, [2.0, 2.0])
+        with pytest.raises(RuntimeError, match="freed"):
+            first.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            second.backward()
+        # A graph built again backpropagates as usual.
+        (t * 2.0).sum().backward()
+        np.testing.assert_array_equal(t.grad, [4.0, 4.0])
+
+
+class TestStepArrays:
+    def test_each_step_gets_the_same_arrays_in_request_order(self):
+        arrays = StepArrays()
+        handed = []
+        for _ in range(3):
+            with arrays:
+                handed.append([step_array((4, 3)), step_array((4, 3)), step_array((2,), bool)])
+        for step in handed[1:]:
+            assert all(a is b for a, b in zip(step, handed[0]))
+        assert handed[0][0] is not handed[0][1]
+        assert step_array((4, 3)) is not handed[0][0]  # outside a block: fresh
+
+    def test_blocks_nest_and_are_per_thread(self):
+        outer, inner = StepArrays(), StepArrays()
+        seen = []
+        with outer:
+            with inner:
+                first = step_array((2,))
+            assert step_array((2,)) is not first
+            worker = threading.Thread(target=lambda: seen.append(step_array((2,))))
+            worker.start()
+            worker.join()
+        with inner:
+            assert step_array((2,)) is first
+        with outer:
+            assert step_array((2,)) is not seen[0]
+
+    def test_training_in_step_arrays_gives_the_same_bits(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(16, 5))
+
+        def train(arrays):
+            layers = [FusedLinear(5, 8, "relu", seed=1), FusedLinear(8, 2, None, seed=2)]
+            losses = []
+            for _ in range(3):
+                with arrays:
+                    out = layers[1](layers[0](Tensor(x)))
+                    loss = (out * out).sum()
+                    loss.backward()
+                    for layer in layers:
+                        for p in (layer.weight, layer.bias):
+                            p.data -= 0.01 * p.grad
+                            p.grad = None
+                    losses.append(loss.item())
+            return losses, [layer.weight.data.copy() for layer in layers]
+
+        fresh_losses, fresh_weights = train(contextlib.nullcontext())
+        reused_losses, reused_weights = train(StepArrays())
+        assert fresh_losses == reused_losses
+        for a, b in zip(fresh_weights, reused_weights):
+            np.testing.assert_array_equal(a, b)

@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 import repro.serve
+import repro.serve.http
 from repro.models.base import Surrogate
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.serve import (
@@ -520,6 +521,52 @@ class TestHttpEndpoint:
             stopper.start()
             stopper.join(timeout=10)
             assert not stopper.is_alive(), "stop_http waited on an idle client"
+
+    @staticmethod
+    def _handler_threads(before):
+        return [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+    def test_stop_http_leaves_no_idle_or_half_sent_connection_behind(self, service, monkeypatch):
+        # Idle connections last at most the handler's read timeout, also once
+        # the door has stopped; 1 s stands in for the served one.
+        assert 0 < repro.serve.http._Handler.timeout <= 60
+        monkeypatch.setattr(repro.serve.http._Handler, "timeout", 1.0)
+        door = FrontDoor({"prod": service})
+        before = set(threading.enumerate())
+        door.start_http()
+        clients = [socket.create_connection(door.address, timeout=30) for _ in range(8)]
+        try:
+            clients[0].sendall(b"POST /sample HTTP/1.0\r\nContent-Length: 64\r\n\r\n{")
+            clients[1].sendall(b"GET /healthz HTTP/1.0\r\n")
+            # The server accepts in order: once a later exchange is answered,
+            # every idle connection has a handler thread.
+            assert _get(door.address, "/healthz")[0] == 200
+            assert len(self._handler_threads(before)) >= len(clients)
+            door.stop_http()
+            deadline = time.monotonic() + 1.0 + 5.0
+            while self._handler_threads(before) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert self._handler_threads(before) == [], "handler threads outlived the read timeout"
+            # The half-sent body is answered as one that timed out.
+            assert clients[0].recv(64).startswith(b"HTTP/1.0 408")
+        finally:
+            for client in clients:
+                client.close()
+
+    def test_a_silent_connection_is_closed_after_the_read_timeout(self, service, monkeypatch):
+        monkeypatch.setattr(repro.serve.http._Handler, "timeout", 0.2)
+        door = FrontDoor({"prod": service})
+        door.start_http()
+        try:
+            with socket.create_connection(door.address, timeout=30) as idle, \
+                    socket.create_connection(door.address, timeout=30) as stalled:
+                stalled.sendall(b"POST /sample HTTP/1.0\r\nContent-Length: 64\r\n\r\n{")
+                assert idle.recv(64) == b""  # closed without a response
+                status_line = stalled.recv(64)
+                assert status_line.startswith(b"HTTP/1.0 408"), status_line
+            assert _get(door.address, "/healthz")[0] == 200  # the server goes on
+        finally:
+            door.stop_http()
 
     def test_stop_http_is_idempotent_and_restartable(self, service):
         door = FrontDoor({"prod": service})
