@@ -31,7 +31,7 @@ def main() -> None:
     synthetic = model.sample(data.n_test, seed=derive_seed(config.seed, "scheduler-example"))
     print(f"sampled {len(synthetic)} synthetic jobs from {model.name}")
 
-    result = fig2_scheduler_comparison(config, dataset=data, synthetic=synthetic)
+    result = fig2_scheduler_comparison(config, dataset=data, synthetic_tables={model.name: synthetic})
     rows = result["rows"]
 
     keys = ["workload", "broker", "completed", "mean_wait_h", "p95_wait_h", "mean_utilization"]
@@ -44,7 +44,7 @@ def main() -> None:
     print()
     print("Real-vs-synthetic calibration gap per brokerage policy:")
     real = {r["broker"]: r for r in rows if r["workload"] == "real"}
-    synth = {r["broker"]: r for r in rows if r["workload"] == "synthetic"}
+    synth = {r["broker"]: r for r in rows if r["workload"] == model.name}
     for broker in real:
         if broker not in synth:
             continue

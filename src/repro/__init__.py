@@ -69,9 +69,12 @@ The hottest loops run through a vectorized engine:
   same-width categorical block as one lane-grouped plane pass per step
   (:meth:`repro.models.tabddpm.multinomial.MultinomialBlockDiffusion.p_sample_into`),
   and CTABGAN+ draws its block categories straight from the stacked raw
-  generator logits (:mod:`repro.models.ctabgan`) — all bit-identical to the
-  per-block chains in the default mode
-  (``tests/test_sampling_equivalence.py``).
+  generator logits (:class:`repro.models.onehot_blocks.SoftmaxCodeSampler`)
+  — all bit-identical to the per-block chains in the default mode
+  (``tests/test_sampling_equivalence.py``).  Both kernels, and TVAE's
+  relaxed code draw, group their one-hot blocks through one layout
+  (:mod:`repro.models.onehot_blocks`: lane planes under 8 categories,
+  padded cubes under 32, one block at a time beyond).
 
 Serving modes
 -------------
@@ -84,7 +87,7 @@ Every surrogate's ``sample`` accepts ``sampling_mode="exact"|"fast"``:
   samples in ``tests/test_serving_modes.py``), but a different RNG stream
   and float32 pre-packed network forwards
   (:class:`repro.nn.serving.PackedForward`).  TabDDPM serves its denoiser
-  through a float32 weight cache and a padded lane-plane posterior kernel;
+  through a float32 weight cache and a padded-cube posterior kernel;
   CTABGAN+/TVAE run request-sized fused generator/decoder forwards freed
   from the training batch size; SMOTE and the Gaussian copula (already
   single-pass) fall back to their exact path.

@@ -25,6 +25,7 @@ from repro.experiments.ablations import run_ablations
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.data import build_dataset
 from repro.experiments.figures import (
+    _fit_and_sample,
     fig1_data_volume,
     fig2_scheduler_comparison,
     fig3_dataset_profile,
@@ -232,7 +233,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.experiment == "fig2":
         data = build_dataset(config)
-        result = fig2_scheduler_comparison(config, dataset=data)
+        # Each listed surrogate's workload runs next to the real one.
+        synthetic = _fit_and_sample(config, data, "fig2") if args.models else None
+        result = fig2_scheduler_comparison(config, dataset=data, synthetic_tables=synthetic)
         rows = result["rows"]
         if args.json:
             print(json.dumps(rows, indent=2))

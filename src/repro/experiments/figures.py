@@ -77,7 +77,7 @@ def fig2_scheduler_comparison(
     config: Optional[ExperimentConfig] = None,
     *,
     dataset: Optional[DatasetBundle] = None,
-    synthetic: Optional[Table] = None,
+    synthetic_tables: Optional[Dict[str, Table]] = None,
     brokers: Sequence[str] = ("random", "least_loaded", "data_locality"),
     max_jobs: int = 4000,
     capacity_scale: float = 0.0002,
@@ -85,12 +85,12 @@ def fig2_scheduler_comparison(
 ) -> Dict[str, object]:
     """Grid-simulation comparison of brokerage policies (the Fig. 2 setting).
 
-    Runs every brokerage policy on the real (held-out) workload and, when a
-    synthetic table is provided, re-runs every policy on the synthetic
-    workload so the real-vs-surrogate gap can be reported at the system level.
-    Both workloads simulate the same number of jobs, ``n_jobs``: the smallest
-    of ``max_jobs`` and the two tables' row counts.  A table with more rows
-    contributes a seeded uniform subsample, which spans its whole time
+    Runs every brokerage policy on the real (held-out) workload and re-runs
+    every policy on each of ``synthetic_tables`` (label → table, e.g. one per
+    surrogate), so the real-vs-surrogate gap can be reported at the system
+    level.  Every workload simulates the same number of jobs, ``n_jobs``: the
+    smallest of ``max_jobs`` and the tables' row counts.  A table with more
+    rows contributes a seeded uniform subsample, which spans its whole time
     window (cutting the arrival-sorted jobs would keep only the earliest).
 
     The experiment-scale traces carry orders of magnitude fewer jobs than the
@@ -106,7 +106,8 @@ def fig2_scheduler_comparison(
         times = np.asarray(table["creationtime"], dtype=np.float64) / max(time_compression, 1e-9)
         return table.with_column("creationtime", times, "numerical")
 
-    n_jobs = min(max_jobs, len(data.test), len(synthetic) if synthetic is not None else max_jobs)
+    synthetic_tables = synthetic_tables or {}
+    n_jobs = min([max_jobs, len(data.test)] + [len(table) for table in synthetic_tables.values()])
 
     def simulate(table: Table, label: str) -> List[Dict[str, object]]:
         if len(table) > n_jobs:
@@ -125,8 +126,8 @@ def fig2_scheduler_comparison(
         return rows
 
     rows = simulate(data.test, "real")
-    if synthetic is not None:
-        rows.extend(simulate(synthetic, "synthetic"))
+    for label, table in synthetic_tables.items():
+        rows.extend(simulate(table, label))
     return {"rows": rows, "n_jobs": n_jobs}
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import operator
 import pickle
+import threading
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Type, TypeVar, Union
 
@@ -104,6 +105,7 @@ class Surrogate:
     def __init__(self) -> None:
         self.schema_: Optional[TableSchema] = None
         self.n_training_rows_: Optional[int] = None
+        self._sample_lock = threading.RLock()
 
     # -- API -------------------------------------------------------------------
     def fit(self, table: Table) -> "Surrogate":
@@ -119,11 +121,17 @@ class Surrogate:
         generation path; ``"fast"`` selects the relaxed serving path where the
         model provides one (same distribution, different stream — see the
         module docstring for the contract).
+
+        Concurrent callers are serialised: a fitted model keeps request-sized
+        scratch (packed forwards, block-kernel buffers, the sampler state),
+        so each call holds the instance's re-entrant lock.  Two serving
+        stages over one cached model thus sample it one request at a time.
         """
         n = check_sample_request(n, sampling_mode)
-        if sampling_mode == "fast":
-            return self._sample_fast(n, seed=seed)
-        return self._sample_exact(n, seed=seed)
+        with self._sample_lock:
+            if sampling_mode == "fast":
+                return self._sample_fast(n, seed=seed)
+            return self._sample_exact(n, seed=seed)
 
     def sample_batches(
         self,
@@ -195,13 +203,14 @@ class Surrogate:
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
         self._require_fitted()
-        self.sample(2, seed=0, sampling_mode="fast")
         warmed = 0
-        for attr in self._TRANSIENT_ATTRS:
-            warm = getattr(getattr(self, attr, None), "warm", None)
-            if callable(warm):
-                warm(int(chunk_rows))
-                warmed += 1
+        with self._sample_lock:
+            self.sample(2, seed=0, sampling_mode="fast")
+            for attr in self._TRANSIENT_ATTRS:
+                warm = getattr(getattr(self, attr, None), "warm", None)
+                if callable(warm):
+                    warm(int(chunk_rows))
+                    warmed += 1
         return warmed
 
     def serving_snapshot(self) -> bytes:
@@ -250,7 +259,12 @@ class Surrogate:
         state = dict(self.__dict__)
         for attr in self._TRANSIENT_ATTRS:
             state.pop(attr, None)
+        del state["_sample_lock"]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._sample_lock = threading.RLock()
 
     def save(self, path: PathLike) -> None:
         """Serialise the fitted surrogate to ``path`` (pickle)."""

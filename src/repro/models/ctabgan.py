@@ -31,11 +31,7 @@ import numpy as np
 
 from repro.mixture.gmm import GaussianMixture
 from repro.models.base import Surrogate
-from repro.models.width_buckets import (
-    bounded_scratch,
-    build_width_bucket_tables,
-    even_row_chunks,
-)
+from repro.models.onehot_blocks import OneHotBlocks, SoftmaxCodeSampler
 from repro.nn import (
     Adam,
     BlockLayout,
@@ -76,303 +72,6 @@ class CTABGANConfig:
     def fast(cls) -> "CTABGANConfig":
         """A configuration small enough for unit tests."""
         return cls(noise_dim=16, generator_dims=(32,), discriminator_dims=(32,), gmm_components=3, epochs=3, batch_size=128)
-
-
-def _argmax_codes(matrix: np.ndarray, spans: List[Tuple[int, int]]) -> np.ndarray:
-    """Per-block ``argmax`` codes over column ``spans``, shape ``(n, blocks)``.
-
-    Same-width blocks share one gathered ``(n, blocks, width)`` cube, so wide
-    matrices need a handful of ``argmax`` calls instead of one per block; each
-    lane's argmax (first maximum wins) is identical to the per-block slice.
-    """
-    n = matrix.shape[0]
-    widths = [stop - start for start, stop in spans]
-    codes = np.empty((n, len(spans)), dtype=np.int64)
-    for width in sorted(set(widths)):
-        idx = [i for i, w in enumerate(widths) if w == width]
-        cols = np.concatenate([np.arange(*spans[i], dtype=np.intp) for i in idx])
-        segment = np.take(matrix, cols, axis=1).reshape(n, len(idx), width)
-        codes[:, idx] = np.argmax(segment, axis=2)
-    return codes
-
-
-class _SoftmaxBlockSampler:
-    """Softmax + category draw per output block, straight from raw logits.
-
-    The historical sampling path activated every softmax block, wrote the
-    probabilities into a dense matrix, re-normalised each block, drew one
-    uniform per row against its CDF, scattered a one-hot copy and finally
-    took a per-block ``argmax`` to decode — but the hardened matrix never
-    leaves ``sample``, so only the drawn *codes* matter.  This class computes
-    them directly, bit- and stream-identically to that chain:
-
-    * the blockwise softmax follows the fused activation formula
-      (``exp(shifted - log_sum)``, proven bit-identical to the unfused
-      per-block ``.softmax()`` composition in PR 2) element for element;
-    * ``rng.random((blocks, rows))`` consumes the generator stream in the
-      order of the sequential per-block ``rng.random((rows, 1))`` calls;
-    * same-width narrow blocks are processed as contiguous lane planes —
-      NumPy sums fewer than 8 elements sequentially, so plane accumulation
-      matches the per-block ``sum``/``cumsum`` rounding exactly; maxima are
-      order-insensitive; blocks of 8+ categories keep the per-block path;
-    * softmax outputs are strictly positive, so each block CDF is strictly
-      increasing and "count of CDF entries <= draw" equals the first-True
-      ``argmax`` of the historical comparison, with the all-False case
-      (cumulative mass below the draw) falling back to index 0 the same way;
-    * rows are processed in cache-sized chunks (every stage is a pure
-      per-row function, so chunking changes no value).
-    """
-
-    _LANE_WIDTH_LIMIT = 8
-
-    #: The *relaxed* code draw (:meth:`sample_codes_fast`) has no rounding
-    #: contract, so it lane-batches much wider blocks into shared padded
-    #: cubes; see
-    #: :attr:`repro.models.tabddpm.multinomial.MultinomialBlockDiffusion._FAST_LANE_WIDTH_LIMIT`
-    #: for the same trade-off in the diffusion posterior.  Blocks at or
-    #: beyond this width would mostly pad a shared cube, so each runs the
-    #: same relaxed passes over its own columns (:meth:`_codes_huge_fast`).
-    _FAST_LANE_WIDTH_LIMIT = 32
-
-    def __init__(self, spans: List[Tuple[int, int]]):
-        self.spans = [(int(a), int(b)) for a, b in spans]
-        self.n_blocks = len(self.spans)
-        self.widths = np.array([b - a for a, b in self.spans], dtype=np.intp)
-        self.starts = np.array([a for a, _ in self.spans], dtype=np.intp)
-        self.total_width = int(self.widths.sum())
-        self._groups = []
-        for w in sorted({int(v) for v in self.widths if v < self._LANE_WIDTH_LIMIT}):
-            gidx = np.nonzero(self.widths == w)[0]
-            self._groups.append((w, gidx, [self.starts[gidx] + j for j in range(w)]))
-        self._wide = [b for b in range(self.n_blocks) if self.widths[b] >= self._LANE_WIDTH_LIMIT]
-        self._buffers: Dict[Tuple[int, int, int], Dict[str, np.ndarray]] = {}
-
-    def _scratch(self, w: int, m: int, nc: int, dtype: np.dtype) -> Dict[str, np.ndarray]:
-        # Scratch dtype follows the raw logits': float64 on the exact path,
-        # float32 on the relaxed serving path (half the bandwidth per pass).
-        return bounded_scratch(
-            self._buffers,
-            (w, m, nc, dtype),
-            lambda: {
-                "g": np.empty((w, nc, m), dtype=dtype),
-                "ex": np.empty((w, nc, m), dtype=dtype),
-                "mx": np.empty((nc, m), dtype=dtype),
-                "tot": np.empty((nc, m), dtype=dtype),
-                "dg": np.empty((nc, m), dtype=dtype),
-                "cnt": np.empty((nc, m), dtype=np.intp),
-            },
-        )
-
-    def sample_codes(self, raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Draw one category per block from the raw logits, shape ``(n, B)``."""
-        n = raw.shape[0]
-        codes = np.empty((n, self.n_blocks), dtype=np.intp)
-        if not self.n_blocks:
-            return codes
-        draws = rng.random((self.n_blocks, n))
-        chunk = even_row_chunks(n, 8 * self.total_width, 1 << 22)
-        for r0 in range(0, n, chunk):
-            r1 = min(n, r0 + chunk)
-            self._codes_chunk(raw[r0:r1], draws[:, r0:r1], codes[r0:r1])
-        return codes
-
-    def _codes_chunk(self, raw: np.ndarray, draws: np.ndarray, codes: np.ndarray) -> None:
-        n = raw.shape[0]
-        for w, gidx, lane_cols in self._groups:
-            m = gidx.size
-            s = self._scratch(w, m, n, raw.dtype)
-            g, ex, mx, tot, dg, cnt = s["g"], s["ex"], s["mx"], s["tot"], s["dg"], s["cnt"]
-            for j in range(w):
-                np.take(raw, lane_cols[j], axis=1, out=g[j])
-            # Blockwise softmax: exp(shifted - log(sum(exp(shifted)))).
-            np.copyto(mx, g[0])
-            for j in range(1, w):
-                np.maximum(mx, g[j], out=mx)
-            for j in range(w):
-                np.subtract(g[j], mx, out=g[j])
-            np.exp(g, out=ex)
-            np.copyto(tot, ex[0])
-            for j in range(1, w):
-                np.add(tot, ex[j], out=tot)
-            np.log(tot, out=tot)
-            for j in range(w):
-                np.subtract(g[j], tot, out=g[j])
-            np.exp(g, out=g)
-            # Hardening draw: renormalise, build the CDF, count entries <= u.
-            np.copyto(tot, g[0])
-            for j in range(1, w):
-                np.add(tot, g[j], out=tot)
-            np.maximum(tot, 1e-12, out=tot)
-            for j in range(w):
-                np.divide(g[j], tot, out=g[j])
-            for j in range(1, w):
-                np.add(g[j], g[j - 1], out=g[j])
-            np.copyto(dg, draws[gidx].T)
-            np.less_equal(g[0], dg, out=cnt, casting="unsafe")
-            for j in range(1, w - 1):
-                np.add(cnt, g[j] <= dg, out=cnt, casting="unsafe")
-            codes[:, gidx] = np.where(g[w - 1] <= dg, 0, cnt)
-        self._codes_wide_blocks(raw, draws, codes, self._wide)
-
-    def _codes_wide_blocks(self, raw, draws, codes, blocks) -> None:
-        """Verbatim per-block softmax + draw (defines the exact path's bits).
-
-        Exact path only: the relaxed draw takes its wide blocks through
-        :meth:`_codes_huge_fast`.
-        """
-        for b in blocks:
-            start, stop = self.spans[b]
-            logits = raw[:, start:stop]
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            expv = np.exp(shifted)
-            log_sum = np.log(expv.sum(axis=1, keepdims=True))
-            np.subtract(shifted, log_sum, out=shifted)
-            probs = np.exp(shifted)
-            probs /= np.maximum(probs.sum(axis=1, keepdims=True), 1e-12)
-            cumulative = np.cumsum(probs, axis=1)
-            codes[:, b] = (draws[b][:, None] < cumulative).argmax(axis=1)
-
-    # -- relaxed serving draw ---------------------------------------------------
-    def _fast_tables(self):
-        """Width-bucketed lane tables for :meth:`sample_codes_fast`.
-
-        Same construction as the diffusion kernel's: one padded cube per
-        width bucket ([2, 8) and [8, 32)), each padding to its own bucket
-        maximum; blocks at or beyond ``_FAST_LANE_WIDTH_LIMIT`` go through
-        :meth:`_codes_huge_fast`.  Built lazily (the sampler itself is a
-        lazily-built serving cache).
-        """
-        cached = getattr(self, "_fast_tables_", None)
-        if cached is not None:
-            return cached
-        groups, huge = build_width_bucket_tables(
-            self.widths,
-            self.starts,
-            narrow_limit=self._LANE_WIDTH_LIMIT,
-            fast_limit=self._FAST_LANE_WIDTH_LIMIT,
-        )
-        # Width-1 blocks (a constant category) never enter a bucket: their
-        # code is always 0.
-        ones = np.nonzero(self.widths == 1)[0]
-        tables = (groups, huge, ones)
-        self._fast_tables_ = tables
-        return tables
-
-    def _fast_scratch(self, gi: int, nb: int, pad: int, nc: int, dtype: np.dtype):
-        return bounded_scratch(
-            self._buffers,
-            ("fast", gi, nb, pad, nc, dtype),
-            lambda: {
-                "cube": np.empty((pad, nc, nb), dtype=dtype),
-                "mx": np.empty((nc, nb), dtype=dtype),
-                "dg": np.empty((nc, nb), dtype=dtype),
-                "cmp": np.empty((nc, nb), dtype=bool),
-                "cnt": np.empty((nc, nb), dtype=np.intp),
-            },
-        )
-
-    def sample_codes_fast(self, raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Relaxed code draw: same per-block categorical law, contract waived.
-
-        Each block's category still comes from the softmax of its logits,
-        but the bit/stream promises of :meth:`sample_codes` are dropped,
-        which removes most of the work: blocks up to
-        ``_FAST_LANE_WIDTH_LIMIT - 1`` categories wide evaluate as padded
-        width-bucket cubes (single whole-cube numpy passes instead of a
-        Python loop per wide block) and wider blocks run the same passes
-        over their own columns; the probabilities stay unnormalised — the
-        uniform draw is scaled by the total mass, skipping the exact path's
-        log/renormalise passes entirely — and the draws are taken in the
-        logits' precision.  Used by ``sampling_mode="fast"``; validated
-        distributionally (chi-squared, float64 and float32 logits, blocks
-        up to 100 wide) in ``tests/test_serving_modes.py``.
-        """
-        n = raw.shape[0]
-        codes = np.empty((n, self.n_blocks), dtype=np.intp)
-        if not self.n_blocks:
-            return codes
-        groups, huge, ones = self._fast_tables()
-        dtype = np.float32 if raw.dtype == np.float32 else np.float64
-        draws = rng.random((self.n_blocks, n), dtype=dtype)
-        if ones.size:
-            codes[:, ones] = 0
-        # Cache budget in *bytes*: float32 logits fit twice the rows of the
-        # exact path's float64 chunks, halving the per-chunk call overhead.
-        chunk = even_row_chunks(n, raw.dtype.itemsize * self.total_width, 1 << 22)
-        for r0 in range(0, n, chunk):
-            r1 = min(n, r0 + chunk)
-            self._codes_fast_chunk(
-                raw[r0:r1], draws[:, r0:r1], codes[r0:r1], groups, huge
-            )
-        return codes
-
-    def _codes_fast_chunk(self, raw, draws, codes, groups, huge) -> None:
-        n = raw.shape[0]
-        for gi, (gids, pad, lane_cols, pad_blocks, gwidths) in enumerate(groups):
-            s = self._fast_scratch(gi, int(gids.size), pad, n, raw.dtype)
-            cube, mx, dg, cnt = s["cube"], s["mx"], s["dg"], s["cnt"]
-            for j in range(pad):
-                np.take(raw, lane_cols[j], axis=1, out=cube[j])
-            # Padded lanes duplicate their block's first logit (never above
-            # the block maximum) and are zeroed right after the exp; every
-            # pass runs over contiguous (rows, blocks) lane planes.
-            np.copyto(mx, cube[0])
-            for j in range(1, pad):
-                np.maximum(mx, cube[j], out=mx)
-            for j in range(pad):
-                np.subtract(cube[j], mx, out=cube[j])
-            np.exp(cube, out=cube)
-            for j in range(2, pad):
-                if pad_blocks[j].size:
-                    cube[j][:, pad_blocks[j]] = 0.0
-            # Unnormalised in-lane CDF; the draw is scaled by the total mass.
-            for j in range(1, pad):
-                np.add(cube[j], cube[j - 1], out=cube[j])
-            draws_group = draws if gids.size == self.n_blocks else draws[gids]
-            np.multiply(draws_group.T, cube[pad - 1], out=dg)
-            np.less_equal(cube[0], dg, out=cnt, casting="unsafe")
-            for j in range(1, pad):
-                np.less_equal(cube[j], dg, out=s["cmp"])
-                np.add(cnt, s["cmp"], out=cnt, casting="unsafe")
-            np.minimum(cnt, gwidths[None, :] - 1, out=cnt)
-            codes[:, gids] = cnt
-        self._codes_huge_fast(raw, draws, codes, huge)
-
-    def _codes_huge_fast(self, raw, draws, codes, blocks) -> None:
-        """The relaxed draw for blocks too wide to share a padded cube.
-
-        The cube passes, run over the block's own columns: the row maximum,
-        ``exp`` of the shifted logits, the unnormalised CDF as one running
-        add per column, and the count of CDF entries at or below
-        ``draw × total mass``, clamped to ``width - 1`` for a scaled draw
-        that rounds up to the total.  The CDF never decreases, so that count
-        is the first entry above the scaled draw.  Column passes over the
-        strided block are several times cheaper than numpy's row-wise
-        ``max``/``cumsum`` at these widths.
-        """
-        for b in blocks:
-            start, stop = self.spans[b]
-            width = stop - start
-            logits = raw[:, start:stop]
-            mx = logits[:, 0].copy()
-            for j in range(1, width):
-                np.maximum(mx, logits[:, j], out=mx)
-            cdf = logits - mx[:, None]
-            np.exp(cdf, out=cdf)
-            for j in range(1, width):
-                np.add(cdf[:, j], cdf[:, j - 1], out=cdf[:, j])
-            scaled = draws[b] * cdf[:, -1]
-            chosen = (cdf > scaled[:, None]).argmax(axis=1)
-            chosen[cdf[:, -1] <= scaled] = width - 1
-            codes[:, b] = chosen
-
-    def __getstate__(self):
-        # Scratch buffers are request-sized; regrown on first use (the lazy
-        # relaxed-path tables likewise rebuild).
-        state = dict(self.__dict__)
-        state["_buffers"] = {}
-        state.pop("_fast_tables_", None)
-        return state
 
 
 class _ModeSpecificEncoder:
@@ -471,7 +170,7 @@ class _ModeSpecificEncoder:
         n = matrix.shape[0]
         blocks, alpha_cols, _comp_base, means_pad, stds_pad = self._numeric_tables()
         if blocks:
-            comps = _argmax_codes(matrix, [(start + 1, start + width) for _n, start, width in blocks])
+            comps = OneHotBlocks([(start + 1, start + width) for _n, start, width in blocks]).argmax(matrix)
             alpha = np.clip(matrix[:, alpha_cols], -1.0, 1.0)
             cidx = np.arange(len(blocks))[None, :]
             recovered = alpha * 4.0 * stds_pad[cidx, comps] + means_pad[cidx, comps]
@@ -483,7 +182,7 @@ class _ModeSpecificEncoder:
             if kind == ColumnKind.CATEGORICAL.value
         ]
         if cat_blocks:
-            codes = _argmax_codes(matrix, [(start, start + width) for _n, start, width in cat_blocks])
+            codes = OneHotBlocks([(start, start + width) for _n, start, width in cat_blocks]).argmax(matrix)
             for i, (name, _start, _width) in enumerate(cat_blocks):
                 encoder = self.categorical_encoders[name]
                 data[name] = encoder.label_encoder.decode_column(codes[:, i])
@@ -863,7 +562,7 @@ class CTABGANPlusSurrogate(Surrogate):
     #: the generator matmuls fused over request-sized batches.
     _FAST_FORWARD_CHUNK = 65_536
 
-    def _ensure_block_sampler(self) -> _SoftmaxBlockSampler:
+    def _ensure_block_sampler(self) -> SoftmaxCodeSampler:
         sampler = getattr(self, "_block_sampler", None)
         if sampler is None:
             spans = []
@@ -872,7 +571,7 @@ class CTABGANPlusSurrogate(Surrogate):
                     spans.append((start + 1, start + width))
                 else:
                     spans.append((start, start + width))
-            sampler = self._block_sampler = _SoftmaxBlockSampler(spans)
+            sampler = self._block_sampler = SoftmaxCodeSampler(spans)
         return sampler
 
     def _decode_raw(
@@ -881,7 +580,7 @@ class CTABGANPlusSurrogate(Surrogate):
         """Decode a stacked raw-logit matrix into a table (shared by both modes).
 
         ``relaxed=True`` (the fast serving path) draws the block codes
-        through the contract-free width-bucketed kernel.
+        through the contract-free padded-cube kernel.
         """
         sampler = self._ensure_block_sampler()
         if relaxed:
@@ -900,8 +599,9 @@ class CTABGANPlusSurrogate(Surrogate):
         the raw logits collapses: the historical activate → harden →
         argmax-decode chain only ever exposed the drawn categories and the
         tanh'd alpha columns, so the blocks' category codes are drawn
-        straight from the stacked raw logits (:class:`_SoftmaxBlockSampler`,
-        bit- and stream-identical) and the table is decoded from codes plus
+        straight from the stacked raw logits
+        (:class:`~repro.models.onehot_blocks.SoftmaxCodeSampler`, bit- and
+        stream-identical) and the table is decoded from codes plus
         alphas without materialising the activated or hardened matrices.
         """
         self._require_fitted()
@@ -934,7 +634,8 @@ class CTABGANPlusSurrogate(Surrogate):
         request-sized chunk runs through a single pre-packed float32
         generator forward (:class:`~repro.nn.serving.PackedForward`) instead
         of the per-``batch_size`` float64 graph loop.  The block codes come
-        from :meth:`_SoftmaxBlockSampler.sample_codes_fast`.
+        from the relaxed
+        :meth:`~repro.models.onehot_blocks.SoftmaxCodeSampler.sample_codes_fast`.
         Distribution-identical to the exact mode (KS / chi-squared tested),
         stream-different.
         """

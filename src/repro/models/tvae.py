@@ -22,6 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.models.base import Surrogate
+from repro.models.onehot_blocks import SoftmaxCodeSampler
 from repro.nn import (
     Adam,
     BlockLayout,
@@ -256,8 +257,9 @@ class TVAESurrogate(Surrogate):
         :class:`~repro.nn.serving.PackedForward` float32 weight cache in
         bounded chunks, draws the block categories straight from the stacked
         raw logits (the relaxed
-        :meth:`~repro.models.ctabgan._SoftmaxBlockSampler.sample_codes_fast`
-        — the hardened matrix was never observable, only the drawn codes)
+        :meth:`~repro.models.onehot_blocks.SoftmaxCodeSampler.sample_codes_fast`,
+        the code sampler CTABGAN+ uses — the hardened matrix was never
+        observable, only the drawn codes)
         and assembles the table from codes plus the numerical columns, never
         materialising the one-hot matrix.  The numerical columns decode
         through the same quantile inverse as the exact mode.
@@ -280,14 +282,12 @@ class TVAESurrogate(Surrogate):
 
         sampler = getattr(self, "_serving_block_sampler", None)
         if sampler is None:
-            from repro.models.ctabgan import _SoftmaxBlockSampler
-
             cat_spans = [
                 (b.start, b.stop)
                 for b in self._encoder_data.blocks_
                 if b.kind.value == "categorical"
             ]
-            sampler = self._serving_block_sampler = _SoftmaxBlockSampler(cat_spans)
+            sampler = self._serving_block_sampler = SoftmaxCodeSampler(cat_spans)
         codes = sampler.sample_codes_fast(decoded, rng)
         numerical_starts = [
             b.start for b in self._encoder_data.blocks_ if b.kind.value != "categorical"

@@ -50,10 +50,17 @@ class TestWorkflowDocument:
         assert "pytest" in commands
 
     def test_test_job_gates_serving_and_degenerate_suites(self, workflow):
+        # The early gate runs the relaxed-mode suite, the exact-mode byte
+        # suite of the same block kernels and the degenerate-input suite.
         steps = workflow["jobs"]["tests"]["steps"]
-        commands = " ".join(step.get("run", "") for step in steps)
-        for suite in ("tests/test_serving_modes.py", "tests/test_degenerate_inputs.py"):
-            assert suite in commands
+        gate = [s for s in steps if s.get("name") == "Serving-mode & degenerate-input gate"]
+        assert gate, "no step named 'Serving-mode & degenerate-input gate'"
+        for suite in (
+            "tests/test_serving_modes.py",
+            "tests/test_sampling_equivalence.py",
+            "tests/test_degenerate_inputs.py",
+        ):
+            assert suite in gate[0]["run"]
             assert os.path.exists(os.path.join(REPO_ROOT, suite))
 
     def test_test_job_gates_serve_suites_with_forced_workers(self, workflow):

@@ -39,6 +39,14 @@ class TestFigureCLIs:
         assert "broker" in out
         assert "least_loaded" in out
 
+    def test_fig2_models_add_their_workloads(self, capsys):
+        assert cli_main(["fig2", *FAST, "--models", "smote", "--json"]) == 0
+        jobs = {}
+        for row in json.loads(capsys.readouterr().out):
+            jobs.setdefault(row["workload"], set()).add(row["jobs"])
+        assert set(jobs) == {"real", "SMOTE"}
+        assert len(jobs["real"]) == 1 and jobs["SMOTE"] == jobs["real"]
+
     def test_fig4_text_output(self, capsys):
         assert cli_main(["fig4", *FAST, "--models", "smote"]) == 0
         out = capsys.readouterr().out

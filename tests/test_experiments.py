@@ -177,7 +177,7 @@ class TestFigures:
     def test_fig2_with_synthetic(self, tiny_config, tiny_dataset):
         synthetic = SMOTESurrogate().fit(tiny_dataset.train).sample(300, seed=0)
         result = fig2_scheduler_comparison(
-            tiny_config, dataset=tiny_dataset, synthetic=synthetic,
+            tiny_config, dataset=tiny_dataset, synthetic_tables={"synthetic": synthetic},
             brokers=("least_loaded",), max_jobs=300,
         )
         labels = {r["workload"] for r in result["rows"]}
@@ -190,7 +190,7 @@ class TestFigures:
         n_real = len(tiny_dataset.test)
         synthetic = SMOTESurrogate().fit(tiny_dataset.train).sample(3 * n_real, seed=0)
         result = fig2_scheduler_comparison(
-            tiny_config, dataset=tiny_dataset, synthetic=synthetic,
+            tiny_config, dataset=tiny_dataset, synthetic_tables={"synthetic": synthetic},
             brokers=("least_loaded",), max_jobs=max_jobs,
         )
         assert result["n_jobs"] == min(max_jobs, n_real)

@@ -308,6 +308,27 @@ class TestFrontDoor:
             assert door.sample(spec) == direct  # router-placed, same bytes
             door.close()
 
+    def test_two_services_over_one_model_serve_their_own_tables(self, tvae):
+        # Each backend's dispatcher thread samples the one model in process,
+        # as a scenario's prod and canary services or two registry stages
+        # on one version do; the model serialises them.
+        specs = [RequestSpec(4_096, seed=i) for i in range(64)]
+        with SamplingService(tvae, workers=1) as prod, SamplingService(tvae, workers=1) as canary:
+            door = FrontDoor({"prod": prod, "canary": canary})
+            tickets = [
+                door.submit(spec, model=("prod", "canary")[i % 2]) for i, spec in enumerate(specs)
+            ]
+            served = [ticket.result(timeout=120) for ticket in tickets]
+            chunk = prod.chunk_size
+        wrong = [
+            spec.seed
+            for spec, table in zip(specs, served)
+            if table != Table.concat(
+                list(tvae.sample_batches(spec.n, chunk, seed=spec.seed, sampling_mode="fast"))
+            )
+        ]
+        assert not wrong, f"{len(wrong)} of {len(specs)} tables differ: seeds {wrong}"
+
     def test_stats_tree_and_unknown_model(self, service):
         door = FrontDoor(service)
         door.sample(RequestSpec(60, seed=3, tenant="acme"))

@@ -12,6 +12,9 @@ batches.  These tests pin what the relaxed mode *does* promise:
   float32 accuracy and are rebuilt (not stale-served) after a refit.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -22,6 +25,8 @@ from repro.models.gaussian_copula import GaussianCopulaSurrogate
 from repro.models.smote import SMOTESurrogate
 from repro.models.tabddpm.denoiser import MLPDenoiser, PackedDenoiser
 from repro.models.tabddpm.model import TabDDPMConfig, TabDDPMSurrogate
+from repro.models.tabddpm.multinomial import MultinomialBlockDiffusion
+from repro.models.tabddpm.schedule import DiffusionSchedule
 from repro.models.tvae import TVAEConfig, TVAESurrogate
 from repro.nn import MLP, Linear, Module, PackedForward, Sequential, Tensor, no_grad
 from repro.tabular.schema import TableSchema
@@ -33,7 +38,7 @@ P_FLOOR = 1e-3
 def _mixed_table(n=1000, seed=23):
     rng = np.random.default_rng(seed)
     # 40 sites, like the PanDA ``computingsite`` column: a block at least
-    # ``_FAST_LANE_WIDTH_LIMIT`` wide, outside the relaxed draw's lane cubes.
+    # ``OneHotBlocks.CUBE_LIMIT`` wide, outside the relaxed draw's lane cubes.
     site_weights = np.linspace(1.0, 3.0, 40)
     data = {
         "x0": np.round(rng.lognormal(1.0, 0.7, n), 2),
@@ -139,6 +144,60 @@ class TestFastModeDistribution:
                 continue  # a single shared category is trivially identical
             result = stats.chi2_contingency(table)
             assert result.pvalue > P_FLOOR, (name, column, table)
+
+
+class TestConcurrentSampling:
+    """Threads sampling one model each get the table of their own request.
+
+    A fitted model keeps request-sized scratch (packed forwards, the block
+    kernels' buffers, the denoiser's state), so ``sample`` serialises its
+    callers; serving reaches this with two stages over one cached model.
+    """
+
+    THREADS = 8
+    ROUNDS = 3
+    ROWS = 2_048
+
+    @pytest.mark.parametrize("mode", ["fast", "exact"])
+    @pytest.mark.parametrize("name", ["tvae", "ctabgan", "tabddpm"])
+    def test_threads_sampling_one_model_get_their_own_tables(self, deep_models, name, mode):
+        model = deep_models[name]
+        seeds = range(self.THREADS * self.ROUNDS)
+        expected = {seed: model.sample(self.ROWS, seed=seed, sampling_mode=mode) for seed in seeds}
+        barrier = threading.Barrier(self.THREADS, timeout=60)
+        results, errors = {}, []
+
+        def draw(i):
+            try:
+                for r in range(self.ROUNDS):
+                    barrier.wait()
+                    seed = r * self.THREADS + i
+                    results[seed] = model.sample(self.ROWS, seed=seed, sampling_mode=mode)
+            except BaseException as exc:  # reported below, with the others released
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside a draw
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        wrong = [seed for seed in seeds if results[seed] != expected[seed]]
+        assert not wrong, f"{len(wrong)} of {len(expected)} tables differ: seeds {wrong}"
+
+    def test_lock_is_dropped_from_pickles_and_recreated(self, deep_models):
+        model = deep_models["tvae"]
+        clone = type(model).from_snapshot(model.serving_snapshot())
+        assert clone._sample_lock is not model._sample_lock
+        with clone._sample_lock:  # re-entrant: the owner may sample inside it
+            assert len(clone.sample(4, seed=1, sampling_mode="fast")) == 4
 
 
 class TestSampleBatches:
@@ -256,23 +315,28 @@ class TestExactChunkedDecoder:
         assert chunked == monolithic
 
 
+def _code_sampler(spans):
+    """The CTABGAN+/TVAE categorical code sampler over column ``spans``."""
+    from repro.models.onehot_blocks import SoftmaxCodeSampler
+
+    return SoftmaxCodeSampler(spans)
+
+
 class TestRelaxedCodeSampler:
     """``sample_codes_fast``: same per-block law, wide blocks lane-batched."""
 
     def _sampler_and_logits(self, widths, n, seed=0, dtype=np.float64):
-        from repro.models.ctabgan import _SoftmaxBlockSampler
-
         spans, start = [], 0
         for w in widths:
             spans.append((start, start + w))
             start += w
         rng = np.random.default_rng(seed)
         raw = (rng.normal(size=(n, start)) * 2.0).astype(dtype)
-        return _SoftmaxBlockSampler(spans), raw
+        return _code_sampler(spans), raw
 
     def test_same_distribution_as_exact_incl_wide_and_huge_blocks(self):
         # Width 9/12 exercises the relaxed wide bucket, widths 40 and 100
-        # the column-wise pass beyond _FAST_LANE_WIDTH_LIMIT.  float32 is
+        # the column-wise pass beyond OneHotBlocks.CUBE_LIMIT.  float32 is
         # the serving dtype; the exact reference draws from the same logits
         # in float64.
         widths = [2, 3, 3, 9, 12, 40, 100]
@@ -302,6 +366,181 @@ class TestRelaxedCodeSampler:
         sampler, raw = self._sampler_and_logits([3, 10], n=500, dtype=np.float32)
         codes = sampler.sample_codes_fast(raw, np.random.default_rng(4))
         assert codes[:, 0].max() <= 2 and codes[:, 1].max() <= 9
+
+
+#: Block widths of the relaxed-draw bit guards: every lane-plane width, both
+#: cube buckets' edges and blocks past the cubes.
+GUARD_WIDTHS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 31, 32, 40, 100)
+
+
+def _reference_codes_fast(raw, spans, rng):
+    """The relaxed code draw replayed one block at a time.
+
+    The same elementwise operations in the same order as the batched kernel:
+    the row maximum, ``exp`` of the shifted logits, the unnormalised CDF as
+    one running add per column, the draw scaled by the total mass, and the
+    count of CDF entries at or below it, clamped into the block.
+    """
+    n = raw.shape[0]
+    dtype = np.float32 if raw.dtype == np.float32 else np.float64
+    draws = rng.random((len(spans), n), dtype=dtype)
+    codes = np.zeros((n, len(spans)), dtype=np.intp)
+    for b, (start, stop) in enumerate(spans):
+        width = stop - start
+        if width == 1:
+            continue
+        logits = raw[:, start:stop]
+        mx = logits[:, 0].copy()
+        for j in range(1, width):
+            np.maximum(mx, logits[:, j], out=mx)
+        cdf = np.exp(logits - mx[:, None])
+        for j in range(1, width):
+            np.add(cdf[:, j], cdf[:, j - 1], out=cdf[:, j])
+        scaled = draws[b] * cdf[:, -1]
+        codes[:, b] = np.minimum((cdf <= scaled[:, None]).sum(axis=1), width - 1)
+    return codes
+
+
+def _reference_reverse_step_fast(prediction, prev_chosen, spans, schedule, t, rng):
+    """TabDDPM's relaxed reverse step replayed one block at a time.
+
+    Blocks narrower than 32 categories run the batched kernel's elementwise
+    operations in its order: the maximum shifted by ``log(abar * beta)``,
+    ``exp``, the softmax total scaled into the uniform term, the
+    ``(alpha + beta) / beta`` factor at the previous category, the
+    unnormalised CDF and the clamped count against the scaled draw.  Wider
+    blocks run the per-block posterior.  Returns the chosen categories.
+    """
+    n = prediction.shape[0]
+    dtype = prediction.dtype
+    draws = rng.random((len(spans), n), dtype=np.float32)
+    chosen = np.empty((n, len(spans)), dtype=np.intp)
+    alpha_t = float(schedule.alphas[t])
+    alpha_bar_prev = float(schedule.alphas_bar_prev[t])
+    rows = np.arange(n)
+    for b, (start, stop) in enumerate(spans):
+        width = stop - start
+        logits = prediction[:, start:stop]
+        prev = None if prev_chosen is None else prev_chosen[:, b]
+        if width >= 32:
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            x0_probs = np.exp(shifted)
+            x0_probs /= np.maximum(x0_probs.sum(axis=1, keepdims=True), 1e-12)
+            if t == 0:
+                probs = x0_probs / np.maximum(x0_probs.sum(axis=1, keepdims=True), 1e-12)
+            else:
+                x_t = (np.arange(width)[None, :] == prev[:, None]).astype(dtype)
+                factor_xt = alpha_t * x_t + (1.0 - alpha_t) / width
+                factor_x0 = alpha_bar_prev * x0_probs + (1.0 - alpha_bar_prev) / width
+                probs = factor_xt * factor_x0
+                probs = probs / np.maximum(probs.sum(axis=1, keepdims=True), 1e-12)
+            cumulative = np.cumsum(probs, axis=1)
+            cumulative /= np.maximum(cumulative[:, -1:], 1e-12)
+            chosen[:, b] = (draws[b][:, None] < cumulative).argmax(axis=1)
+            continue
+        widths = np.array([width], dtype=np.intp)
+        mx = logits[:, 0].copy()
+        for j in range(1, width):
+            np.maximum(mx, logits[:, j], out=mx)
+        if t != 0:
+            beta = ((1.0 - alpha_t) / widths).astype(dtype)
+            mx -= np.log(alpha_bar_prev * beta).astype(dtype)
+        cdf = np.exp(logits - mx[:, None])
+        if t != 0:
+            total = cdf[:, 0].copy()
+            for j in range(1, width):
+                np.add(total, cdf[:, j], out=total)
+            total *= ((1.0 - alpha_bar_prev) / (widths * alpha_bar_prev)).astype(dtype)
+            cdf += total[:, None]
+            cdf[rows, prev] = cdf[rows, prev] * ((alpha_t + beta) / beta).astype(dtype)
+        for j in range(1, width):
+            np.add(cdf[:, j], cdf[:, j - 1], out=cdf[:, j])
+        scaled = draws[b] * cdf[:, -1]
+        chosen[:, b] = np.minimum((cdf <= scaled[:, None]).sum(axis=1), width - 1)
+    return chosen
+
+
+def _guard_spans(widths, offset=0):
+    spans, start = [], offset
+    for w in widths:
+        spans.append((start, start + w))
+        start += w
+    return spans, start
+
+
+def _assert_one_hot_state(state, spans, chosen, numeric):
+    """``state`` holds ``numeric`` in front and is one-hot at ``chosen``."""
+    np.testing.assert_array_equal(state[:, : numeric.shape[1]], numeric)
+    for b, (start, stop) in enumerate(spans):
+        expected = np.arange(stop - start)[None, :] == chosen[:, b, None]
+        np.testing.assert_array_equal(state[:, start:stop], expected.astype(state.dtype))
+
+
+class TestRelaxedDrawBits:
+    """The relaxed kernels against per-block references, bit for bit.
+
+    The chi-squared tests above pin the law; these pin the bytes: the
+    batched code draw and the batched reverse step must give exactly the
+    codes (and, for the diffusion, the state) of the same float operations
+    run one block at a time, over every lane width, both dtypes and row
+    counts that span many row chunks.
+    """
+
+    @pytest.mark.parametrize("n", [5, 3_001, 70_000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_code_draw_matches_per_block_reference(self, dtype, n):
+        spans, width = _guard_spans(GUARD_WIDTHS)
+        raw = (np.random.default_rng(n).normal(size=(n, width)) * 3.0).astype(dtype)
+        codes = _code_sampler(spans).sample_codes_fast(raw, np.random.default_rng(41))
+        reference = _reference_codes_fast(raw, spans, np.random.default_rng(41))
+        np.testing.assert_array_equal(codes, reference)
+
+    def _diffusion_case(self, n, dtype, n_steps=12, seed=0):
+        widths = [w for w in GUARD_WIDTHS if w >= 2]
+        spans, width = _guard_spans(widths, offset=2)
+        schedule = DiffusionSchedule.cosine(n_steps)
+        rng = np.random.default_rng(seed)
+        state = np.zeros((n, width), dtype=dtype)
+        state[:, :2] = rng.normal(size=(n, 2))
+        block = MultinomialBlockDiffusion(spans, schedule)
+        chosen = block.prior_sample_into(state, rng)
+        return spans, width, schedule, block, state, chosen
+
+    @pytest.mark.parametrize("t", [0, 6])
+    @pytest.mark.parametrize(
+        "n, pass_prev", [(5, True), (5, False), (3_001, True), (3_001, False), (70_000, True)]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reverse_step_matches_per_block_reference(self, dtype, n, pass_prev, t):
+        spans, width, schedule, block, state, prev = self._diffusion_case(n, dtype)
+        numeric = state[:, :2].copy()
+        prediction = (np.random.default_rng(n + t).normal(size=(n, width)) * 3.0).astype(dtype)
+        chosen = block.p_sample_fast_into(
+            state, prediction, t, np.random.default_rng(43),
+            prev_chosen=prev if pass_prev else None,
+        )
+        reference = _reference_reverse_step_fast(
+            prediction, prev, spans, schedule, t, np.random.default_rng(43)
+        )
+        np.testing.assert_array_equal(chosen, reference)
+        _assert_one_hot_state(state, spans, reference, numeric)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cosine_chain_matches_per_block_reference(self, dtype):
+        n = 2_500
+        spans, width, schedule, block, state, chosen = self._diffusion_case(n, dtype, seed=5)
+        numeric = state[:, :2].copy()
+        expected = chosen.copy()
+        predictions = np.random.default_rng(17)
+        rng_kernel, rng_reference = np.random.default_rng(47), np.random.default_rng(47)
+        for t in reversed(range(schedule.n_steps)):
+            prediction = (predictions.normal(size=(n, width)) * 3.0).astype(dtype)
+            chosen = block.p_sample_fast_into(state, prediction, t, rng_kernel, prev_chosen=chosen)
+            expected = _reference_reverse_step_fast(
+                prediction, expected, spans, schedule, t, rng_reference
+            )
+            np.testing.assert_array_equal(chosen, expected)
+            _assert_one_hot_state(state, spans, expected, numeric)
 
 
 class TestWarmServingCaches:
