@@ -762,8 +762,8 @@ class SeedAdam(Optimizer):
 # ---------------------------------------------------------------------------
 # 6. Models: the seed training loops — unfused Linear+activation autograd,
 #    per-block Tensor losses, per-block diffusion sampling, SeedAdam steps.
-#    Each subclass overrides only fit()/network construction, so sampling and
-#    the public API stay those of the live models.
+#    Each subclass overrides network construction, fit() and sample() with
+#    the seed chains, so the public API stays that of the live models.
 # ---------------------------------------------------------------------------
 
 
@@ -849,6 +849,35 @@ class SeedTVAESurrogate(TVAESurrogate):
             losses.append(epoch_loss / n_batches_per_epoch)
         self.loss_history_ = losses
         return self
+
+    def sample(self, n, *, seed=None):
+        """The seed sampling chain: one float64 decoder pass over the whole
+        request, one softmax hardening draw per categorical block into a
+        one-hot matrix, then the encoder's inverse transform."""
+        self._require_fitted()
+        cfg = self.config
+        rng = as_rng(seed)
+        self._decoder_net.eval()
+        with no_grad():
+            z = Tensor(rng.standard_normal((n, cfg.latent_dim)))
+            decoded = self._decoder_net(z).numpy()
+        self._decoder_net.train()
+
+        output = decoded.copy()
+        for block in self._encoder_data.blocks_:
+            if block.kind.value != "categorical":
+                continue
+            logits = decoded[:, block.start : block.stop]
+            logits = logits - logits.max(axis=1, keepdims=True)
+            probs = np.exp(logits)
+            probs /= probs.sum(axis=1, keepdims=True)
+            cumulative = np.cumsum(probs, axis=1)
+            draws = rng.random((n, 1))
+            chosen = (draws < cumulative).argmax(axis=1)
+            onehot = np.zeros_like(probs)
+            onehot[np.arange(n), chosen] = 1.0
+            output[:, block.start : block.stop] = onehot
+        return self._encoder_data.inverse_transform(output)
 
 
 class SeedModeSpecificEncoder(_ModeSpecificEncoder):

@@ -18,7 +18,7 @@ Run with:  python examples/privacy_audit.py
 import numpy as np
 
 from repro.experiments import ExperimentConfig, build_dataset
-from repro.experiments.table1 import build_model, _DISPLAY_NAMES
+from repro.experiments.table1 import build_model
 from repro.metrics.privacy import duplicate_fraction, nearest_record_distances
 from repro.utils.rng import derive_seed
 
@@ -35,7 +35,6 @@ def main() -> None:
     print("-" * len(header))
 
     for name in ("smote", "tvae", "ctabgan+", "tabddpm"):
-        display = _DISPLAY_NAMES[name]
         model = build_model(name, config)
         model.fit(data.train)
         synthetic = model.sample(n_synthetic, seed=derive_seed(config.seed, "privacy", name))
@@ -46,7 +45,7 @@ def main() -> None:
         near_dup = float(np.mean(distances < 0.01)) * 100.0
         exact_dup = duplicate_fraction(data.train, synthetic) * 100.0
         print(
-            f"{display:<14} {distances.mean():>10.4f} {np.median(distances):>11.4f} "
+            f"{model.name:<14} {distances.mean():>10.4f} {np.median(distances):>11.4f} "
             f"{np.percentile(distances, 5):>9.4f} {near_dup:>10.1f}% {exact_dup:>11.2f}%"
         )
 

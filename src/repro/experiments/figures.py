@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.data import DatasetBundle, build_dataset
-from repro.experiments.table1 import build_model, _DISPLAY_NAMES
+from repro.experiments.table1 import build_model
 from repro.metrics.correlation import association_difference, association_matrix
 from repro.metrics.distribution import histogram_series, top_k_frequencies
 from repro.panda.pipeline import dataset_profile
@@ -33,7 +33,7 @@ def _fit_and_sample(config: ExperimentConfig, data: DatasetBundle, purpose: str)
     for name in config.models:
         model = build_model(name, config)
         model.fit(data.train)
-        tables[_DISPLAY_NAMES.get(name.lower(), name)] = model.sample(
+        tables[model.name] = model.sample(
             n_synthetic, seed=derive_seed(config.seed, purpose, name)
         )
     return tables

@@ -24,17 +24,6 @@ from repro.utils.rng import derive_seed
 
 logger = get_logger(__name__)
 
-#: Display names matching the paper's Table I.
-_DISPLAY_NAMES = {
-    "tvae": "TVAE",
-    "ctabgan+": "CTABGAN+",
-    "ctabganplus": "CTABGAN+",
-    "smote": "SMOTE",
-    "tabddpm": "TabDDPM",
-    "copula": "GaussianCopula",
-    "gaussian_copula": "GaussianCopula",
-}
-
 #: The paper's own Table I.  Absolute values differ from a reproduction (a
 #: synthetic trace, scaled-down training); the model orderings are what
 #: ``tests/test_experiments.py::TestPaperClaims`` checks on both.
@@ -87,7 +76,6 @@ def run_table1(
     scores: List[SurrogateScore] = []
     timings: Dict[str, Dict[str, float]] = {}
     for name in config.models:
-        display = _DISPLAY_NAMES.get(name.lower(), name)
         model = build_model(name, config)
         t0 = time.perf_counter()
         model.fit(data.train)
@@ -102,7 +90,7 @@ def run_table1(
         sample_seconds = time.perf_counter() - t0
 
         score = evaluate_surrogate_data(
-            display,
+            model.name,
             data.train,
             data.test,
             synthetic,
@@ -111,9 +99,9 @@ def run_table1(
             seed=derive_seed(config.seed, "mlef", name),
         )
         scores.append(score)
-        timings[display] = {"fit_seconds": fit_seconds, "sample_seconds": sample_seconds}
+        timings[model.name] = {"fit_seconds": fit_seconds, "sample_seconds": sample_seconds}
         if verbose:
-            logger.info("%s: %s (fit %.1fs)", display, score.as_row(), fit_seconds)
+            logger.info("%s: %s (fit %.1fs)", model.name, score.as_row(), fit_seconds)
 
     return {
         "scores": scores,

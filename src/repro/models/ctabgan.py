@@ -49,7 +49,7 @@ from repro.tabular.encoding import OneHotEncoder
 from repro.tabular.schema import ColumnKind
 from repro.tabular.table import Table
 from repro.utils.logging import get_logger
-from repro.utils.rng import SeedLike, as_rng, derive_seed, fused_column_draws
+from repro.utils.rng import SeedLike, as_rng, derive_seed
 
 logger = get_logger(__name__)
 
@@ -230,8 +230,8 @@ class _ModeSpecificEncoder:
 class _ConditionSampler:
     """Training-by-sampling condition vectors over categorical columns.
 
-    ``sample`` is fully vectorised per conditioned column while drawing the
-    exact RNG stream of the historical per-row loop:
+    ``sample`` draws the exact RNG stream of the historical per-row loop
+    with one pair of generator calls per conditioned column:
 
     * ``rng.choice(k, size, p=probs)`` consumes one uniform per draw and maps
       it through the probability CDF, so a pre-computed
@@ -240,76 +240,46 @@ class _ConditionSampler:
     * a scalar ``rng.integers(0, high)`` loop consumes the stream exactly
       like one vectorised ``rng.integers(0, highs)`` call over the same
       bounds (numpy applies the bounded-integer rejection per element in
-      order);
-    * the per-column ``rng.random`` + ``rng.integers`` call pairs are fused
-      into three batched generator calls by
-      :func:`repro.utils.rng.fused_column_draws`, which replays numpy's raw
-      word consumption bit-exactly (and falls back to the literal legacy
-      calls whenever it cannot).
+      order).
+
+    A table without categorical columns has nothing to condition on: the
+    condition vector is zero-wide and the discriminator's real rows are
+    drawn uniformly, as CTGAN does without discrete columns.
     """
 
     def __init__(self, table: Table, layout: List[Tuple[str, int, int]], encoders: Dict[str, OneHotEncoder]):
         self.layout = layout
         self.total_width = sum(width for _, _, width in layout)
         self.offsets = np.cumsum([0] + [width for _, _, width in layout])[:-1]
-        # Log-frequency weighting per column (as a sampling CDF), plus flat
-        # per-category row pools so the discriminator sees real rows
-        # consistent with the condition.
-        self._cdfs: List[np.ndarray] = []
-        self._pools: List[np.ndarray] = []
-        self._pool_starts: List[np.ndarray] = []
-        self._pool_sizes: List[np.ndarray] = []
-        self._pool_highs: List[np.ndarray] = []
-        #: condition-vector column -> offset of its column block (to map a
-        #: flat condition column back to the in-column category index)
-        self._cond_col_offset = np.repeat(
-            self.offsets, [width for _, _, width in layout]
-        ).astype(np.int64) if layout else np.empty(0, dtype=np.int64)
-        for (name, _start, width) in layout:
+        self._n_rows = len(table)
+        # Per-column tables padded to the widest column, so one gather per
+        # batch replaces the per-column lookups: the log-frequency sampling
+        # CDF, padded with +inf (never "<= draw", and ``cdf[-1] == 1.0`` keeps
+        # every draw in [0, 1) inside the real entries), and per category
+        # the start, size and bounded-draw high of its pool of matching rows
+        # in one flat array.
+        max_width = max((width for _, _, width in layout), default=0)
+        shape = (len(layout), max(max_width, 1))
+        self._cdf_pad = np.full(shape, np.inf)
+        self._sizes_pad = np.zeros(shape, dtype=np.int64)
+        self._highs_pad = np.ones(shape, dtype=np.int64)
+        self._starts_pad = np.zeros(shape, dtype=np.intp)
+        pools: List[np.ndarray] = []
+        for j, (name, _start, width) in enumerate(layout):
             codes = encoders[name].transform_codes(table.categorical_column(name))
-            counts = np.bincount(codes, minlength=width).astype(np.float64)
-            logfreq = np.log1p(counts)
-            probs = logfreq / logfreq.sum() if logfreq.sum() > 0 else np.full(width, 1.0 / width)
-            # Rows grouped by category: a stable argsort keeps the ascending
-            # row order np.nonzero would produce per category.
-            pool = np.argsort(codes, kind="stable")
             sizes = np.bincount(codes, minlength=width)
-            starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
+            logfreq = np.log1p(sizes.astype(np.float64))
+            probs = logfreq / logfreq.sum() if logfreq.sum() > 0 else np.full(width, 1.0 / width)
             cdf = probs.cumsum()
             cdf /= cdf[-1]
-            self._cdfs.append(cdf)
-            self._pools.append(pool)
-            self._pool_starts.append(starts)
-            self._pool_sizes.append(sizes)
-            self._pool_highs.append(np.maximum(sizes, 1))
-        # All per-column row pools concatenated, so the matching-row lookup
-        # after the RNG loop is one gather over a single flat array.
-        self._pool_offsets = np.concatenate(
-            [[0], np.cumsum([p.size for p in self._pools])[:-1]]
-        ).astype(np.intp) if self._pools else np.empty(0, dtype=np.intp)
-        self._all_pools = (
-            np.concatenate(self._pools) if self._pools else np.empty(0, dtype=np.int64)
-        )
-        # Width-padded per-column tables for the relaxed "fast" mode: one
-        # gather per batch replaces every per-column lookup.  CDF padding is
-        # +inf so padded entries never count as "<= draw".
-        max_width = max((width for _, _, width in layout), default=0)
-        self._cdf_pad = np.full((len(layout), max(max_width, 1)), np.inf)
-        self._sizes_pad = np.zeros((len(layout), max(max_width, 1)), dtype=np.int64)
-        self._highs_pad = np.ones((len(layout), max(max_width, 1)), dtype=np.int64)
-        self._starts_pad = np.zeros((len(layout), max(max_width, 1)), dtype=np.intp)
-        for j, (_name, _start, width) in enumerate(layout):
-            self._cdf_pad[j, :width] = self._cdfs[j]
-            self._sizes_pad[j, :width] = self._pool_sizes[j]
-            self._highs_pad[j, :width] = self._pool_highs[j]
-            self._starts_pad[j, :width] = self._pool_starts[j]
-        # Fit-time screen for the fused exact-mode draw path: fusing needs
-        # every pool bounded-draw-capable (high > 1) and 32-bit.  Pools are
-        # fit-time constants, so checking here keeps the per-batch screen
-        # out of the sampling hot path entirely.
-        self._fused_ok = all(
-            int(h.min()) > 1 and int(h.max()) < 2**32 for h in self._pool_highs
-        )
+            self._cdf_pad[j, :width] = cdf
+            self._sizes_pad[j, :width] = sizes
+            self._highs_pad[j, :width] = np.maximum(sizes, 1)
+            self._starts_pad[j, :width] = self._n_rows * j + np.cumsum(sizes) - sizes
+            # Rows grouped by category: a stable argsort keeps the ascending
+            # row order np.nonzero would produce per category.
+            pools.append(np.argsort(codes, kind="stable"))
+        self._all_pools = np.concatenate(pools) if pools else np.empty(0, dtype=np.intp)
 
     def sample(
         self,
@@ -317,7 +287,7 @@ class _ConditionSampler:
         rng: np.random.Generator,
         mode: str = "exact",
         need_rows: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
         """Return (condition matrix, column index, category index, matching row index).
 
         ``mode="exact"`` (default) draws the historical per-column RNG stream;
@@ -332,75 +302,43 @@ class _ConditionSampler:
         returned as ``None``) for callers that only consume the condition
         matrix (generation).  Every RNG draw still happens — the bounded
         integer draws are part of the pinned stream — so outputs are
-        byte-identical either way.
+        byte-identical either way.  With no categorical column the column
+        and category indexes are ``None`` and the rows are uniform draws.
         """
         if mode not in ("exact", "fast"):
             raise ValueError(f"unknown condition sampling mode {mode!r}; use 'exact' or 'fast'")
-        n_columns = len(self.layout)
         cond = np.zeros((batch_size, self.total_width))
+        if not self.layout:
+            rows = rng.integers(0, self._n_rows, size=batch_size)
+            return cond, None, None, rows if need_rows else None
+        n_columns = len(self.layout)
         col_choice = rng.integers(0, n_columns, size=batch_size)
         if mode == "fast":
             uniforms = rng.random(batch_size)
             cats = (self._cdf_pad[col_choice] <= uniforms[:, None]).sum(axis=1)
             draws = rng.integers(0, self._highs_pad[col_choice, cats])
-            cond[np.arange(batch_size), self.offsets[col_choice] + cats] = 1.0
-            if not need_rows:
-                return cond, col_choice, cats.astype(np.int64), None
-            sizes = self._sizes_pad[col_choice, cats]
-            starts = self._starts_pad[col_choice, cats] + self._pool_offsets[col_choice]
-            if self._all_pools.size:
-                picks = self._all_pools[np.minimum(starts + draws, self._all_pools.size - 1)]
-                row_choice = np.where(sizes > 0, picks, draws)
-            else:
-                row_choice = draws
-            return cond, col_choice, cats.astype(np.int64), row_choice
-        # Group the batch rows by conditioned column once (stable sort keeps
-        # the ascending row order of the historical per-column masks).  The
-        # per-column uniform + bounded-integer draw pairs — which must stay
-        # interleaved per column to preserve the seed stream — are fused into
-        # one raw block draw plus one stream advance by ``fused_column_draws``
-        # (pools screened at fit time; non-PCG64 generators, singleton or
-        # 64-bit pools, and a detected bounded-integer rejection all fall
-        # back to the literal legacy calls), with all gather/scatter work
-        # batched afterwards.
-        rows_by_col = np.argsort(col_choice, kind="stable")
-        counts = np.bincount(col_choice, minlength=n_columns)
-        active_cols = [j for j in range(n_columns) if counts[j]]
-        fused = None
-        if self._fused_ok:
-            plans = [(int(counts[j]), self._cdfs[j], self._pool_highs[j]) for j in active_cols]
-            fused = fused_column_draws(rng, plans, prescreened=True)
-        if fused is None:
-            fused = []
-            for j in active_cols:
-                cats = self._cdfs[j].searchsorted(rng.random(int(counts[j])), side="right")
-                fused.append((cats, rng.integers(0, self._pool_highs[j][cats])))
-        cats_parts: List[np.ndarray] = []
-        draws_parts: List[np.ndarray] = []
-        sizes_parts: List[np.ndarray] = []
-        starts_parts: List[np.ndarray] = []
-        for j, (cats, column_draws) in zip(active_cols, fused):
-            cats_parts.append(self.offsets[j] + cats)
-            draws_parts.append(column_draws)
-            if need_rows:
-                sizes_parts.append(self._pool_sizes[j][cats])
-                starts_parts.append(self._pool_starts[j][cats] + self._pool_offsets[j])
-        cat_cols = np.concatenate(cats_parts) if cats_parts else np.empty(0, dtype=np.int64)
-        cond[rows_by_col, cat_cols] = 1.0
-        cat_choice = np.empty(batch_size, dtype=np.int64)
-        cat_choice[rows_by_col] = cat_cols - self._cond_col_offset[cat_cols]
-        if not need_rows:
-            return cond, col_choice, cat_choice, None
-        draws = np.concatenate(draws_parts) if draws_parts else np.empty(0, dtype=np.int64)
-        sizes = np.concatenate(sizes_parts) if sizes_parts else np.empty(0, dtype=np.int64)
-        starts = np.concatenate(starts_parts) if starts_parts else np.empty(0, dtype=np.intp)
-        row_choice = np.empty(batch_size, dtype=np.int64)
-        if self._all_pools.size:
-            picks = self._all_pools[np.minimum(starts + draws, self._all_pools.size - 1)]
-            row_choice[rows_by_col] = np.where(sizes > 0, picks, draws)
         else:
-            row_choice[rows_by_col] = draws
-        return cond, col_choice, cat_choice, row_choice
+            # One uniform + bounded-integer call pair per conditioned column,
+            # in column order, over that column's rows in ascending order
+            # (the stable sort keeps the historical per-column masks' order).
+            rows_by_col = np.argsort(col_choice, kind="stable")
+            counts = np.bincount(col_choice, minlength=n_columns)
+            cats = np.empty(batch_size, dtype=np.int64)
+            draws = np.empty(batch_size, dtype=np.int64)
+            stop = 0
+            for j in np.flatnonzero(counts):
+                rows = rows_by_col[stop : stop + counts[j]]
+                stop += counts[j]
+                column_cats = self._cdf_pad[j].searchsorted(rng.random(rows.size), side="right")
+                cats[rows] = column_cats
+                draws[rows] = rng.integers(0, self._highs_pad[j, column_cats])
+        cond[np.arange(batch_size), self.offsets[col_choice] + cats] = 1.0
+        if not need_rows:
+            return cond, col_choice, cats, None
+        sizes = self._sizes_pad[col_choice, cats]
+        starts = self._starts_pad[col_choice, cats]
+        picks = self._all_pools[np.minimum(starts + draws, self._all_pools.size - 1)]
+        return cond, col_choice, cats, np.where(sizes > 0, picks, draws)
 
 
 class CTABGANPlusSurrogate(Surrogate):
@@ -534,9 +472,9 @@ class CTABGANPlusSurrogate(Surrogate):
                     fake_raw = self._generator(Tensor(np.concatenate([noise, cond], axis=1)))
                     fake = self._activate_generator_output(fake_raw)
                     fake_logit = self._discriminator(Tensor.concat([fake, Tensor(cond)], axis=1))
-                    adv_loss = bce_with_logits(fake_logit, np.ones((cfg.batch_size, 1)))
-                    cond_loss = self._condition_loss(fake_raw, col_c, cat_c)
-                    g_loss = adv_loss + cond_loss
+                    g_loss = bce_with_logits(fake_logit, np.ones((cfg.batch_size, 1)))
+                    if col_c is not None:  # a categorical column was conditioned on
+                        g_loss = g_loss + self._condition_loss(fake_raw, col_c, cat_c)
                     g_optimizer.zero_grad()
                     g_loss.backward()
                     clip_grad_norm(g_params, cfg.grad_clip)

@@ -65,7 +65,12 @@ __all__ = ["ScenarioEngine", "run_scenario"]
 
 
 def _percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (the service's convention); 0.0 when empty."""
+    """Nearest-rank percentile of the client-side waits; 0.0 when empty.
+
+    The value at sorted index ``round(q * (n - 1))``.  The service's own
+    percentiles interpolate histogram buckets instead
+    (:meth:`repro.obs.metrics.Histogram.quantile`).
+    """
     if not values:
         return 0.0
     ordered = sorted(values)

@@ -63,6 +63,15 @@ def _tiny_table() -> Table:
     )
 
 
+def _numerical_table(n=300, seed=8) -> Table:
+    """No categorical column at all: nothing for CTABGAN+ to condition on."""
+    rng = np.random.default_rng(seed)
+    return Table(
+        {"x": rng.lognormal(1.0, 0.6, n), "y": rng.normal(size=n) * 3.0},
+        TableSchema.from_columns(numerical=["x", "y"]),
+    )
+
+
 def _make_surrogate(name):
     if name == "tvae":
         return TVAESurrogate(TVAEConfig.fast(), seed=0)
@@ -149,6 +158,17 @@ class TestAllSurrogates:
         assert len(sampled) == 9
         assert np.isfinite(sampled["x"]).all()
         assert np.isfinite(sampled["const"]).all()
+
+    def test_numerical_only_table(self, name):
+        table = _numerical_table()
+        model = _make_surrogate(name).fit(table)
+        for mode in ("exact", "fast"):
+            sampled = model.sample(50, seed=3, sampling_mode=mode)
+            assert len(sampled) == 50
+            assert sampled.schema == table.schema
+            for column in ("x", "y"):
+                assert np.isfinite(sampled[column]).all(), (name, mode, column)
+            assert sampled == model.sample(50, seed=3, sampling_mode=mode), (name, mode)
 
     def test_save_load_round_trip(self, fitted, name, tmp_path):
         model = fitted[name]

@@ -31,6 +31,7 @@ from repro.models.ctabgan import (  # noqa: E402
     _ConditionSampler,
     _ModeSpecificEncoder,
 )
+from repro.models.onehot_blocks import SoftmaxCodeSampler  # noqa: E402
 from repro.models.tabddpm.model import TabDDPMConfig, TabDDPMSurrogate  # noqa: E402
 from repro.models.tabddpm.multinomial import (  # noqa: E402
     MultinomialBlockDiffusion,
@@ -65,6 +66,18 @@ def _mixed_table(n=900, seed=23):
 @pytest.fixture(scope="module")
 def mixed_table():
     return _mixed_table()
+
+
+def _singleton_pool_table(n=300, seed=5):
+    """One categorical column with a category that has exactly one row, so
+    its row pool is a singleton and numpy's bounded draw consumes nothing."""
+    rng = np.random.default_rng(seed)
+    cats = rng.choice(["a", "b", "c"], n).astype(object)
+    cats[0] = "lonely"
+    return Table(
+        {"x0": rng.normal(size=n), "cat": cats},
+        TableSchema.from_columns(numerical=["x0"], categorical=["cat"]),
+    )
 
 
 class TestBlockDiffusionReverseChain:
@@ -215,8 +228,10 @@ class TestFastConditionMode:
         seed = SeedConditionSampler(table, layout, encoder.categorical_encoders)
         return live, seed, layout
 
-    def test_exact_mode_still_matches_seed_stream(self, mixed_table):
-        live, seed, _layout = self._sampler_pair(mixed_table)
+    @pytest.mark.parametrize("table_name", ["mixed", "singleton-pool"])
+    def test_exact_mode_still_matches_seed_stream(self, mixed_table, table_name):
+        table = mixed_table if table_name == "mixed" else _singleton_pool_table()
+        live, seed, _layout = self._sampler_pair(table)
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(10):
             for a, b in zip(live.sample(64, rng_a, mode="exact"), seed.sample(64, rng_b)):
@@ -250,7 +265,7 @@ class TestFastConditionMode:
         for j, (_name, _start, width) in enumerate(layout):
             mask = col_choice == j
             observed = np.bincount(cat_choice[mask], minlength=width)
-            expected = live._cdfs[j].copy()
+            expected = live._cdf_pad[j, :width].copy()
             expected[1:] -= expected[:-1]
             expected = expected * mask.sum()
             statistic = float(((observed - expected) ** 2 / np.maximum(expected, 1e-9)).sum())
@@ -258,56 +273,101 @@ class TestFastConditionMode:
             assert p_value > 1e-3, f"column {j}: chi2={statistic:.1f}, p={p_value:.2e}"
 
 
-class TestFusedExactConditionDraws:
-    """The fused exact-mode draw path: fewer RNG calls, identical stream."""
+#: Lane-plane widths (2 to OneHotBlocks.LANE_LIMIT - 1), three blocks each,
+#: then one 9-wide block that takes the per-block path.
+LANE_WIDTHS = [w for w in range(2, 8) for _ in range(3)] + [9]
 
-    def _sampler(self, table):
-        encoder = _ModeSpecificEncoder(3, 0).fit(table)
-        return _ConditionSampler(table, encoder.categorical_layout, encoder.categorical_encoders)
 
-    def test_fused_path_is_taken_on_real_fit(self, mixed_table):
-        live = self._sampler(mixed_table)
-        assert live._fused_ok, "fit-time screen should accept the mixed table's pools"
+def _lane_spans():
+    spans, start = [], 0
+    for w in LANE_WIDTHS:
+        spans.append((start, start + w))
+        start += w
+    return spans, start
 
-    def test_fused_matches_forced_legacy(self, mixed_table):
-        live = self._sampler(mixed_table)
-        for need_rows in (True, False):
-            rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
-            live._fused_ok = True
-            fused_out = [live.sample(96, rng_a, mode="exact", need_rows=need_rows)
-                         for _ in range(6)]
-            live._fused_ok = False
-            legacy_out = [live.sample(96, rng_b, mode="exact", need_rows=need_rows)
-                          for _ in range(6)]
-            live._fused_ok = True
-            for fo, lo in zip(fused_out, legacy_out):
-                for a, b in zip(fo, lo):
-                    if a is None:
-                        assert b is None
-                    else:
-                        np.testing.assert_array_equal(a, b)
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
-    def test_singleton_pool_fit_falls_back(self):
-        # One category appearing exactly once makes its pool size 1 — numpy
-        # consumes nothing for such draws, so the fused layout cannot be
-        # pinned and the fit-time screen must route to the legacy calls.
-        rng = np.random.default_rng(5)
-        n = 300
-        cats = rng.choice(["a", "b", "c"], n).astype(object)
-        cats[0] = "lonely"  # exactly one row in this category's pool
-        table = Table(
-            {"x0": rng.normal(size=n), "cat": cats},
-            TableSchema.from_columns(numerical=["x0"], categorical=["cat"]),
-        )
-        live = self._sampler(table)
-        assert not live._fused_ok
-        seed = SeedConditionSampler(
-            table,
-            _ModeSpecificEncoder(3, 0).fit(table).categorical_layout,
-            _ModeSpecificEncoder(3, 0).fit(table).categorical_encoders,
-        )
-        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-        for a, b in zip(live.sample(80, rng_a, mode="exact"), seed.sample(80, rng_b)):
-            np.testing.assert_array_equal(a, b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+def _capture_lane_cdfs(kernel):
+    """Record the in-lane CDF planes ``_draw_lanes`` counts each draw
+    against, as the kernel's ``weigh`` leaves them: one ``(rows, width)``
+    CDF per lane-grouped block, keyed by block id (a later row chunk would
+    overwrite an earlier one)."""
+    planes = {}
+    draw_lanes = kernel._draw_lanes
+
+    def recording_draw_lanes(values, draws, codes, weigh):
+        def recording_weigh(s, w, gidx):
+            fallback = weigh(s, w, gidx)
+            for k, b in enumerate(gidx):
+                planes[int(b)] = s["g"][:, :, k].T.copy()
+            return fallback
+
+        draw_lanes(values, draws, codes, recording_weigh)
+
+    kernel._draw_lanes = recording_draw_lanes
+    return planes
+
+
+class TestExactLaneCDFPlanes:
+    """The exact lane kernels' weights, not only their codes.
+
+    A one-ulp weight change flips a drawn code only when a draw lands within
+    an ulp of a CDF entry, so the byte suites above can miss a rounding
+    change in a lane stage (a lane sum taken in another order).  These tests
+    compare every lane-plane CDF with the ``np.cumsum`` of the per-block
+    verbatim chain, element for element.
+    """
+
+    N_ROWS = 400  # one row chunk of either kernel
+
+    def test_softmax_code_sampler(self):
+        spans, n_features = _lane_spans()
+        raw = np.random.default_rng(21).normal(size=(self.N_ROWS, n_features)) * 3.0
+        sampler = SoftmaxCodeSampler(spans)
+        planes = _capture_lane_cdfs(sampler)
+        sampler.sample_codes(raw, np.random.default_rng(1))
+        assert sorted(planes) == [b for b, w in enumerate(LANE_WIDTHS) if w < 8]
+        for b, plane in planes.items():
+            start, stop = spans[b]
+            # SoftmaxCodeSampler._codes_wide_blocks up to its CDF.
+            logits = raw[:, start:stop]
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            expv = np.exp(shifted)
+            log_sum = np.log(expv.sum(axis=1, keepdims=True))
+            np.subtract(shifted, log_sum, out=shifted)
+            probs = np.exp(shifted)
+            probs /= np.maximum(probs.sum(axis=1, keepdims=True), 1e-12)
+            np.testing.assert_array_equal(plane, np.cumsum(probs, axis=1), err_msg=f"block {b}")
+
+    @pytest.mark.parametrize("t", [0, 1, 6])
+    def test_block_diffusion_reverse_step(self, t):
+        spans, n_features = _lane_spans()
+        schedule = DiffusionSchedule.cosine(8)
+        block = MultinomialBlockDiffusion(spans, schedule)
+        rng = np.random.default_rng(22)
+        prediction = rng.normal(size=(self.N_ROWS, n_features)) * 3.0
+        state = np.zeros((self.N_ROWS, n_features))
+        chosen = block.prior_sample_into(state, rng)
+        x_t = state.copy()
+        planes = _capture_lane_cdfs(block)
+        block.p_sample_into(state, prediction, t, rng, prev_chosen=chosen)
+        assert sorted(planes) == [b for b, w in enumerate(LANE_WIDTHS) if w < 8]
+        alpha_t = float(schedule.alphas[t])
+        alpha_bar_prev = float(schedule.alphas_bar_prev[t])
+        for b, plane in planes.items():
+            start, stop = spans[b]
+            k = stop - start
+            # MultinomialBlockDiffusion._p_sample_wide_blocks up to its CDF.
+            logits = prediction[:, start:stop]
+            logits = logits - logits.max(axis=1, keepdims=True)
+            x0_probs = np.exp(logits)
+            x0_probs /= np.maximum(x0_probs.sum(axis=1, keepdims=True), 1e-12)
+            if t == 0:
+                probs = x0_probs / np.maximum(x0_probs.sum(axis=1, keepdims=True), 1e-12)
+            else:
+                factor_xt = alpha_t * x_t[:, start:stop] + (1.0 - alpha_t) / k
+                factor_x0 = alpha_bar_prev * x0_probs + (1.0 - alpha_bar_prev) / k
+                probs = factor_xt * factor_x0
+                probs = probs / np.maximum(probs.sum(axis=1, keepdims=True), 1e-12)
+            cumulative = np.cumsum(probs, axis=1)
+            cumulative /= np.maximum(cumulative[:, -1:], 1e-12)
+            np.testing.assert_array_equal(plane, cumulative, err_msg=f"block {b}, t={t}")
